@@ -19,7 +19,7 @@ import numpy as np
 
 from . import __version__, baselines, core, harness, simulator, svg
 from .core import EncodingConfig, OptimizerConfig
-from .errors import ConfigError, QemcError
+from .errors import ConfigError, QemcError, RuntimeFailure
 from .graphs import (
     exhaustive_maxcut,
     generate_regular,
@@ -42,7 +42,11 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _default_seed() -> int:
-    return int(os.environ.get("QEMC_SEED", "0"))
+    text = os.environ.get("QEMC_SEED", "0")
+    try:
+        return int(text)
+    except ValueError:
+        raise ConfigError(f"QEMC_SEED must be an integer, got {text!r}") from None
 
 
 def _parse_shots(token: str, num_nodes: int) -> int | None:
@@ -57,12 +61,16 @@ def _parse_shots(token: str, num_nodes: int) -> int | None:
             from None
 
 
-def _int_list(text: str) -> list[int]:
-    return [int(x) for x in text.split(",") if x]
-
-
-def _float_list(text: str) -> list[float]:
-    return [float(x) for x in text.split(",") if x]
+def _number_list(text: str, kind, option: str) -> list:
+    """Comma-separated numbers of type ``kind``; at least one is required."""
+    try:
+        values = [kind(x) for x in text.split(",") if x]
+    except ValueError:
+        raise ConfigError(f"{option} must be comma-separated numbers, got {text!r}") \
+            from None
+    if not values:
+        raise ConfigError(f"{option} needs at least one value")
+    return values
 
 
 def _config_comments(payload: dict) -> list[str]:
@@ -103,8 +111,12 @@ def _cmd_solve(args) -> int:
 
     payload = record.to_json_dict()
     payload["version"] = __version__
+    try:
+        text = json.dumps(payload, sort_keys=True, indent=1, allow_nan=False)
+    except ValueError as exc:
+        raise RuntimeFailure(f"run record is not finite: {exc}") from None
     with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=1)
+        fh.write(text)
     print(f"final best cut: {record.final_best_cut:g}")
     if args.target is not None:
         hit = record.iterations_to_target(args.target)
@@ -143,8 +155,8 @@ def _cmd_gw(args) -> int:
 def _cmd_grid(args) -> int:
     graph = read_edge_list_file(args.graph)
     shots = _parse_shots(args.shots, graph.num_nodes)
-    grid = GridSpec(layer_values=tuple(args.layers),
-                    step_values=tuple(args.steps),
+    grid = GridSpec(layer_values=tuple(_number_list(args.layers, int, "--layers")),
+                    step_values=tuple(_number_list(args.steps, float, "--steps")),
                     trials_per_cell=args.trials,
                     iteration_budget=args.iters)
     blue = args.blue if args.blue is not None else graph.num_nodes // 2
@@ -176,7 +188,7 @@ def _cmd_scaling(args) -> int:
                             iterations=args.iters, trials=args.trials,
                             shots=_parse_shots(args.shots, graphs_list[0].num_nodes)
                             if args.axis != "shots" else None)
-    axis_values = _int_list(args.values) if args.values else None
+    axis_values = _number_list(args.values, int, "--values") if args.values else None
     rows = harness.scaling_study(graphs_list, targets, args.axis, settings,
                                  axis_values=axis_values, seed=args.seed,
                                  jobs=args.jobs)
@@ -281,9 +293,9 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("grid", help="layer / step-size grid search")
     p.add_argument("--graph", required=True)
-    p.add_argument("--layers", type=_int_list, required=True,
+    p.add_argument("--layers", required=True,
                    help="comma-separated layer counts")
-    p.add_argument("--steps", type=_float_list, required=True,
+    p.add_argument("--steps", required=True,
                    help="comma-separated step sizes")
     p.add_argument("--trials", type=int, default=10)
     p.add_argument("--iters", type=int, default=300)
@@ -333,9 +345,8 @@ def _build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         return args.func(args)
     except ConfigError as exc:
         print(f"qemc: error: {exc}", file=sys.stderr)

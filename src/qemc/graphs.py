@@ -369,6 +369,8 @@ def parse_edge_list(text: str) -> Graph:
             w = float(parts[2]) if len(parts) == 3 else 1.0
         except ValueError:
             raise ParseError(f"bad edge line {line!r}", lineno) from None
+        if not np.isfinite(w):
+            raise ParseError(f"edge weight must be finite, got {parts[2]!r}", lineno)
         if u < 0 or v < 0:
             raise ParseError("node indices must be non-negative", lineno)
         if u == v:

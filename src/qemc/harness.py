@@ -77,11 +77,6 @@ class QemcSettings:
     blue_count: int | None = None       # None: N // 2
     trials: int = 10
 
-    def resolved_mode(self) -> str:
-        if self.gradient_mode is not None:
-            return self.gradient_mode
-        return PARAMETER_SHIFT if self.shots is not None else ANALYTIC
-
 
 def _setup(graph: Graph, settings: QemcSettings):
     ansatz = AnsatzConfig(simulator.num_qubits_for(graph.num_nodes), settings.layers)
@@ -90,15 +85,19 @@ def _setup(graph: Graph, settings: QemcSettings):
     return ansatz, encoding
 
 
-def _optimizer(settings: QemcSettings, seed: int, *, layers_override=None,
-               step_override=None, shots_override="unset") -> OptimizerConfig:
+def _gradient_mode(mode: str | None, shots: int | None) -> str:
+    """``mode`` when given, else analytic for exact runs, parameter shift for sampled."""
+    if mode is not None:
+        return mode
+    return PARAMETER_SHIFT if shots is not None else ANALYTIC
+
+
+def _optimizer(settings: QemcSettings, seed: int, *,
+               shots_override="unset") -> OptimizerConfig:
     shots = settings.shots if shots_override == "unset" else shots_override
-    mode = settings.gradient_mode
-    if mode is None:
-        mode = PARAMETER_SHIFT if shots is not None else ANALYTIC
     return OptimizerConfig(
-        step_size=step_override if step_override is not None else settings.step_size,
-        max_iterations=settings.iterations, shots=shots, gradient_mode=mode,
+        step_size=settings.step_size, max_iterations=settings.iterations,
+        shots=shots, gradient_mode=_gradient_mode(settings.gradient_mode, shots),
         seed=seed)
 
 
@@ -175,7 +174,7 @@ def grid_search(graph: Graph, grid: GridSpec, encoding: EncodingConfig, seed=0,
     """
     ansatz_for = {layers: AnsatzConfig(simulator.num_qubits_for(graph.num_nodes), layers)
                   for layers in grid.layer_values}
-    mode = gradient_mode or (PARAMETER_SHIFT if shots is not None else ANALYTIC)
+    mode = _gradient_mode(gradient_mode, shots)
     items = []
     for layers in grid.layer_values:
         for step in grid.step_values:

@@ -15,6 +15,14 @@ as the most significant bit.  Parameter vectors are flat arrays of length
 3 * num_qubits * num_layers in (layer, qubit, slot) order, slots being
 (phi, theta, omega).
 
+The simulation works layer by layer.  The Hadamard layer on |0...0> is the
+uniform start state 2^(-n/2); all rotation matrices are built at once from
+the parameter array; each layer's CNOT ring is composed into one index
+permutation (and its inverse), cached per ``AnsatzConfig``.  One reverse
+sweep, the adjoint method of Jones & Gacon (arXiv:2009.02823), serves both
+the vector-Jacobian product and the analytic Jacobian: the Jacobian is the
+same sweep run with the identity as the batch of weight rows.
+
 All functions are pure: no shared mutable state, safe to call concurrently.
 """
 
@@ -45,10 +53,6 @@ __all__ = [
 
 ANALYTIC = "analytic"
 PARAMETER_SHIFT = "parameter_shift"
-
-_HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=np.complex128) / np.sqrt(2.0)
-_MZ = np.array([[-0.5j, 0.0], [0.0, 0.5j]], dtype=np.complex128)   # d/da RZ at a=0
-_MY = np.array([[0.0, -0.5], [0.5, 0.0]], dtype=np.complex128)     # d/da RY at a=0
 
 
 def num_qubits_for(num_nodes: int) -> int:
@@ -144,63 +148,70 @@ def gate_count(config: AnsatzConfig) -> int:
     return n + layers * (n + cnots_per_layer)
 
 
-# -- gate plan -------------------------------------------------------------------
-
-_OP_H = 0       # (kind, qubit)
-_OP_ROT = 1     # (kind, qubit, param_base)
-_OP_CNOT = 2    # (kind, permutation)
+# -- per-layer form ---------------------------------------------------------------
 
 
-@lru_cache(maxsize=128)
 def _cnot_permutation(num_qubits: int, control: int, target: int) -> np.ndarray:
     idx = np.arange(1 << num_qubits, dtype=np.int64)
     control_bit = 1 << (num_qubits - 1 - control)
     target_bit = 1 << (num_qubits - 1 - target)
-    perm = np.where(idx & control_bit, idx ^ target_bit, idx)
-    perm.setflags(write=False)
-    return perm
+    return np.where(idx & control_bit, idx ^ target_bit, idx)
 
 
 @lru_cache(maxsize=128)
-def _plan(config: AnsatzConfig) -> tuple:
+def _rings(config: AnsatzConfig) -> tuple:
+    """Per layer, its CNOT ring as one index permutation and that permutation's
+    inverse: ``state[perm]`` applies the ring, ``state[inverse]`` undoes it."""
     n = config.num_qubits
-    ops = [(_OP_H, q) for q in range(n)]
+    rings = []
     for layer in range(config.num_layers):
-        base = 3 * n * layer
-        for q in range(n):
-            ops.append((_OP_ROT, q, base + 3 * q))
+        perm = np.arange(config.dim, dtype=np.int64)
         if n >= 2:
             stride = config.entangler_strides[layer]
             for q in range(n):
-                ops.append((_OP_CNOT, _cnot_permutation(n, q, (q + stride) % n)))
-    return tuple(ops)
+                perm = perm[_cnot_permutation(n, q, (q + stride) % n)]
+        inverse = np.argsort(perm)
+        perm.setflags(write=False)
+        inverse.setflags(write=False)
+        rings.append((perm, inverse))
+    return tuple(rings)
 
 
-def _rot_matrix(phi: float, theta: float, omega: float) -> np.ndarray:
+def _rotations(config: AnsatzConfig, params: np.ndarray) -> np.ndarray:
+    """Rot(phi, theta, omega) for every (layer, qubit): shape (L, n, 2, 2)."""
+    angles = params.reshape(config.num_layers, config.num_qubits, 3)
+    phi, theta, omega = angles[..., 0], angles[..., 1], angles[..., 2]
     c, s = np.cos(theta / 2.0), np.sin(theta / 2.0)
-    return np.array(
-        [[np.exp(-0.5j * (phi + omega)) * c, -np.exp(0.5j * (phi - omega)) * s],
-         [np.exp(-0.5j * (phi - omega)) * s, np.exp(0.5j * (phi + omega)) * c]])
+    plus = np.exp(-0.5j * (phi + omega))
+    minus = np.exp(-0.5j * (phi - omega))
+    return np.stack([plus * c, -minus.conj() * s, minus * s, plus.conj() * c],
+                    axis=-1).reshape(angles.shape[:2] + (2, 2))
 
 
-def _rot_derivatives(phi, theta, omega):
-    """d(Rot)/d(phi), d(Rot)/d(theta), d(Rot)/d(omega) as 2x2 matrices."""
-    rz_phi = np.array([[np.exp(-0.5j * phi), 0], [0, np.exp(0.5j * phi)]])
-    rz_omega = np.array([[np.exp(-0.5j * omega), 0], [0, np.exp(0.5j * omega)]])
-    c, s = np.cos(theta / 2.0), np.sin(theta / 2.0)
-    ry = np.array([[c, -s], [s, c]], dtype=np.complex128)
-    return (rz_omega @ ry @ rz_phi @ _MZ,
-            rz_omega @ _MY @ ry @ rz_phi,
-            _MZ @ rz_omega @ ry @ rz_phi)
+def _generators(rots: np.ndarray, params: np.ndarray) -> np.ndarray:
+    """d(Rot)/d(angle) @ Rot^dagger for every (layer, qubit, slot): (L, n, 3, 2, 2).
+
+    With Rot = RZ(omega) RY(theta) RZ(phi) these are R (-iZ/2) R^dagger,
+    RZ(omega) (-iY/2) RZ(omega)^dagger and -iZ/2.
+    """
+    omega = params.reshape(rots.shape[:2] + (3,))[..., 2]
+    half_iz = np.array([-0.5j, 0.5j])  # diagonal of -iZ/2
+    gens = np.zeros(rots.shape[:2] + (3, 2, 2), dtype=np.complex128)
+    gens[..., 0, :, :] = (rots * half_iz) @ rots.conj().swapaxes(-1, -2)
+    gens[..., 1, 0, 1] = -0.5 * np.exp(-1j * omega)
+    gens[..., 1, 1, 0] = 0.5 * np.exp(1j * omega)
+    gens[..., 2, :, :] = np.diag(half_iz)
+    return gens
 
 
-def _apply_single(state: np.ndarray, mat: np.ndarray, qubit: int) -> None:
-    """In-place 2x2 gate on ``qubit`` (qubit 0 = most significant bit)."""
-    view = state.reshape(1 << qubit, 2, -1)
-    upper = view[:, 0, :].copy()
-    lower = view[:, 1, :]
-    view[:, 0, :] = mat[0, 0] * upper + mat[0, 1] * lower
-    view[:, 1, :] = mat[1, 0] * upper + mat[1, 1] * lower
+def _rotate_leading(mat: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Apply ``mat`` to the leading index bit of every row and move that bit last.
+
+    Calling this once per qubit, in qubit order, acts on every qubit and
+    leaves the index layout as it was.
+    """
+    split = rows.reshape(rows.shape[0], 2, -1)
+    return (split.swapaxes(1, 2) @ mat.T).reshape(rows.shape[0], -1)
 
 
 def _check_params(config: AnsatzConfig, params) -> np.ndarray:
@@ -211,24 +222,21 @@ def _check_params(config: AnsatzConfig, params) -> np.ndarray:
     return p
 
 
-def _run(config: AnsatzConfig, params: np.ndarray) -> np.ndarray:
-    state = np.zeros(config.dim, dtype=np.complex128)
-    state[0] = 1.0
-    for op in _plan(config):
-        kind = op[0]
-        if kind == _OP_H:
-            _apply_single(state, _HADAMARD, op[1])
-        elif kind == _OP_ROT:
-            base = op[2]
-            _apply_single(state, _rot_matrix(*params[base:base + 3]), op[1])
-        else:
-            state = state[op[1]]
-    return state
+def _run(config: AnsatzConfig, rots: np.ndarray) -> np.ndarray:
+    # The Hadamard layer on |0...0> is the uniform start state.
+    state = np.full((1, config.dim), 2.0 ** (-config.num_qubits / 2.0),
+                    dtype=np.complex128)
+    for layer_rots, (perm, _) in zip(rots, _rings(config)):
+        for mat in layer_rots:
+            state = _rotate_leading(mat, state)
+        state = state[:, perm]
+    return state[0]
 
 
 def run_circuit(config: AnsatzConfig, params) -> np.ndarray:
     """Statevector prepared by the ansatz: complex array of length 2^n."""
-    return _run(config, _check_params(config, params))
+    params = _check_params(config, params)
+    return _run(config, _rotations(config, params))
 
 
 def probabilities(config: AnsatzConfig, params) -> ProbabilityHistogram:
@@ -251,10 +259,38 @@ def sample_histogram(config: AnsatzConfig, params, shots: int, seed) -> Probabil
 # -- differentiation ---------------------------------------------------------------
 
 
+def _vjp(config: AnsatzConfig, params: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """g[k, i] = sum_j weights[k, j] * d p(j) / d params[i] for each weight row k.
+
+    One reverse sweep from the final state psi carries psi itself as row 0
+    and the adjoints lambda_k = weights[k] * psi as rows 1..K.  Once a layer's
+    ring is undone, each qubit's 2x2 transition matrix
+    T[a, b] = sum conj(lambda_a) psi_b gives its three angle derivatives as
+    2 Re sum(G * T), G being d(Rot)/d(angle) Rot^dagger.  Undoing the layer's
+    other rotations first leaves T unchanged: they act on other qubits.
+    """
+    rots = _rotations(config, params)
+    psi = _run(config, rots)
+    k = weights.shape[0]
+    rows = np.vstack([psi, weights * psi])
+    adjoints = rots.conj().swapaxes(-1, -2)
+    transitions = np.empty((config.num_layers, config.num_qubits, k, 2, 2),
+                           dtype=np.complex128)
+    rings = _rings(config)
+    for layer in reversed(range(config.num_layers)):
+        rows = rows[:, rings[layer][1]]
+        for q in range(config.num_qubits):
+            split = rows.reshape(k + 1, 2, -1)
+            transitions[layer, q] = split[1:].conj() @ split[0].T
+            rows = _rotate_leading(adjoints[layer, q], rows)
+    grad = np.einsum("lqsab,lqkab->klqs", _generators(rots, params), transitions)
+    return 2.0 * grad.real.reshape(k, -1)
+
+
 def probability_vjp(config: AnsatzConfig, params, weights) -> np.ndarray:
     """Vector-Jacobian product  g[i] = sum_k weights[k] * d p(k) / d theta[i].
 
-    One reverse sweep uncomputes the circuit gate by gate, so the cost is
+    One reverse sweep uncomputes the circuit layer by layer, so the cost is
     proportional to the gate count rather than gates x parameters.  This is
     the workhorse behind analytic training gradients.
     """
@@ -262,62 +298,7 @@ def probability_vjp(config: AnsatzConfig, params, weights) -> np.ndarray:
     w = np.asarray(weights, dtype=np.float64).reshape(-1)
     if w.size != config.dim:
         raise ShapeMismatch(f"expected {config.dim} weights, got {w.size}")
-    grad = np.zeros(config.num_parameters)
-    psi = _run(config, params)
-    lam = w * psi
-    state = psi.copy()
-    for op in reversed(_plan(config)):
-        kind = op[0]
-        if kind == _OP_H:
-            _apply_single(state, _HADAMARD, op[1])
-            _apply_single(lam, _HADAMARD, op[1])
-        elif kind == _OP_CNOT:
-            state = state[op[1]]
-            lam = lam[op[1]]
-        else:
-            qubit, base = op[1], op[2]
-            rot = _rot_matrix(*params[base:base + 3])
-            inv = rot.conj().T
-            _apply_single(state, inv, qubit)
-            for slot, dmat in enumerate(_rot_derivatives(*params[base:base + 3])):
-                shifted = state.copy()
-                _apply_single(shifted, dmat, qubit)
-                grad[base + slot] = 2.0 * np.real(np.vdot(lam, shifted))
-            _apply_single(lam, inv, qubit)
-    return grad
-
-
-def _jacobian_analytic(config: AnsatzConfig, params: np.ndarray) -> np.ndarray:
-    plan = _plan(config)
-    psi = _run(config, params)
-    jac = np.empty((config.dim, config.num_parameters))
-    # Forward pass storing the state entering each rotation gate.
-    entries = []  # (plan position, qubit, param base, state before gate)
-    state = np.zeros(config.dim, dtype=np.complex128)
-    state[0] = 1.0
-    for pos, op in enumerate(plan):
-        kind = op[0]
-        if kind == _OP_H:
-            _apply_single(state, _HADAMARD, op[1])
-        elif kind == _OP_ROT:
-            entries.append((pos, op[1], op[2], state.copy()))
-            _apply_single(state, _rot_matrix(*params[op[2]:op[2] + 3]), op[1])
-        else:
-            state = state[op[1]]
-    for pos, qubit, base, before in entries:
-        for slot, dmat in enumerate(_rot_derivatives(*params[base:base + 3])):
-            dstate = before.copy()
-            _apply_single(dstate, dmat, qubit)
-            for op in plan[pos + 1:]:
-                kind = op[0]
-                if kind == _OP_H:
-                    _apply_single(dstate, _HADAMARD, op[1])
-                elif kind == _OP_ROT:
-                    _apply_single(dstate, _rot_matrix(*params[op[2]:op[2] + 3]), op[1])
-                else:
-                    dstate = dstate[op[1]]
-            jac[:, base + slot] = 2.0 * np.real(np.conj(psi) * dstate)
-    return jac
+    return _vjp(config, params, w[np.newaxis])[0]
 
 
 def _jacobian_parameter_shift(config, params, shots, seed):
@@ -351,7 +332,7 @@ def probability_jacobian(config: AnsatzConfig, params, mode: str = ANALYTIC,
     if mode == ANALYTIC:
         if shots is not None:
             raise ValueError("analytic mode does not take a shot budget")
-        return _jacobian_analytic(config, params)
+        return _vjp(config, params, np.eye(config.dim))
     if mode == PARAMETER_SHIFT:
         if shots is not None and seed is None:
             raise ValueError("sampled parameter shift needs a seed")

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from qemc import core
 from qemc.cli import main
 from qemc.graphs import complete_graph, write_edge_list_file
 
@@ -80,6 +81,26 @@ class TestSolve:
                      "--out", str(tmp_path / "x.json")])
         assert code == 2
 
+    def test_nan_weight_exits_2(self, tmp_path, capsys):
+        graph_path = tmp_path / "nan.txt"
+        graph_path.write_text("0 1 nan\n1 2\n")
+        out = tmp_path / "x.json"
+        code = main(["solve", "--graph", str(graph_path), "--layers", "1",
+                     "--step-size", "0.5", "--iters", "2", "--out", str(out)])
+        assert code == 2
+        assert "qemc: error: line 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_non_finite_record_not_written(self, k4_file, tmp_path, capsys,
+                                           monkeypatch):
+        monkeypatch.setattr(core, "cost", lambda *args: float("nan"))
+        out = tmp_path / "x.json"
+        code = main(["solve", "--graph", k4_file, "--layers", "1",
+                     "--step-size", "0.5", "--iters", "2", "--out", str(out)])
+        assert code == 2
+        assert "qemc: error:" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_rerun_is_bit_identical(self, k4_file, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         args = ["solve", "--graph", k4_file, "--layers", "1", "--step-size",
@@ -108,6 +129,13 @@ class TestSolve:
         main(["solve", "--graph", k4_file, "--layers", "1", "--step-size",
               "0.9", "--iters", "5", "--out", str(out)])
         assert json.loads(out.read_text())["seed"] == 17
+
+    def test_bad_env_seed_exits_1(self, k4_file, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("QEMC_SEED", "abc")
+        code = main(["solve", "--graph", k4_file, "--layers", "1", "--step-size",
+                     "0.9", "--iters", "5", "--out", str(tmp_path / "x.json")])
+        assert code == 1
+        assert "qemc: error: QEMC_SEED" in capsys.readouterr().err
 
 
 class TestExhaustive:
@@ -144,6 +172,16 @@ class TestGrid:
         data = [l for l in out.read_text().splitlines() if not l.startswith("#")]
         assert data[0] == "layers,step_size,trial,final_best_cut"
         assert len(data) == 1 + 9
+
+    @pytest.mark.parametrize("option,value", [("--layers", ""), ("--layers", "1,x"),
+                                              ("--steps", ","), ("--steps", "0.5,fast")])
+    def test_bad_list_exits_1(self, k4_file, tmp_path, capsys, option, value):
+        args = {"--layers": "1", "--steps": "0.5", option: value}
+        code = main(["grid", "--graph", k4_file, "--layers", args["--layers"],
+                     "--steps", args["--steps"], "--trials", "1", "--iters", "2",
+                     "--jobs", "1", "--out", str(tmp_path / "grid.csv")])
+        assert code == 1
+        assert f"qemc: error: {option}" in capsys.readouterr().err
 
 
 class TestScaling:

@@ -202,6 +202,12 @@ class TestEdgeListFormat:
             parse_edge_list("0 1\n# fine\nx y\n")
         assert info.value.line_number == 3
 
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+    def test_non_finite_weight_reports_line(self, token):
+        with pytest.raises(ParseError) as info:
+            parse_edge_list(f"0 1\n1 2 {token}\n")
+        assert info.value.line_number == 2
+
     def test_comments_and_header(self):
         g = parse_edge_list("# a comment\nN 5\n0 1\n")
         assert g.num_nodes == 5

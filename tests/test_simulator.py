@@ -113,9 +113,13 @@ class TestRunCircuit:
         hist = probabilities(AnsatzConfig(3, 4), np.zeros(36))
         assert np.allclose(hist.probs, 0.125)
 
-    @pytest.mark.parametrize("num_qubits,num_layers", [(1, 2), (2, 1), (2, 3), (3, 2), (4, 2)])
-    def test_matches_dense_oracle(self, num_qubits, num_layers):
-        config = AnsatzConfig(num_qubits, num_layers)
+    @pytest.mark.parametrize(
+        "num_qubits,num_layers,strides",
+        [(1, 2, None), (2, 1, None), (2, 3, None), (3, 2, None), (4, 2, None),
+         (5, 2, None), (3, 3, (2, 1, 2)), (4, 3, (3, 3, 1))],
+        ids=["1-2", "2-1", "2-3", "3-2", "4-2", "5-2", "3-3-212", "4-3-331"])
+    def test_matches_dense_oracle(self, num_qubits, num_layers, strides):
+        config = AnsatzConfig(num_qubits, num_layers, strides)
         params = random_parameters(config, seed=42 + num_qubits)
         assert np.allclose(run_circuit(config, params),
                            dense_circuit_oracle(config, params), atol=1e-12)
@@ -241,6 +245,17 @@ class TestJacobian:
             direct = probability_vjp(config, params, weights)
             via_jacobian = probability_jacobian(config, params).T @ weights
             assert np.allclose(direct, via_jacobian, atol=1e-12)
+
+    def test_vjp_matches_parameter_shift_contraction(self):
+        rng = np.random.default_rng(11)
+        for n, layers, strides in [(1, 2, None), (3, 2, None), (4, 3, (3, 3, 1)),
+                                   (5, 1, None)]:
+            config = AnsatzConfig(n, layers, strides)
+            params = random_parameters(config, seed=n * 10 + layers)
+            weights = rng.normal(size=config.dim)
+            direct = probability_vjp(config, params, weights)
+            shifted = probability_jacobian(config, params, PARAMETER_SHIFT).T @ weights
+            assert np.abs(direct - shifted).max() < 1e-9
 
     def test_vjp_weight_length_checked(self):
         with pytest.raises(ShapeMismatch):
