@@ -25,6 +25,7 @@ from .errors import (
     DegenerateDenominator,
     HistogramTooShort,
     InvalidBlueCount,
+    InvalidCount,
     ShapeMismatch,
 )
 from .graphs import Graph, Partition, cut_value
@@ -92,8 +93,9 @@ class OptimizerConfig:
     epsilon: float = 1e-8
 
     def __post_init__(self):
-        if self.step_size <= 0:
-            raise ShapeMismatch("step_size must be positive")
+        if not (np.isfinite(self.step_size) and self.step_size > 0):
+            raise ShapeMismatch(
+                f"step_size must be positive and finite, got {self.step_size}")
         if self.max_iterations < 0:
             raise ShapeMismatch("max_iterations must be non-negative")
         if self.shots is not None and self.shots < 1:
@@ -237,12 +239,13 @@ def cost_gradient_params(graph: Graph, ansatz: AnsatzConfig,
     """Analytic chain-rule gradient dC/dtheta = (dC/dp) . (dp/dtheta).
 
     When ``histogram`` is omitted the exact distribution at ``params`` is used
-    for the dC/dp factor.
+    for the dC/dp factor.  The circuit is simulated once either way.
     """
+    state = simulator.run_circuit(ansatz, params)
     if histogram is None:
-        histogram = simulator.probabilities(ansatz, params)
+        histogram = ProbabilityHistogram(np.abs(state) ** 2)
     weights = cost_gradient_wrt_probs(histogram, graph, encoding)
-    return simulator.probability_vjp(ansatz, params, weights)
+    return simulator.probability_vjp(ansatz, params, weights, state=state)
 
 
 # -- training ------------------------------------------------------------------------
@@ -254,9 +257,11 @@ def train(graph: Graph, ansatz: AnsatzConfig, encoding: EncodingConfig,
 
     Each iteration evaluates the histogram at the current angles (exact or an
     S-shot sample), records its cost and decoded cut, and takes one Adam step
-    from the chain-rule gradient.  Iteration indices count Adam steps starting
-    at 1; the pre-initialization state is not recorded.  Deterministic for a
-    fixed seed.
+    from the chain-rule gradient.  With exact probabilities the statevector
+    simulated for the histogram also seeds the analytic gradient, so each
+    iteration simulates the circuit once.  Iteration indices count Adam steps
+    starting at 1; the pre-initialization state is not recorded.
+    Deterministic for a fixed seed.
     """
     if ansatz.num_qubits != simulator.num_qubits_for(graph.num_nodes):
         raise ShapeMismatch(
@@ -279,8 +284,10 @@ def train(graph: Graph, ansatz: AnsatzConfig, encoding: EncodingConfig,
     best = -np.inf
 
     for it in range(1, optimizer.max_iterations + 1):
+        state = None
         if optimizer.shots is None:
-            hist = simulator.probabilities(ansatz, params)
+            state = simulator.run_circuit(ansatz, params)
+            hist = ProbabilityHistogram(np.abs(state) ** 2)
         else:
             hist = simulator.sample_histogram(
                 ansatz, params, optimizer.shots,
@@ -291,7 +298,7 @@ def train(graph: Graph, ansatz: AnsatzConfig, encoding: EncodingConfig,
 
         weights = cost_gradient_wrt_probs(hist, graph, encoding)
         if optimizer.gradient_mode == ANALYTIC:
-            grad = simulator.probability_vjp(ansatz, params, weights)
+            grad = simulator.probability_vjp(ansatz, params, weights, state=state)
         else:
             jac = simulator.probability_jacobian(
                 ansatz, params, PARAMETER_SHIFT, shots=optimizer.shots,
@@ -330,7 +337,7 @@ def scan_blue_sizes(graph: Graph, ansatz: AnsatzConfig,
     to the smaller B, whose larger threshold needs fewer shots in practice.
     """
     if trials_per_blue < 1:
-        raise ValueError("trials_per_blue must be >= 1")
+        raise InvalidCount(f"trials_per_blue must be >= 1, got {trials_per_blue}")
     best_blue, best_record = None, None
     for blue in range(1, graph.num_nodes // 2 + 1):
         encoding = EncodingConfig(blue, graph.num_nodes)

@@ -40,6 +40,10 @@ class InvalidBlueCount(ConfigError):
     """Requested blue-node count is outside its legal range."""
 
 
+class InvalidCount(ConfigError):
+    """A trial or instance count is below 1, or a list of values is empty."""
+
+
 class ParseError(RuntimeFailure):
     """Edge-list text could not be parsed.
 

@@ -19,6 +19,7 @@ import numpy as np
 
 from . import baselines, core, simulator
 from .core import EncodingConfig, OptimizerConfig, RunRecord
+from .errors import InvalidCount
 from .graphs import Graph, generate_regular
 from .seeding import derive_seed
 from .simulator import ANALYTIC, PARAMETER_SHIFT, AnsatzConfig
@@ -117,9 +118,10 @@ class GridSpec:
         object.__setattr__(self, "layer_values", tuple(self.layer_values))
         object.__setattr__(self, "step_values", tuple(self.step_values))
         if not self.layer_values or not self.step_values:
-            raise ValueError("layer_values and step_values must be non-empty")
+            raise InvalidCount("layer_values and step_values must be non-empty")
         if self.trials_per_cell < 1:
-            raise ValueError("trials_per_cell must be >= 1")
+            raise InvalidCount(
+                f"trials_per_cell must be >= 1, got {self.trials_per_cell}")
 
 
 @dataclass(frozen=True)
@@ -334,7 +336,9 @@ def multi_instance_study(num_instances: int, num_nodes: int, degree: int,
     ``gw_hyperplanes`` to stabilize individual trials instead.
     """
     if num_instances < 1 or settings.trials < 1 or gw_trials < 1:
-        raise ValueError("num_instances and trial counts must be >= 1")
+        raise InvalidCount(
+            f"num_instances and trial counts must be >= 1, got {num_instances} "
+            f"instances, {settings.trials} QEMC and {gw_trials} GW trials")
     instances = [generate_regular(num_nodes, degree,
                                   derive_seed(seed, "study", "instance", i))
                  for i in range(num_instances)]

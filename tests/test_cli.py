@@ -101,6 +101,26 @@ class TestSolve:
         assert "qemc: error:" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_nan_step_size_exits_1_before_training(self, k4_file, tmp_path, capsys,
+                                                   monkeypatch):
+        def no_training(*args):
+            raise AssertionError("trained with a non-finite step size")
+
+        monkeypatch.setattr(core, "train", no_training)
+        out = tmp_path / "x.json"
+        code = main(["solve", "--graph", k4_file, "--layers", "1",
+                     "--step-size", "nan", "--iters", "2", "--out", str(out)])
+        assert code == 1
+        assert "qemc: error: step_size" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_scan_trials_zero_exits_1(self, k4_file, tmp_path, capsys):
+        code = main(["solve", "--graph", k4_file, "--layers", "1",
+                     "--step-size", "0.5", "--iters", "2", "--scan-blue",
+                     "--scan-trials", "0", "--out", str(tmp_path / "x.json")])
+        assert code == 1
+        assert "qemc: error: trials_per_blue" in capsys.readouterr().err
+
     def test_rerun_is_bit_identical(self, k4_file, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         args = ["solve", "--graph", k4_file, "--layers", "1", "--step-size",
@@ -184,6 +204,14 @@ class TestGrid:
         assert f"qemc: error: {option}" in capsys.readouterr().err
 
 
+    def test_zero_trials_exits_1(self, k4_file, tmp_path, capsys):
+        code = main(["grid", "--graph", k4_file, "--layers", "1", "--steps", "0.5",
+                     "--trials", "0", "--iters", "2", "--jobs", "1",
+                     "--out", str(tmp_path / "grid.csv")])
+        assert code == 1
+        assert "qemc: error: trials_per_cell" in capsys.readouterr().err
+
+
 class TestScaling:
     def test_layers_axis(self, k4_file, tmp_path, capsys):
         out = tmp_path / "scaling.csv"
@@ -211,6 +239,14 @@ class TestStudy:
         data = [l for l in out.read_text().splitlines() if not l.startswith("#")]
         assert len(data) == 1 + 4 * 5
         assert svg_path.read_text().startswith("<svg")
+
+
+    def test_zero_instances_exits_1(self, tmp_path, capsys):
+        code = main(["study", "--instances", "0", "--nodes", "8", "--degree", "3",
+                     "--layers", "1", "--step-size", "0.9", "--iters", "5",
+                     "--jobs", "1", "--out", str(tmp_path / "study.csv")])
+        assert code == 1
+        assert "qemc: error: num_instances" in capsys.readouterr().err
 
 
 class TestUsage:

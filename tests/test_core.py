@@ -20,6 +20,7 @@ from qemc.errors import (
     InvalidBlueCount,
     ShapeMismatch,
 )
+from qemc import simulator
 from qemc.graphs import Graph, complete_bipartite_graph, cut_value
 from qemc.simulator import (
     PARAMETER_SHIFT,
@@ -47,6 +48,13 @@ class TestEncodingConfig:
 
     def test_half(self):
         assert EncodingConfig.half(9).blue_count == 4
+
+
+class TestOptimizerConfig:
+    @pytest.mark.parametrize("step", [0.0, -0.1, float("nan"), float("inf")])
+    def test_step_size_positive_and_finite(self, step):
+        with pytest.raises(ShapeMismatch):
+            OptimizerConfig(step_size=step, max_iterations=1)
 
 
 class TestDecode:
@@ -208,6 +216,15 @@ class TestTrain:
                        OptimizerConfig(step_size=0.3, max_iterations=60, seed=4))
         assert np.all(np.diff(record.best_cuts) >= 0)
         assert np.all(record.best_cuts >= record.cuts)
+
+    def test_one_forward_pass_per_analytic_iteration(self, k4, monkeypatch):
+        runs = []
+        real_run = simulator._run
+        monkeypatch.setattr(simulator, "_run",
+                            lambda *args: runs.append(1) or real_run(*args))
+        train(k4, AnsatzConfig(2, 2), EncodingConfig(2, 4),
+              OptimizerConfig(step_size=0.5, max_iterations=10, seed=0))
+        assert len(runs) == 10
 
     def test_counters_analytic_exact(self, k4):
         record = train(k4, AnsatzConfig(2, 1), EncodingConfig(2, 4),

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from qemc.core import EncodingConfig, OptimizerConfig, train
+from qemc.errors import InvalidCount
 from qemc.harness import (
     GridSpec,
     QemcSettings,
@@ -77,10 +78,10 @@ class TestGridSearch:
         assert rows[0][:3] == (1, 0.5, 0)
 
     def test_spec_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidCount):
             GridSpec(layer_values=(), step_values=(0.5,), trials_per_cell=1,
                      iteration_budget=5)
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidCount):
             GridSpec(layer_values=(1,), step_values=(0.5,), trials_per_cell=0,
                      iteration_budget=5)
 

@@ -116,8 +116,10 @@ class TestRunCircuit:
     @pytest.mark.parametrize(
         "num_qubits,num_layers,strides",
         [(1, 2, None), (2, 1, None), (2, 3, None), (3, 2, None), (4, 2, None),
-         (5, 2, None), (3, 3, (2, 1, 2)), (4, 3, (3, 3, 1))],
-        ids=["1-2", "2-1", "2-3", "3-2", "4-2", "5-2", "3-3-212", "4-3-331"])
+         (5, 2, None), (3, 3, (2, 1, 2)), (4, 3, (3, 3, 1)), (6, 2, None),
+         (9, 1, None)],
+        ids=["1-2", "2-1", "2-3", "3-2", "4-2", "5-2", "3-3-212", "4-3-331", "6-2",
+             "9-1"])
     def test_matches_dense_oracle(self, num_qubits, num_layers, strides):
         config = AnsatzConfig(num_qubits, num_layers, strides)
         params = random_parameters(config, seed=42 + num_qubits)
@@ -238,7 +240,7 @@ class TestJacobian:
 
     def test_vjp_matches_jacobian_contraction(self):
         rng = np.random.default_rng(9)
-        for n, layers in [(2, 1), (3, 2), (4, 2)]:
+        for n, layers in [(2, 1), (3, 2), (4, 2), (6, 2)]:
             config = AnsatzConfig(n, layers)
             params = random_parameters(config, seed=n * 10 + layers)
             weights = rng.normal(size=config.dim)
@@ -249,13 +251,27 @@ class TestJacobian:
     def test_vjp_matches_parameter_shift_contraction(self):
         rng = np.random.default_rng(11)
         for n, layers, strides in [(1, 2, None), (3, 2, None), (4, 3, (3, 3, 1)),
-                                   (5, 1, None)]:
+                                   (5, 1, None), (6, 2, None)]:
             config = AnsatzConfig(n, layers, strides)
             params = random_parameters(config, seed=n * 10 + layers)
             weights = rng.normal(size=config.dim)
             direct = probability_vjp(config, params, weights)
             shifted = probability_jacobian(config, params, PARAMETER_SHIFT).T @ weights
             assert np.abs(direct - shifted).max() < 1e-9
+
+    def test_vjp_with_state_is_bit_identical(self):
+        for n, layers in [(3, 2), (6, 2)]:
+            config = AnsatzConfig(n, layers)
+            params = random_parameters(config, seed=n)
+            weights = np.random.default_rng(n).normal(size=config.dim)
+            given = probability_vjp(config, params, weights,
+                                    state=run_circuit(config, params))
+            assert np.array_equal(given, probability_vjp(config, params, weights))
+
+    def test_vjp_state_length_checked(self):
+        with pytest.raises(ShapeMismatch):
+            probability_vjp(AnsatzConfig(2, 1), np.zeros(6), np.ones(4),
+                            state=np.ones(8, dtype=complex))
 
     def test_vjp_weight_length_checked(self):
         with pytest.raises(ShapeMismatch):
