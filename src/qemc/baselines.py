@@ -18,6 +18,7 @@ from math import ceil, sqrt
 
 import numpy as np
 
+from .errors import InvalidCount
 from .graphs import Graph, Partition, cut_value, exhaustive_maxcut, random_star_partition
 from .seeding import child_rng, derive_seed
 
@@ -146,7 +147,7 @@ def gw_round(embedding: Embedding, graph: Graph, num_hyperplanes: int = 100,
     <v_i, r> > 0 and white otherwise (ties to white).  Deterministic per seed.
     """
     if num_hyperplanes < 1:
-        raise ValueError("num_hyperplanes must be >= 1")
+        raise InvalidCount(f"num_hyperplanes must be >= 1, got {num_hyperplanes}")
     if embedding.num_nodes != graph.num_nodes:
         raise ValueError("embedding and graph disagree on node count")
     rng = child_rng(seed, "gw_round")
@@ -181,7 +182,9 @@ def gw(graph: Graph, trials: int = 10, seed=0, *, rank: int | None = None,
        tolerance: float = 1e-6) -> list[float]:
     """Per-trial best GW cuts; each trial is a fresh random-init solve + rounding."""
     if trials < 1:
-        raise ValueError("trials must be >= 1")
+        raise InvalidCount(f"trials must be >= 1, got {trials}")
+    if num_hyperplanes < 1:
+        raise InvalidCount(f"num_hyperplanes must be >= 1, got {num_hyperplanes}")
     cuts = []
     for trial in range(trials):
         solved = gw_solve(graph, rank=rank, max_iterations=max_iterations,

@@ -257,11 +257,12 @@ def train(graph: Graph, ansatz: AnsatzConfig, encoding: EncodingConfig,
 
     Each iteration evaluates the histogram at the current angles (exact or an
     S-shot sample), records its cost and decoded cut, and takes one Adam step
-    from the chain-rule gradient.  With exact probabilities the statevector
-    simulated for the histogram also seeds the analytic gradient, so each
-    iteration simulates the circuit once.  Iteration indices count Adam steps
-    starting at 1; the pre-initialization state is not recorded.
-    Deterministic for a fixed seed.
+    from the chain-rule gradient.  The statevector simulated for the
+    histogram also seeds the analytic gradient, so each iteration simulates
+    the circuit once (plus, for parameter shift, one batched sweep over the
+    2P shifted circuits).  Iteration indices count Adam steps starting at 1;
+    the pre-initialization state is not recorded.  Deterministic for a fixed
+    seed.
     """
     if ansatz.num_qubits != simulator.num_qubits_for(graph.num_nodes):
         raise ShapeMismatch(
@@ -284,14 +285,13 @@ def train(graph: Graph, ansatz: AnsatzConfig, encoding: EncodingConfig,
     best = -np.inf
 
     for it in range(1, optimizer.max_iterations + 1):
-        state = None
+        state = simulator.run_circuit(ansatz, params)
         if optimizer.shots is None:
-            state = simulator.run_circuit(ansatz, params)
             hist = ProbabilityHistogram(np.abs(state) ** 2)
         else:
             hist = simulator.sample_histogram(
                 ansatz, params, optimizer.shots,
-                seed=child_sequence(optimizer.seed, "shots", it))
+                seed=child_sequence(optimizer.seed, "shots", it), state=state)
             counters.shots_total += optimizer.shots
         counters.circuit_executions += 1
         counters.gate_applications += gates_per_run

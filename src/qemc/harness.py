@@ -244,6 +244,8 @@ def scaling_study(graph_family, targets, resource_axis: str,
         raise ValueError("need exactly one target per graph")
     if resource_axis not in ("layers", "shots", "iterations"):
         raise ValueError(f"unknown resource axis {resource_axis!r}")
+    if settings.trials < 1:
+        raise InvalidCount(f"trials must be >= 1, got {settings.trials}")
 
     rows = []
     for index, (graph, target) in enumerate(zip(graph_family, targets)):

@@ -26,9 +26,18 @@ Jones & Gacon (arXiv:2009.02823), serves both the vector-Jacobian product
 and the analytic Jacobian: the Jacobian is the same sweep run with the
 identity as the batch of weight rows.  Per block the sweep forms one cross
 density between the adjoints and the state and sums it down to each
-qubit's 2x2 transition matrix.  ``probability_vjp`` accepts the statevector
-as ``state=`` from a caller that has already simulated it, so analytic
-training runs the forward pass once per iteration.
+qubit's 2x2 transition matrix.  ``probability_vjp`` and ``sample_histogram``
+accept the statevector as ``state=`` from a caller that has already simulated
+it, so training runs the forward pass once per iteration.
+
+The parameter-shift Jacobian simulates its 2P shifted circuits in one batched
+sweep over a (2P + 1, 2^n) array whose row 0 is the unshifted circuit.  A
+circuit shifted in layer l equals the unshifted one up to layer l, so its row
+starts there from a copy of row 0; the rows already started share one matmul
+per block, and the 6n rows starting at a layer each take that layer's blocks
+with their one rotation shifted.  This does about half the row-layer work of
+simulating every shifted circuit in full, and each row is sampled exactly as
+``sample_histogram`` would sample that circuit on its own.
 
 All functions are pure: no shared mutable state, safe to call concurrently.
 """
@@ -191,15 +200,14 @@ def _rings(config: AnsatzConfig) -> tuple:
     return tuple(rings)
 
 
-def _rotations(config: AnsatzConfig, params: np.ndarray) -> np.ndarray:
-    """Rot(phi, theta, omega) for every (layer, qubit): shape (L, n, 2, 2)."""
-    angles = params.reshape(config.num_layers, config.num_qubits, 3)
+def _rotations(angles: np.ndarray) -> np.ndarray:
+    """Rot(phi, theta, omega) for angles of shape (..., 3): shape (..., 2, 2)."""
     phi, theta, omega = angles[..., 0], angles[..., 1], angles[..., 2]
     c, s = np.cos(theta / 2.0), np.sin(theta / 2.0)
     plus = np.exp(-0.5j * (phi + omega))
     minus = np.exp(-0.5j * (phi - omega))
     return np.stack([plus * c, -minus.conj() * s, minus * s, plus.conj() * c],
-                    axis=-1).reshape(angles.shape[:2] + (2, 2))
+                    axis=-1).reshape(angles.shape[:-1] + (2, 2))
 
 
 def _generators(rots: np.ndarray, params: np.ndarray) -> np.ndarray:
@@ -262,14 +270,15 @@ def _marginal_index(width: int) -> np.ndarray:
 
 
 def _rotate_leading(mat: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Apply ``mat`` to the leading log2(len(mat)) index bits of every row and
-    move those bits last.
+    """Apply ``mat`` to the leading log2(mat.shape[-1]) index bits of every row
+    and move those bits last.
 
+    ``mat`` is one matrix for all rows, or a stack holding one per row.
     Calling this once per block, in qubit order, acts on every qubit and
     leaves the index layout as it was.
     """
-    split = rows.reshape(rows.shape[0], mat.shape[0], -1)
-    return (split.swapaxes(1, 2) @ mat.T).reshape(rows.shape[0], -1)
+    split = rows.reshape(rows.shape[0], mat.shape[-1], -1)
+    return (split.swapaxes(1, 2) @ mat.swapaxes(-1, -2)).reshape(rows.shape[0], -1)
 
 
 def _check_params(config: AnsatzConfig, params) -> np.ndarray:
@@ -294,7 +303,8 @@ def _run(config: AnsatzConfig, blocks: list) -> np.ndarray:
 def run_circuit(config: AnsatzConfig, params) -> np.ndarray:
     """Statevector prepared by the ansatz: complex array of length 2^n."""
     params = _check_params(config, params)
-    return _run(config, _blocks(_rotations(config, params)))
+    angles = params.reshape(config.num_layers, config.num_qubits, 3)
+    return _run(config, _blocks(_rotations(angles)))
 
 
 def probabilities(config: AnsatzConfig, params) -> ProbabilityHistogram:
@@ -303,15 +313,34 @@ def probabilities(config: AnsatzConfig, params) -> ProbabilityHistogram:
     return ProbabilityHistogram(np.abs(state) ** 2, shots=None)
 
 
-def sample_histogram(config: AnsatzConfig, params, shots: int, seed) -> ProbabilityHistogram:
-    """Empirical distribution from a multinomial draw of ``shots`` samples."""
+def _check_state(config: AnsatzConfig, state) -> np.ndarray:
+    state = np.asarray(state, dtype=np.complex128)
+    if state.shape != (config.dim,):
+        raise ShapeMismatch(
+            f"expected a state of {config.dim} amplitudes, got shape {state.shape}")
+    return state
+
+
+def _draw(probs: np.ndarray, shots: int,
+          seed_sequence: np.random.SeedSequence) -> np.ndarray:
+    """Frequencies of a multinomial draw of ``shots`` samples from ``probs``."""
+    rng = np.random.default_rng(seed_sequence)
+    return rng.multinomial(shots, probs / probs.sum()) / shots
+
+
+def sample_histogram(config: AnsatzConfig, params, shots: int, seed, *,
+                     state=None) -> ProbabilityHistogram:
+    """Empirical distribution from a multinomial draw of ``shots`` samples.
+
+    A caller that already holds ``run_circuit(config, params)`` passes it as
+    ``state`` to skip the forward pass; the draw is the same bit for bit.
+    """
     if shots < 1:
         raise ValueError("shots must be a positive integer")
-    exact = probabilities(config, params).probs
-    rng = np.random.default_rng(seed if isinstance(seed, np.random.SeedSequence)
-                                else child_sequence(seed, "sample"))
-    counts = rng.multinomial(shots, exact / exact.sum())
-    return ProbabilityHistogram(counts / shots, shots=shots)
+    state = run_circuit(config, params) if state is None else _check_state(config, state)
+    if not isinstance(seed, np.random.SeedSequence):
+        seed = child_sequence(seed, "sample")
+    return ProbabilityHistogram(_draw(np.abs(state) ** 2, shots, seed), shots=shots)
 
 
 # -- differentiation ---------------------------------------------------------------
@@ -330,7 +359,7 @@ def _vjp(config: AnsatzConfig, params: np.ndarray, weights: np.ndarray,
     d(Rot)/d(angle) Rot^dagger.  Undoing the layer's other rotations first
     leaves T unchanged: they act on other qubits.
     """
-    rots = _rotations(config, params)
+    rots = _rotations(params.reshape(config.num_layers, config.num_qubits, 3))
     blocks = _blocks(rots)
     psi = _run(config, blocks) if state is None else state
     k = weights.shape[0]
@@ -370,29 +399,56 @@ def probability_vjp(config: AnsatzConfig, params, weights, *,
     if w.size != config.dim:
         raise ShapeMismatch(f"expected {config.dim} weights, got {w.size}")
     if state is not None:
-        state = np.asarray(state, dtype=np.complex128)
-        if state.shape != (config.dim,):
-            raise ShapeMismatch(
-                f"expected a state of {config.dim} amplitudes, got shape {state.shape}")
+        state = _check_state(config, state)
     return _vjp(config, params, w[np.newaxis], state)[0]
 
 
-def _jacobian_parameter_shift(config, params, shots, seed):
-    def evaluate(p, tag):
-        if shots is None:
-            return probabilities(config, p).probs
-        return sample_histogram(config, p, shots,
-                                seed=child_sequence(seed, "shift", *tag)).probs
+def _shifted_states(config: AnsatzConfig, params: np.ndarray) -> np.ndarray:
+    """Final states of the circuit and of all its parameter-shifted copies.
 
-    jac = np.empty((config.dim, config.num_parameters))
-    for i in range(config.num_parameters):
-        shifted = params.copy()
-        shifted[i] += np.pi / 2.0
-        plus = evaluate(shifted, (i, "+"))
-        shifted[i] -= np.pi
-        minus = evaluate(shifted, (i, "-"))
-        jac[:, i] = (plus - minus) / 2.0
-    return jac
+    Row 0 is the circuit at ``params``; rows 2i + 1 and 2i + 2 are the circuits
+    with params[i] shifted to params[i] + pi/2 and to (params[i] + pi/2) - pi.
+    A circuit shifted in layer l equals row 0 before layer l, so its row
+    starts there as a copy of row 0.  At each layer every row started earlier
+    takes the layer's blocks, one shared matmul per block, and each of the 6n
+    rows started there takes its own copy of the blocks, built with its one
+    rotation shifted.  Only one layer's per-row blocks exist at a time.
+    """
+    n = config.num_qubits
+    angles = params.reshape(config.num_layers, n, 3)
+    blocks = _blocks(_rotations(angles))
+    per_layer = 6 * n
+    # Row r of a layer shifts angle (qubit[r], slot[r]), + for even r, - for odd.
+    qubit = np.repeat(np.arange(n), 6)
+    slot = np.tile(np.repeat(np.arange(3), 2), n)
+    rows = np.empty((1 + per_layer * config.num_layers, config.dim),
+                    dtype=np.complex128)
+    rows[0] = 2.0 ** (-n / 2.0)
+    for layer, (perm, _) in enumerate(_rings(config)):
+        done = 1 + per_layer * layer
+        plus = angles[layer] + np.pi / 2.0
+        shifted = np.repeat(angles[layer][np.newaxis], per_layer, axis=0)
+        shifted[np.arange(per_layer), qubit, slot] = np.stack(
+            [plus, plus - np.pi], axis=-1).reshape(-1)
+        started = np.repeat(rows[:1], per_layer, axis=0)
+        for block in _blocks(_rotations(shifted)):
+            started = _rotate_leading(block, started)
+        active = rows[:done]
+        for block in blocks:
+            active = _rotate_leading(block[layer], active)
+        rows[:done] = active[:, perm]
+        rows[done:done + per_layer] = started[:, perm]
+    return rows
+
+
+def _jacobian_parameter_shift(config, params, shots, seed):
+    probs = np.abs(_shifted_states(config, params)[1:]) ** 2
+    if shots is not None:
+        for row in range(len(probs)):
+            tag = (row // 2, "+" if row % 2 == 0 else "-")
+            probs[row] = _draw(probs[row], shots, child_sequence(seed, "shift", *tag))
+    # Row-major (2^n, P), so that products such as jac.T @ w round as before.
+    return np.ascontiguousarray(((probs[0::2] - probs[1::2]) / 2.0).T)
 
 
 def probability_jacobian(config: AnsatzConfig, params, mode: str = ANALYTIC,

@@ -9,6 +9,7 @@ from qemc.baselines import (
     gw_solve,
     random_star_cuts,
 )
+from qemc.errors import InvalidCount
 from qemc.graphs import (
     Graph,
     complete_bipartite_graph,
@@ -109,7 +110,7 @@ class TestGwRound:
 
     def test_num_hyperplanes_validated(self, k4):
         solved = gw_solve(k4, seed=13)
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidCount):
             gw_round(solved.embedding, k4, num_hyperplanes=0)
 
     def test_bipartite_full_cut(self):
@@ -141,7 +142,7 @@ class TestGwTrials:
         assert max(cuts) / cut_star >= 0.878
 
     def test_trials_validated(self, k4):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidCount):
             gw(k4, trials=0)
 
 

@@ -181,6 +181,14 @@ class TestGw:
         assert data[0] == "trial,cut"
         assert len(data) == 11
 
+    @pytest.mark.parametrize("option", ["--trials", "--hyperplanes"])
+    def test_zero_count_exits_1(self, k4_file, tmp_path, capsys, option):
+        out = tmp_path / "gw.csv"
+        code = main(["gw", "--graph", k4_file, option, "0", "--out", str(out)])
+        assert code == 1
+        assert "qemc: error:" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestGrid:
     def test_nine_cells(self, k4_file, tmp_path, capsys):
@@ -223,6 +231,15 @@ class TestScaling:
         data = [l for l in out.read_text().splitlines() if not l.startswith("#")]
         assert data[0] == "num_nodes,axis,minimal_value,reached"
         assert data[1].startswith("4,layers,1")
+
+    def test_zero_trials_exits_1(self, k4_file, tmp_path, capsys):
+        out = tmp_path / "scaling.csv"
+        code = main(["scaling", "--graph", k4_file, "--target", "3",
+                     "--axis", "layers", "--values", "1", "--trials", "0",
+                     "--jobs", "1", "--out", str(out)])
+        assert code == 1
+        assert "qemc: error: trials" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestStudy:

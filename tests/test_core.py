@@ -226,6 +226,15 @@ class TestTrain:
               OptimizerConfig(step_size=0.5, max_iterations=10, seed=0))
         assert len(runs) == 10
 
+    def test_one_forward_pass_per_sampled_analytic_iteration(self, k4, monkeypatch):
+        runs = []
+        real_run = simulator._run
+        monkeypatch.setattr(simulator, "_run",
+                            lambda *args: runs.append(1) or real_run(*args))
+        train(k4, AnsatzConfig(2, 1), EncodingConfig(2, 4),
+              OptimizerConfig(step_size=0.5, max_iterations=10, shots=64, seed=0))
+        assert len(runs) == 10
+
     def test_counters_analytic_exact(self, k4):
         record = train(k4, AnsatzConfig(2, 1), EncodingConfig(2, 4),
                        OptimizerConfig(step_size=0.5, max_iterations=25, seed=0))

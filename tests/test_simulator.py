@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from qemc import simulator
 from qemc.errors import ShapeMismatch
+from qemc.seeding import child_sequence
 from qemc.simulator import (
     ANALYTIC,
     PARAMETER_SHIFT,
@@ -61,6 +63,25 @@ def dense_circuit_oracle(config: AnsatzConfig, params) -> np.ndarray:
     start = np.zeros(dim, dtype=complex)
     start[0] = 1.0
     return unitary @ start
+
+
+def per_circuit_shift_jacobian(config: AnsatzConfig, params, shots=None, seed=None):
+    """Reference parameter-shift Jacobian that simulates every shifted circuit
+    on its own, with the seeds the batched sweep uses."""
+    def evaluate(p, i, sign):
+        if shots is None:
+            return probabilities(config, p).probs
+        return sample_histogram(config, p, shots,
+                                seed=child_sequence(seed, "shift", i, sign)).probs
+
+    jac = np.empty((config.dim, config.num_parameters))
+    for i in range(config.num_parameters):
+        shifted = np.array(params, dtype=float)
+        shifted[i] += np.pi / 2.0
+        plus = evaluate(shifted, i, "+")
+        shifted[i] -= np.pi
+        jac[:, i] = (plus - evaluate(shifted, i, "-")) / 2.0
+    return jac
 
 
 class TestShapes:
@@ -188,6 +209,19 @@ class TestSampling:
         assert np.allclose(counts, np.round(counts))
         assert hist.probs.sum() == pytest.approx(1.0, abs=0)
 
+    def test_state_is_bit_identical(self):
+        config = AnsatzConfig(3, 2)
+        params = random_parameters(config, seed=6)
+        given = sample_histogram(config, params, shots=100, seed=2,
+                                 state=run_circuit(config, params))
+        assert np.array_equal(given.probs,
+                              sample_histogram(config, params, shots=100, seed=2).probs)
+
+    def test_state_length_checked(self):
+        with pytest.raises(ShapeMismatch):
+            sample_histogram(AnsatzConfig(2, 1), np.zeros(6), shots=10, seed=0,
+                             state=np.ones(8, dtype=complex))
+
     def test_shots_must_be_positive(self):
         with pytest.raises(ValueError):
             sample_histogram(AnsatzConfig(1, 0), [], shots=0, seed=0)
@@ -232,6 +266,32 @@ class TestJacobian:
         b = probability_jacobian(config, params, PARAMETER_SHIFT, shots=64, seed=4)
         assert np.array_equal(a, b)
         assert np.abs(a.sum(axis=0)).max() < 1e-12  # each histogram sums to 1
+
+    @pytest.mark.parametrize("shots", [None, 64], ids=["exact", "sampled"])
+    @pytest.mark.parametrize(
+        "num_qubits,num_layers,strides",
+        [(3, 0, None), (1, 3, None), (4, 5, None), (6, 2, None), (4, 3, (3, 3, 1))],
+        ids=["3-0", "1-3", "4-5", "6-2", "4-3-331"])
+    def test_shift_matches_per_circuit_reference(self, num_qubits, num_layers, strides,
+                                                 shots):
+        config = AnsatzConfig(num_qubits, num_layers, strides)
+        params = random_parameters(config, seed=30 + num_qubits)
+        batched = probability_jacobian(config, params, PARAMETER_SHIFT, shots=shots,
+                                       seed=17)
+        reference = per_circuit_shift_jacobian(config, params, shots=shots, seed=17)
+        assert batched.shape == (config.dim, config.num_parameters)
+        assert np.array_equal(batched, reference)
+
+    def test_shift_simulates_no_circuit_on_its_own(self, monkeypatch):
+        runs = []
+        real_run = simulator._run
+        monkeypatch.setattr(simulator, "_run",
+                            lambda *args: runs.append(1) or real_run(*args))
+        config = AnsatzConfig(3, 2)
+        params = random_parameters(config, seed=3)
+        probability_jacobian(config, params, PARAMETER_SHIFT)
+        probability_jacobian(config, params, PARAMETER_SHIFT, shots=32, seed=1)
+        assert runs == []
 
     def test_sampled_shift_needs_seed(self):
         config = AnsatzConfig(2, 1)
