@@ -2,8 +2,11 @@
 
 Exit codes: 0 success, 1 usage/configuration error, 2 runtime error.  Standard
 output carries human-readable summaries only; machine-readable data goes to
-the files named by ``--out``.  Every output file embeds the fully resolved
-configuration and the tool version, so re-running it reproduces the output.
+the files named by ``--out``.  Output paths (``--out``, ``--svg``) are
+checked before any work starts, so a missing or unwritable directory exits 1
+at once rather than after a long run.  Every output file embeds the fully
+resolved configuration and the tool version, so re-running it reproduces the
+output.
 The environment variable QEMC_SEED supplies a master seed when ``--seed`` is
 omitted.
 """
@@ -19,7 +22,7 @@ import numpy as np
 
 from . import __version__, baselines, core, harness, simulator, svg
 from .core import EncodingConfig, OptimizerConfig
-from .errors import ConfigError, QemcError, RuntimeFailure
+from .errors import ConfigError, QemcError, RuntimeFailure, UnwritableOutput
 from .graphs import (
     exhaustive_maxcut,
     generate_regular,
@@ -71,6 +74,18 @@ def _number_list(text: str, kind, option: str) -> list:
     if not values:
         raise ConfigError(f"{option} needs at least one value")
     return values
+
+
+def _check_output(path: str) -> None:
+    """Fail before any work if ``path`` cannot be written; create nothing."""
+    parent = os.path.dirname(os.path.abspath(path))
+    if os.path.isdir(path):
+        raise UnwritableOutput(f"output path {path!r} is a directory")
+    if not os.path.isdir(parent):
+        raise UnwritableOutput(f"output directory {parent!r} does not exist")
+    if not os.access(parent, os.W_OK | os.X_OK) or (
+            os.path.exists(path) and not os.access(path, os.W_OK)):
+        raise UnwritableOutput(f"output path {path!r} is not writable")
 
 
 def _config_comments(payload: dict) -> list[str]:
@@ -347,6 +362,9 @@ def _build_parser() -> _Parser:
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
+        for path in (getattr(args, "out", None), getattr(args, "svg", None)):
+            if path is not None:
+                _check_output(path)
         return args.func(args)
     except ConfigError as exc:
         print(f"qemc: error: {exc}", file=sys.stderr)

@@ -18,6 +18,11 @@ class RuntimeFailure(QemcError):
     """An operation failed at runtime despite valid configuration."""
 
 
+class UnwritableOutput(ConfigError):
+    """An output path names a directory, or its parent directory is missing
+    or not writable."""
+
+
 # -- graphs -------------------------------------------------------------------
 
 class InvalidDegree(ConfigError):

@@ -341,6 +341,8 @@ def multi_instance_study(num_instances: int, num_nodes: int, degree: int,
         raise InvalidCount(
             f"num_instances and trial counts must be >= 1, got {num_instances} "
             f"instances, {settings.trials} QEMC and {gw_trials} GW trials")
+    if settings.iterations < 1:
+        raise InvalidCount(f"iterations must be >= 1, got {settings.iterations}")
     instances = [generate_regular(num_nodes, degree,
                                   derive_seed(seed, "study", "instance", i))
                  for i in range(num_instances)]

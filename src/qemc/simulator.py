@@ -36,8 +36,10 @@ circuit shifted in layer l equals the unshifted one up to layer l, so its row
 starts there from a copy of row 0; the rows already started share one matmul
 per block, and the 6n rows starting at a layer each take that layer's blocks
 with their one rotation shifted.  This does about half the row-layer work of
-simulating every shifted circuit in full, and each row is sampled exactly as
-``sample_histogram`` would sample that circuit on its own.
+simulating every shifted circuit in full.  With a shot budget, one generator
+seeded from the call's seed draws every shifted row's histogram in one
+multinomial call, row by row in the order (0, +), (0, -), (1, +), ...; each
+row is an independent draw of ``shots`` samples from its own circuit.
 
 All functions are pure: no shared mutable state, safe to call concurrently.
 """
@@ -323,9 +325,14 @@ def _check_state(config: AnsatzConfig, state) -> np.ndarray:
 
 def _draw(probs: np.ndarray, shots: int,
           seed_sequence: np.random.SeedSequence) -> np.ndarray:
-    """Frequencies of a multinomial draw of ``shots`` samples from ``probs``."""
+    """Frequencies of a multinomial draw of ``shots`` samples from each
+    distribution along the last axis of ``probs``.
+
+    One generator draws the rows of a stack in order, each from its own
+    distribution, as consecutive one-row draws from that generator would.
+    """
     rng = np.random.default_rng(seed_sequence)
-    return rng.multinomial(shots, probs / probs.sum()) / shots
+    return rng.multinomial(shots, probs / probs.sum(axis=-1, keepdims=True)) / shots
 
 
 def sample_histogram(config: AnsatzConfig, params, shots: int, seed, *,
@@ -444,9 +451,7 @@ def _shifted_states(config: AnsatzConfig, params: np.ndarray) -> np.ndarray:
 def _jacobian_parameter_shift(config, params, shots, seed):
     probs = np.abs(_shifted_states(config, params)[1:]) ** 2
     if shots is not None:
-        for row in range(len(probs)):
-            tag = (row // 2, "+" if row % 2 == 0 else "-")
-            probs[row] = _draw(probs[row], shots, child_sequence(seed, "shift", *tag))
+        probs = _draw(probs, shots, child_sequence(seed, "shift"))
     # Row-major (2^n, P), so that products such as jac.T @ w round as before.
     return np.ascontiguousarray(((probs[0::2] - probs[1::2]) / 2.0).T)
 

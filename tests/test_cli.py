@@ -258,12 +258,75 @@ class TestStudy:
         assert svg_path.read_text().startswith("<svg")
 
 
+    def test_zero_iterations_exits_1(self, tmp_path, capsys):
+        out = tmp_path / "study.csv"
+        code = main(["study", "--instances", "1", "--nodes", "8", "--degree", "3",
+                     "--layers", "1", "--step-size", "0.9", "--iters", "0",
+                     "--qemc-trials", "1", "--gw-trials", "1", "--jobs", "1",
+                     "--out", str(out)])
+        assert code == 1
+        assert "qemc: error: iterations" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_zero_instances_exits_1(self, tmp_path, capsys):
         code = main(["study", "--instances", "0", "--nodes", "8", "--degree", "3",
                      "--layers", "1", "--step-size", "0.9", "--iters", "5",
                      "--jobs", "1", "--out", str(tmp_path / "study.csv")])
         assert code == 1
         assert "qemc: error: num_instances" in capsys.readouterr().err
+
+
+def _command(name, graph, out):
+    """Argument list for a short run of command ``name`` writing to ``out``."""
+    return {
+        "solve": ["solve", "--graph", graph, "--layers", "1", "--step-size", "0.5",
+                  "--iters", "2", "--out", out],
+        "grid": ["grid", "--graph", graph, "--layers", "1", "--steps", "0.5",
+                 "--trials", "1", "--iters", "2", "--jobs", "1", "--out", out],
+        "study": ["study", "--instances", "1", "--nodes", "8", "--degree", "3",
+                  "--layers", "1", "--step-size", "0.9", "--iters", "2",
+                  "--qemc-trials", "1", "--gw-trials", "1", "--jobs", "1",
+                  "--out", out],
+    }[name]
+
+
+class TestOutputPath:
+    @pytest.fixture
+    def no_training(self, monkeypatch):
+        def fail(*args):
+            raise AssertionError("trained although the output cannot be written")
+
+        monkeypatch.setattr(core, "train", fail)
+
+    @pytest.mark.parametrize("command", ["solve", "grid", "study"])
+    def test_missing_directory_exits_1_before_training(self, k4_file, tmp_path, capsys,
+                                                       no_training, command):
+        out = tmp_path / "missing" / "r.out"
+        assert main(_command(command, k4_file, str(out))) == 1
+        assert "qemc: error: output directory" in capsys.readouterr().err
+        assert not out.parent.exists()
+
+    @pytest.mark.parametrize("command", ["solve", "grid", "study"])
+    def test_directory_as_output_exits_1_before_training(self, k4_file, tmp_path, capsys,
+                                                         no_training, command):
+        assert main(_command(command, k4_file, str(tmp_path))) == 1
+        assert "is a directory" in capsys.readouterr().err
+
+    def test_svg_path_checked_before_training(self, k4_file, tmp_path, capsys,
+                                              no_training):
+        out = tmp_path / "r.json"
+        code = main(_command("solve", k4_file, str(out))
+                    + ["--svg", str(tmp_path / "missing" / "c.svg")])
+        assert code == 1
+        assert "qemc: error: output directory" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_existing_output_untouched_on_failure(self, tmp_path):
+        out = tmp_path / "g.txt"
+        out.write_text("keep")
+        code = main(["generate", "--nodes", "5", "--degree", "3", "--out", str(out)])
+        assert code == 1
+        assert out.read_text() == "keep"
 
 
 class TestUsage:

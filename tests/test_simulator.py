@@ -67,20 +67,24 @@ def dense_circuit_oracle(config: AnsatzConfig, params) -> np.ndarray:
 
 def per_circuit_shift_jacobian(config: AnsatzConfig, params, shots=None, seed=None):
     """Reference parameter-shift Jacobian that simulates every shifted circuit
-    on its own, with the seeds the batched sweep uses."""
-    def evaluate(p, i, sign):
+    on its own and, with shots, samples them one by one in the order
+    (0, +), (0, -), (1, +), ... from one generator seeded as the batched
+    sweep seeds it."""
+    rng = None if shots is None else np.random.default_rng(child_sequence(seed, "shift"))
+
+    def evaluate(p):
+        probs = probabilities(config, p).probs
         if shots is None:
-            return probabilities(config, p).probs
-        return sample_histogram(config, p, shots,
-                                seed=child_sequence(seed, "shift", i, sign)).probs
+            return probs
+        return rng.multinomial(shots, probs / probs.sum()) / shots
 
     jac = np.empty((config.dim, config.num_parameters))
     for i in range(config.num_parameters):
         shifted = np.array(params, dtype=float)
         shifted[i] += np.pi / 2.0
-        plus = evaluate(shifted, i, "+")
+        plus = evaluate(shifted)
         shifted[i] -= np.pi
-        jac[:, i] = (plus - evaluate(shifted, i, "-")) / 2.0
+        jac[:, i] = (plus - evaluate(shifted)) / 2.0
     return jac
 
 
@@ -292,6 +296,40 @@ class TestJacobian:
         probability_jacobian(config, params, PARAMETER_SHIFT)
         probability_jacobian(config, params, PARAMETER_SHIFT, shots=32, seed=1)
         assert runs == []
+
+    def test_sampled_shift_rows_are_independent(self):
+        # A last-layer omega acts after the last rotation's RY and before the
+        # CNOT ring, which only permutes basis states: both of its shifted
+        # circuits have the same exact distribution, and its exact column is 0.
+        config = AnsatzConfig(3, 2)
+        params = random_parameters(config, seed=5)
+        column = config.num_parameters - 1
+        exact = probability_jacobian(config, params, PARAMETER_SHIFT)
+        assert np.abs(exact[:, column]).max() < 1e-12
+        diffs = np.array([
+            probability_jacobian(config, params, PARAMETER_SHIFT, shots=256,
+                                 seed=seed)[:, column]
+            for seed in range(200)])
+        # (plus - minus) / 2 is 0 in every seed only if the two rows share a draw.
+        assert np.count_nonzero(np.abs(diffs).max(axis=1)) >= 190
+        # Each entry has standard deviation at most sqrt(2 / (4 * 256)) / 2 ~ 0.022
+        # per seed, so its mean over 200 seeds (~0.0016) stays well within 0.01.
+        assert np.abs(diffs.mean(axis=0)).max() < 0.01
+
+    def test_sampled_shift_converges_like_one_over_root_shots(self):
+        config = AnsatzConfig(3, 2)
+        params = random_parameters(config, seed=8)
+        exact = probability_jacobian(config, params, PARAMETER_SHIFT)
+
+        def median_error(shots):
+            return np.median([
+                np.abs(probability_jacobian(config, params, PARAMETER_SHIFT,
+                                            shots=shots, seed=seed) - exact).max()
+                for seed in range(20)])
+
+        # 100 times the shots should cut the error by sqrt(100) = 10.
+        ratio = median_error(10 ** 3) / median_error(10 ** 5)
+        assert 5.0 < ratio < 20.0
 
     def test_sampled_shift_needs_seed(self):
         config = AnsatzConfig(2, 1)
