@@ -20,8 +20,8 @@ import sys
 
 import numpy as np
 
-from . import __version__, baselines, core, harness, simulator, svg
-from .core import EncodingConfig, OptimizerConfig
+from . import __version__, baselines, core, harness, svg
+from .core import EncodingConfig
 from .errors import ConfigError, QemcError, RuntimeFailure, UnwritableOutput
 from .graphs import (
     exhaustive_maxcut,
@@ -30,10 +30,11 @@ from .graphs import (
     write_edge_list_file,
 )
 from .harness import GridSpec, QemcSettings
-from .simulator import ANALYTIC, PARAMETER_SHIFT, AnsatzConfig
+from .simulator import ANALYTIC, PARAMETER_SHIFT
 
 _USAGE_EXIT = 1
 _RUNTIME_EXIT = 2
+_GRADIENT_MODES = {None: None, "analytic": ANALYTIC, "shift": PARAMETER_SHIFT}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -105,19 +106,17 @@ def _cmd_generate(args) -> int:
 
 def _cmd_solve(args) -> int:
     graph = read_edge_list_file(args.graph)
-    shots = _parse_shots(args.shots, graph.num_nodes)
-    mode = ANALYTIC if args.grad == "analytic" else PARAMETER_SHIFT
-    ansatz = AnsatzConfig(simulator.num_qubits_for(graph.num_nodes), args.layers)
-    optimizer = OptimizerConfig(step_size=args.step_size,
-                                max_iterations=args.iters, shots=shots,
-                                gradient_mode=mode, seed=args.seed)
+    settings = QemcSettings(layers=args.layers, step_size=args.step_size,
+                            iterations=args.iters,
+                            shots=_parse_shots(args.shots, graph.num_nodes),
+                            gradient_mode=_GRADIENT_MODES[args.grad],
+                            blue_count=args.blue)
+    graph, ansatz, encoding, optimizer = harness._trial(graph, settings, args.seed)
     if args.scan_blue:
         blue, record = core.scan_blue_sizes(graph, ansatz, optimizer,
                                             trials_per_blue=args.scan_trials)
         print(f"scan selected blue_count={blue}")
     else:
-        blue = args.blue if args.blue is not None else graph.num_nodes // 2
-        encoding = EncodingConfig(blue, graph.num_nodes)
         record = core.train(graph, ansatz, encoding, optimizer)
         if args.verbose:
             for i, (c, k, b) in enumerate(zip(record.costs, record.cuts,
@@ -174,13 +173,13 @@ def _cmd_grid(args) -> int:
                     step_values=tuple(_number_list(args.steps, float, "--steps")),
                     trials_per_cell=args.trials,
                     iteration_budget=args.iters)
-    blue = args.blue if args.blue is not None else graph.num_nodes // 2
-    encoding = EncodingConfig(blue, graph.num_nodes)
+    encoding = (EncodingConfig.half(graph.num_nodes) if args.blue is None
+                else EncodingConfig(args.blue, graph.num_nodes))
     result = harness.grid_search(graph, grid, encoding, seed=args.seed,
                                  shots=shots, target=args.target, jobs=args.jobs)
     payload = {"graph": args.graph, "layers": list(grid.layer_values),
                "steps": list(grid.step_values), "trials": args.trials,
-               "iters": args.iters, "seed": args.seed, "blue": blue,
+               "iters": args.iters, "seed": args.seed, "blue": encoding.blue_count,
                "shots": shots, "target": args.target}
     harness.write_csv(args.out, ["layers", "step_size", "trial", "final_best_cut"],
                       result.to_csv_rows(), comments=_config_comments(payload))
@@ -199,9 +198,13 @@ def _cmd_scaling(args) -> int:
     targets = args.target
     if len(targets) != len(graphs_list):
         raise ConfigError("need exactly one --target per --graph")
+    sizes = sorted({g.num_nodes for g in graphs_list})
+    if args.shots == "3n2" and args.axis != "shots" and len(sizes) > 1:
+        raise ConfigError(f"--shots 3n2 gives each graph size its own budget, but "
+                          f"one run needs one budget; graph sizes are {sizes}")
     settings = QemcSettings(layers=args.layers, step_size=args.step_size,
                             iterations=args.iters, trials=args.trials,
-                            shots=_parse_shots(args.shots, graphs_list[0].num_nodes)
+                            shots=_parse_shots(args.shots, sizes[0])
                             if args.axis != "shots" else None)
     axis_values = _number_list(args.values, int, "--values") if args.values else None
     rows = harness.scaling_study(graphs_list, targets, args.axis, settings,
@@ -210,7 +213,7 @@ def _cmd_scaling(args) -> int:
     payload = {"graphs": graph_paths, "targets": targets, "axis": args.axis,
                "layers": args.layers, "step_size": args.step_size,
                "iters": args.iters, "trials": args.trials, "seed": args.seed,
-               "values": axis_values}
+               "shots": settings.shots, "values": axis_values}
     harness.write_csv(
         args.out, ["num_nodes", "axis", "minimal_value", "reached"],
         [(r.num_nodes, r.axis, "" if r.minimal_value is None else r.minimal_value,
@@ -283,7 +286,8 @@ def _build_parser() -> _Parser:
                        help="scan blue-set sizes 1..N//2 and keep the best")
     p.add_argument("--scan-trials", type=int, default=1,
                    help="trials per blue-set size under --scan-blue")
-    p.add_argument("--grad", choices=["analytic", "shift"], default="analytic")
+    p.add_argument("--grad", choices=["analytic", "shift"], default=None,
+                   help="gradient mode (default: shift with --shots, else analytic)")
     p.add_argument("--target", type=float, default=None,
                    help="report iterations needed to reach this cut")
     p.add_argument("--verbose", action="store_true",

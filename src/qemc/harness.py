@@ -5,11 +5,17 @@ seeds are derived from (experiment, instance, trial) tag paths, so results are
 independent of scheduling and replayable from the master seed alone.  Trials,
 grid cells and instances are embarrassingly parallel; ``jobs`` bounds the
 worker count (default: available cores) and never changes results.
+
+Every experiment arm is a checked :class:`QemcSettings`, and every trial, in
+each experiment here and in ``qemc solve``, is built by ``_trial``: the one
+place where the qubit count, the default blue count and the default gradient
+mode are resolved.
 """
 
 from __future__ import annotations
 
 import csv
+import dataclasses
 import io
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -19,7 +25,7 @@ import numpy as np
 
 from . import baselines, core, simulator
 from .core import EncodingConfig, OptimizerConfig, RunRecord
-from .errors import InvalidCount
+from .errors import ConfigError, InvalidCount, ShapeMismatch
 from .graphs import Graph, generate_regular
 from .seeding import derive_seed
 from .simulator import ANALYTIC, PARAMETER_SHIFT, AnsatzConfig
@@ -75,31 +81,34 @@ class QemcSettings:
     iterations: int
     shots: int | None = None
     gradient_mode: str | None = None    # None: analytic exact / parameter-shift shots
-    blue_count: int | None = None       # None: N // 2
+    blue_count: int | None = None       # None: EncodingConfig.half
     trials: int = 10
 
+    def __post_init__(self):
+        for name in ("iterations", "trials", "layers"):
+            value = getattr(self, name)
+            if value < 1:
+                raise InvalidCount(f"{name} must be >= 1, got {value}")
 
-def _setup(graph: Graph, settings: QemcSettings):
+
+def _trial(graph: Graph, settings: QemcSettings, seed: int):
+    """The ``core.train`` arguments ``(graph, ansatz, encoding, optimizer)`` of
+    one trial of ``settings`` on ``graph``.
+
+    Resolves every trial default: ceil(log2 N) qubits, ``EncodingConfig.half``
+    when no blue count is set, and, when no gradient mode is set, parameter
+    shift for sampled runs and the analytic gradient for exact ones.
+    """
     ansatz = AnsatzConfig(simulator.num_qubits_for(graph.num_nodes), settings.layers)
-    blue = settings.blue_count if settings.blue_count is not None else graph.num_nodes // 2
-    encoding = EncodingConfig(blue, graph.num_nodes)
-    return ansatz, encoding
-
-
-def _gradient_mode(mode: str | None, shots: int | None) -> str:
-    """``mode`` when given, else analytic for exact runs, parameter shift for sampled."""
-    if mode is not None:
-        return mode
-    return PARAMETER_SHIFT if shots is not None else ANALYTIC
-
-
-def _optimizer(settings: QemcSettings, seed: int, *,
-               shots_override="unset") -> OptimizerConfig:
-    shots = settings.shots if shots_override == "unset" else shots_override
-    return OptimizerConfig(
+    encoding = (EncodingConfig.half(graph.num_nodes) if settings.blue_count is None
+                else EncodingConfig(settings.blue_count, graph.num_nodes))
+    mode = settings.gradient_mode
+    if mode is None:
+        mode = PARAMETER_SHIFT if settings.shots is not None else ANALYTIC
+    optimizer = OptimizerConfig(
         step_size=settings.step_size, max_iterations=settings.iterations,
-        shots=shots, gradient_mode=_gradient_mode(settings.gradient_mode, shots),
-        seed=seed)
+        shots=settings.shots, gradient_mode=mode, seed=seed)
+    return graph, ansatz, encoding, optimizer
 
 
 # -- grid search -----------------------------------------------------------------
@@ -174,18 +183,16 @@ def grid_search(graph: Graph, grid: GridSpec, encoding: EncodingConfig, seed=0,
     Layer counts must be sorted for ``min_layers_to_target``, which reports
     the smallest layer count whose best cell reaches ``target``.
     """
-    ansatz_for = {layers: AnsatzConfig(simulator.num_qubits_for(graph.num_nodes), layers)
-                  for layers in grid.layer_values}
-    mode = _gradient_mode(gradient_mode, shots)
+    if encoding.num_nodes != graph.num_nodes:
+        raise ShapeMismatch("encoding and graph disagree on num_nodes")
     items = []
     for layers in grid.layer_values:
         for step in grid.step_values:
-            for trial in range(grid.trials_per_cell):
-                optimizer = OptimizerConfig(
-                    step_size=step, max_iterations=grid.iteration_budget,
-                    shots=shots, gradient_mode=mode,
-                    seed=derive_seed(seed, "grid", layers, step, trial))
-                items.append((graph, ansatz_for[layers], encoding, optimizer))
+            cell = QemcSettings(layers=layers, step_size=step, iterations=grid.iteration_budget,
+                                shots=shots, gradient_mode=gradient_mode,
+                                blue_count=encoding.blue_count, trials=grid.trials_per_cell)
+            items += [_trial(graph, cell, derive_seed(seed, "grid", layers, step, trial))
+                      for trial in range(cell.trials)]
     records = _map_jobs(_run_train, items, jobs)
     cuts = np.array([r.final_best_cut for r in records]).reshape(
         len(grid.layer_values), len(grid.step_values), grid.trials_per_cell)
@@ -234,46 +241,39 @@ def scaling_study(graph_family, targets, resource_axis: str,
     """Minimal resource on one axis for the average best cut to reach a target.
 
     ``resource_axis`` is one of ``layers``, ``shots`` or ``iterations``; other
-    hyperparameters stay at the supplied settings.  One target per graph.  An
-    unreachable target produces a row with ``reached=False`` instead of
-    raising.
+    hyperparameters stay at the supplied settings.  One target per graph.  The
+    ``iterations`` axis reads every budget off one set of runs, so it takes no
+    ``axis_values``.  An unreachable target gives a row with ``reached=False``.
     """
     graph_family = list(graph_family)
     targets = list(targets)
     if len(targets) != len(graph_family):
-        raise ValueError("need exactly one target per graph")
+        raise ConfigError("need exactly one target per graph")
     if resource_axis not in ("layers", "shots", "iterations"):
-        raise ValueError(f"unknown resource axis {resource_axis!r}")
-    if settings.trials < 1:
-        raise InvalidCount(f"trials must be >= 1, got {settings.trials}")
+        raise ConfigError(f"unknown resource axis {resource_axis!r}")
+    if resource_axis == "iterations" and axis_values is not None:
+        raise ConfigError("the iterations axis takes no axis_values: one set of "
+                          "settings.iterations runs gives every smaller budget")
 
     rows = []
     for index, (graph, target) in enumerate(zip(graph_family, targets)):
-        if resource_axis == "layers":
-            values = list(axis_values) if axis_values is not None else list(DEFAULT_LAYER_LADDER)
-            rows.append(_scan_axis(graph, target, "layers", values, index,
-                                   settings, seed, jobs))
-        elif resource_axis == "shots":
-            values = (list(axis_values) if axis_values is not None
-                      else list(default_shot_ladder(graph.num_nodes)))
-            rows.append(_scan_axis(graph, target, "shots", values, index,
-                                   settings, seed, jobs))
-        else:
+        if resource_axis == "iterations":
             rows.append(_iterations_row(graph, target, index, settings, seed, jobs))
+        else:
+            rows.append(_scan_axis(graph, target, resource_axis, axis_values, index,
+                                   settings, seed, jobs))
     return rows
 
 
 def _scan_axis(graph, target, axis, values, graph_index, settings, seed, jobs):
-    blue = settings.blue_count if settings.blue_count is not None else graph.num_nodes // 2
-    encoding = EncodingConfig(blue, graph.num_nodes)
+    if values is None:
+        values = (DEFAULT_LAYER_LADDER if axis == "layers"
+                  else default_shot_ladder(graph.num_nodes))
     for value in sorted(int(v) for v in values):
-        layers = value if axis == "layers" else settings.layers
-        ansatz = AnsatzConfig(simulator.num_qubits_for(graph.num_nodes), layers)
-        overrides = {"shots_override": value} if axis == "shots" else {}
-        items = [(graph, ansatz, encoding,
-                  _optimizer(settings, derive_seed(seed, "scaling", axis, graph_index,
-                                                   value, trial), **overrides))
-                 for trial in range(settings.trials)]
+        rung = dataclasses.replace(settings, **{axis: value})
+        items = [_trial(graph, rung, derive_seed(seed, "scaling", axis, graph_index,
+                                                 value, trial))
+                 for trial in range(rung.trials)]
         records = _map_jobs(_run_train, items, jobs)
         mean_cut = float(np.mean([r.final_best_cut for r in records]))
         if mean_cut >= target:
@@ -282,10 +282,8 @@ def _scan_axis(graph, target, axis, values, graph_index, settings, seed, jobs):
 
 
 def _iterations_row(graph, target, graph_index, settings, seed, jobs):
-    ansatz, encoding = _setup(graph, settings)
-    items = [(graph, ansatz, encoding,
-              _optimizer(settings, derive_seed(seed, "scaling", "iterations",
-                                               graph_index, trial)))
+    items = [_trial(graph, settings, derive_seed(seed, "scaling", "iterations",
+                                                 graph_index, trial))
              for trial in range(settings.trials)]
     records = _map_jobs(_run_train, items, jobs)
     mean_curve = np.mean([r.best_cuts for r in records], axis=0)
@@ -337,23 +335,17 @@ def multi_instance_study(num_instances: int, num_nodes: int, degree: int,
     and average GW levels stay distinct trial statistics; raise
     ``gw_hyperplanes`` to stabilize individual trials instead.
     """
-    if num_instances < 1 or settings.trials < 1 or gw_trials < 1:
+    if num_instances < 1 or gw_trials < 1:
         raise InvalidCount(
-            f"num_instances and trial counts must be >= 1, got {num_instances} "
-            f"instances, {settings.trials} QEMC and {gw_trials} GW trials")
-    if settings.iterations < 1:
-        raise InvalidCount(f"iterations must be >= 1, got {settings.iterations}")
+            f"num_instances and gw_trials must be >= 1, got {num_instances} "
+            f"instances and {gw_trials} GW trials")
     instances = [generate_regular(num_nodes, degree,
                                   derive_seed(seed, "study", "instance", i))
                  for i in range(num_instances)]
 
-    items = []
-    for i, graph in enumerate(instances):
-        ansatz, encoding = _setup(graph, settings)
-        for trial in range(settings.trials):
-            items.append((graph, ansatz, encoding,
-                          _optimizer(settings, derive_seed(seed, "study", "qemc",
-                                                           i, trial))))
+    items = [_trial(graph, settings, derive_seed(seed, "study", "qemc", i, trial))
+             for i, graph in enumerate(instances)
+             for trial in range(settings.trials)]
     records = _map_jobs(_run_train, items, jobs)
     best_curves = np.array([r.best_cuts for r in records]).reshape(
         num_instances, settings.trials, settings.iterations)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from .errors import ConfigError
+
 _COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
 _WIDTH, _HEIGHT = 720, 440
@@ -21,7 +23,7 @@ def render_line_chart(series, title="", x_label="", y_label="") -> str:
     series = [(label, list(map(float, xs)), list(map(float, ys)))
               for label, xs, ys in series if len(xs)]
     if not series:
-        raise ValueError("need at least one non-empty series")
+        raise ConfigError("need at least one non-empty series")
     x_min = min(min(xs) for _, xs, _ in series)
     x_max = max(max(xs) for _, xs, _ in series)
     y_min = min(min(ys) for _, _, ys in series)

@@ -4,7 +4,7 @@ import pytest
 
 from qemc import core
 from qemc.cli import main
-from qemc.graphs import complete_graph, write_edge_list_file
+from qemc.graphs import complete_graph, generate_regular, write_edge_list_file
 
 
 @pytest.fixture
@@ -12,6 +12,20 @@ def k4_file(tmp_path):
     path = tmp_path / "k4.txt"
     write_edge_list_file(complete_graph(4), path)
     return str(path)
+
+
+@pytest.fixture
+def no_training(monkeypatch):
+    def fail(*args):
+        raise AssertionError("trained although the run cannot go ahead")
+
+    monkeypatch.setattr(core, "train", fail)
+
+
+def _config(path):
+    """The resolved configuration embedded in a CSV's ``# config:`` line."""
+    line = next(l for l in path.read_text().splitlines() if l.startswith("# config: "))
+    return json.loads(line[len("# config: "):])
 
 
 class TestGenerate:
@@ -62,6 +76,26 @@ class TestSolve:
         assert code == 0
         payload = json.loads(out.read_text())
         assert payload["config"]["optimizer"]["shots"] == 768
+
+    def test_shots_default_to_parameter_shift(self, k4_file, tmp_path):
+        out = tmp_path / "run.json"
+        code = main(["solve", "--graph", k4_file, "--layers", "1", "--step-size",
+                     "0.5", "--iters", "3", "--shots", "16", "--out", str(out)])
+        assert code == 0
+        payload = json.loads(out.read_text())
+        assert payload["config"]["optimizer"]["gradient_mode"] == "parameter_shift"
+        # K4: 2 qubits, 1 layer, so P = 6 angles and 1 + 2P executions per step
+        assert payload["counters"]["circuit_executions"] == 3 * (1 + 2 * 6)
+
+    def test_grad_analytic_overrides_shots_default(self, k4_file, tmp_path):
+        out = tmp_path / "run.json"
+        code = main(["solve", "--graph", k4_file, "--layers", "1", "--step-size",
+                     "0.5", "--iters", "3", "--shots", "16", "--grad", "analytic",
+                     "--out", str(out)])
+        assert code == 0
+        payload = json.loads(out.read_text())
+        assert payload["config"]["optimizer"]["gradient_mode"] == "analytic"
+        assert payload["counters"]["circuit_executions"] == 3
 
     def test_blue_zero_exits_1(self, k4_file, tmp_path):
         code = main(["solve", "--graph", k4_file, "--layers", "1",
@@ -241,6 +275,40 @@ class TestScaling:
         assert "qemc: error: trials" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_3n2_shots_over_mixed_sizes_exits_1(self, k4_file, tmp_path, capsys,
+                                                 no_training):
+        g8 = tmp_path / "g8.txt"
+        write_edge_list_file(generate_regular(8, 3, seed=1), g8)
+        out = tmp_path / "scaling.csv"
+        code = main(["scaling", "--graph", k4_file, "--graph", str(g8),
+                     "--target", "3", "--target", "8", "--axis", "layers",
+                     "--values", "1", "--shots", "3n2", "--trials", "1",
+                     "--jobs", "1", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "qemc: error: --shots 3n2" in err
+        assert "[4, 8]" in err
+        assert not out.exists()
+
+    def test_config_records_resolved_shots(self, k4_file, tmp_path):
+        out = tmp_path / "scaling.csv"
+        code = main(["scaling", "--graph", k4_file, "--target", "3",
+                     "--axis", "layers", "--values", "1", "--shots", "3n2",
+                     "--iters", "2", "--trials", "1", "--jobs", "1",
+                     "--out", str(out)])
+        assert code == 0
+        assert _config(out)["shots"] == 48
+
+    def test_iterations_axis_rejects_values(self, k4_file, tmp_path, capsys,
+                                            no_training):
+        out = tmp_path / "scaling.csv"
+        code = main(["scaling", "--graph", k4_file, "--target", "3",
+                     "--axis", "iterations", "--values", "0", "--jobs", "1",
+                     "--out", str(out)])
+        assert code == 1
+        assert "qemc: error: the iterations axis" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestStudy:
     def test_tiny_study(self, tmp_path, capsys):
@@ -283,6 +351,9 @@ def _command(name, graph, out):
                   "--iters", "2", "--out", out],
         "grid": ["grid", "--graph", graph, "--layers", "1", "--steps", "0.5",
                  "--trials", "1", "--iters", "2", "--jobs", "1", "--out", out],
+        "scaling": ["scaling", "--graph", graph, "--target", "3", "--axis", "layers",
+                    "--values", "1", "--iters", "2", "--trials", "1", "--jobs", "1",
+                    "--out", out],
         "study": ["study", "--instances", "1", "--nodes", "8", "--degree", "3",
                   "--layers", "1", "--step-size", "0.9", "--iters", "2",
                   "--qemc-trials", "1", "--gw-trials", "1", "--jobs", "1",
@@ -290,14 +361,29 @@ def _command(name, graph, out):
     }[name]
 
 
+class TestZeroIterations:
+    @pytest.mark.parametrize("command", ["solve", "grid", "scaling"])
+    def test_exits_1_before_training(self, k4_file, tmp_path, capsys, no_training,
+                                     command):
+        out = tmp_path / "r.out"
+        args = _command(command, k4_file, str(out))
+        args[args.index("--iters") + 1] = "0"
+        assert main(args) == 1
+        assert "qemc: error: iterations" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_solve_with_svg_exits_1_before_training(self, k4_file, tmp_path, capsys,
+                                                    no_training):
+        out, chart = tmp_path / "r.json", tmp_path / "r.svg"
+        args = _command("solve", k4_file, str(out)) + ["--svg", str(chart)]
+        args[args.index("--iters") + 1] = "0"
+        assert main(args) == 1
+        assert "qemc: error: iterations" in capsys.readouterr().err
+        assert not out.exists()
+        assert not chart.exists()
+
+
 class TestOutputPath:
-    @pytest.fixture
-    def no_training(self, monkeypatch):
-        def fail(*args):
-            raise AssertionError("trained although the output cannot be written")
-
-        monkeypatch.setattr(core, "train", fail)
-
     @pytest.mark.parametrize("command", ["solve", "grid", "study"])
     def test_missing_directory_exits_1_before_training(self, k4_file, tmp_path, capsys,
                                                        no_training, command):

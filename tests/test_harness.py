@@ -3,11 +3,13 @@ import io
 import numpy as np
 import pytest
 
+from qemc import core
 from qemc.core import EncodingConfig, OptimizerConfig, train
-from qemc.errors import InvalidCount
+from qemc.errors import ConfigError, InvalidCount, ShapeMismatch
 from qemc.harness import (
     GridSpec,
     QemcSettings,
+    _trial,
     csv_text,
     default_shot_ladder,
     grid_search,
@@ -18,7 +20,44 @@ from qemc.harness import (
     write_csv,
 )
 from qemc.seeding import derive_seed
-from qemc.simulator import PARAMETER_SHIFT, AnsatzConfig
+from qemc.simulator import ANALYTIC, PARAMETER_SHIFT, AnsatzConfig
+
+
+@pytest.fixture
+def no_training(monkeypatch):
+    def fail(*args):
+        raise AssertionError("trained although the configuration is invalid")
+
+    monkeypatch.setattr(core, "train", fail)
+
+
+class TestQemcSettings:
+    @pytest.mark.parametrize("field", ["iterations", "trials", "layers"])
+    def test_zero_count_rejected(self, field):
+        counts = dict(layers=1, iterations=5, trials=2)
+        counts[field] = 0
+        with pytest.raises(InvalidCount, match=f"^{field} must be >= 1"):
+            QemcSettings(step_size=0.5, **counts)
+
+    def test_trial_resolves_defaults(self):
+        from qemc.graphs import generate_regular
+
+        graph = generate_regular(12, 3, seed=1)
+        _, ansatz, encoding, optimizer = _trial(
+            graph, QemcSettings(layers=3, step_size=0.5, iterations=4), seed=7)
+        assert (ansatz.num_qubits, ansatz.num_layers) == (4, 3)
+        assert encoding == EncodingConfig.half(12)
+        assert optimizer == OptimizerConfig(step_size=0.5, max_iterations=4,
+                                            gradient_mode=ANALYTIC, seed=7)
+
+    def test_trial_gradient_mode_follows_shots(self, k4):
+        sampled = QemcSettings(layers=1, step_size=0.5, iterations=4, shots=16)
+        assert _trial(k4, sampled, 0)[3].gradient_mode == PARAMETER_SHIFT
+        forced = QemcSettings(layers=1, step_size=0.5, iterations=4, shots=16,
+                              gradient_mode=ANALYTIC, blue_count=1)
+        _, _, encoding, optimizer = _trial(k4, forced, 0)
+        assert optimizer.gradient_mode == ANALYTIC
+        assert encoding.blue_count == 1
 
 
 class TestGridSearch:
@@ -76,6 +115,18 @@ class TestGridSearch:
         rows = list(result.to_csv_rows())
         assert len(rows) == 4
         assert rows[0][:3] == (1, 0.5, 0)
+
+    def test_mismatched_encoding_rejected_before_training(self, k4, no_training):
+        grid = GridSpec(layer_values=(1,), step_values=(0.5,),
+                        trials_per_cell=1, iteration_budget=5)
+        with pytest.raises(ShapeMismatch):
+            grid_search(k4, grid, EncodingConfig(2, 6), seed=0, jobs=1)
+
+    def test_zero_iterations_rejected_before_training(self, k4, no_training):
+        grid = GridSpec(layer_values=(1,), step_values=(0.5,),
+                        trials_per_cell=1, iteration_budget=0)
+        with pytest.raises(InvalidCount, match="^iterations"):
+            grid_search(k4, grid, EncodingConfig(2, 4), seed=0, jobs=1)
 
     def test_spec_validation(self):
         with pytest.raises(InvalidCount):
@@ -172,10 +223,20 @@ class TestScalingStudy:
 
     def test_target_count_validated(self, k4):
         settings = QemcSettings(layers=1, step_size=0.5, iterations=5)
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             scaling_study([k4], [1.0, 2.0], "layers", settings)
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             scaling_study([k4], [1.0], "qubits", settings)
+
+    def test_iterations_axis_takes_no_values(self, k4, no_training):
+        settings = QemcSettings(layers=1, step_size=0.5, iterations=5)
+        with pytest.raises(ConfigError, match="axis_values"):
+            scaling_study([k4], [1.0], "iterations", settings, axis_values=[0])
+
+    def test_zero_layer_rung_rejected_before_training(self, k4, no_training):
+        settings = QemcSettings(layers=1, step_size=0.5, iterations=5)
+        with pytest.raises(InvalidCount, match="^layers"):
+            scaling_study([k4], [1.0], "layers", settings, axis_values=[2, 0], jobs=1)
 
 
 class TestMultiInstanceStudy:
