@@ -34,6 +34,10 @@ __all__ = [
 ]
 
 
+#: gw_solve stops once the projected gradient's Frobenius norm is below this
+_TOLERANCE = 1e-6
+
+
 def default_rank(num_nodes: int) -> int:
     return ceil(sqrt(2 * num_nodes)) + 1
 
@@ -87,12 +91,12 @@ def _normalize_rows(vectors):
 
 
 def gw_solve(graph: Graph, rank: int | None = None, max_iterations: int = 5000,
-             tolerance: float = 1e-6, seed=0) -> GwSolveResult:
+             seed=0) -> GwSolveResult:
     """Maximize the relaxation by Riemannian gradient ascent on unit rows.
 
-    Stops when the projected gradient's Frobenius norm drops below
-    ``tolerance`` or after ``max_iterations``; a run that hits the iteration
-    cap is returned as-is with ``converged=False`` rather than raised.
+    Stops when the projected gradient's Frobenius norm drops below 1e-6 or
+    after ``max_iterations``; a run that hits the iteration cap is returned
+    as-is with ``converged=False`` rather than raised.
     """
     if rank is None:
         rank = default_rank(graph.num_nodes)
@@ -110,7 +114,7 @@ def gw_solve(graph: Graph, rank: int | None = None, max_iterations: int = 5000,
         grad = -0.5 * (weight_matrix @ vectors)   # euclidean gradient of the objective
         grad = _project_rows(grad, vectors)
         grad_norm = float(np.linalg.norm(grad))
-        if grad_norm < tolerance:
+        if grad_norm < _TOLERANCE:
             converged = True
             iterations -= 1
             break
@@ -177,19 +181,17 @@ def random_star_cuts(graph: Graph, trials: int, seed=0,
             for trial in range(trials)]
 
 
-def gw(graph: Graph, trials: int = 10, seed=0, *, rank: int | None = None,
-       num_hyperplanes: int = 100, max_iterations: int = 5000,
-       tolerance: float = 1e-6) -> list[float]:
-    """Per-trial best GW cuts; each trial is a fresh random-init solve + rounding."""
+def gw(graph: Graph, trials: int = 10, seed=0, *,
+       num_hyperplanes: int = 100) -> list[float]:
+    """Per-trial best GW cuts; each trial is a fresh random-init ``gw_solve``
+    at its default rank and iteration cap, then ``num_hyperplanes`` roundings."""
     if trials < 1:
         raise InvalidCount(f"trials must be >= 1, got {trials}")
     if num_hyperplanes < 1:
         raise InvalidCount(f"num_hyperplanes must be >= 1, got {num_hyperplanes}")
     cuts = []
     for trial in range(trials):
-        solved = gw_solve(graph, rank=rank, max_iterations=max_iterations,
-                          tolerance=tolerance,
-                          seed=derive_seed(seed, "gw", trial, "solve"))
+        solved = gw_solve(graph, seed=derive_seed(seed, "gw", trial, "solve"))
         best, _ = gw_round(solved.embedding, graph, num_hyperplanes=num_hyperplanes,
                            seed=derive_seed(seed, "gw", trial, "round"))
         cuts.append(best)

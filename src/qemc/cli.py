@@ -195,9 +195,6 @@ def _cmd_grid(args) -> int:
 def _cmd_scaling(args) -> int:
     graph_paths = args.graph
     graphs_list = [read_edge_list_file(p) for p in graph_paths]
-    targets = args.target
-    if len(targets) != len(graphs_list):
-        raise ConfigError("need exactly one --target per --graph")
     sizes = sorted({g.num_nodes for g in graphs_list})
     if args.shots == "3n2" and args.axis != "shots" and len(sizes) > 1:
         raise ConfigError(f"--shots 3n2 gives each graph size its own budget, but "
@@ -207,10 +204,10 @@ def _cmd_scaling(args) -> int:
                             shots=_parse_shots(args.shots, sizes[0])
                             if args.axis != "shots" else None)
     axis_values = _number_list(args.values, int, "--values") if args.values else None
-    rows = harness.scaling_study(graphs_list, targets, args.axis, settings,
+    rows = harness.scaling_study(graphs_list, args.target, args.axis, settings,
                                  axis_values=axis_values, seed=args.seed,
                                  jobs=args.jobs)
-    payload = {"graphs": graph_paths, "targets": targets, "axis": args.axis,
+    payload = {"graphs": graph_paths, "targets": args.target, "axis": args.axis,
                "layers": args.layers, "step_size": args.step_size,
                "iters": args.iters, "trials": args.trials, "seed": args.seed,
                "shots": settings.shots, "values": axis_values}

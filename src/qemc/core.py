@@ -79,18 +79,20 @@ class EncodingConfig:
         return cls(num_nodes // 2, num_nodes)
 
 
+# Adam's moment decay rates and denominator guard, fixed for every run.
+_BETA1, _BETA2, _EPSILON = 0.9, 0.99, 1e-8
+
+
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Adam hyperparameters and evaluation mode for one training run."""
+    """Adam step size, budget and evaluation mode for one training run; Adam
+    always uses beta1 = 0.9, beta2 = 0.99 and epsilon = 1e-8."""
 
     step_size: float
     max_iterations: int
     shots: int | None = None              # None = exact probabilities
     gradient_mode: str = ANALYTIC
     seed: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.99
-    epsilon: float = 1e-8
 
     def __post_init__(self):
         if not (np.isfinite(self.step_size) and self.step_size > 0):
@@ -158,9 +160,8 @@ class RunRecord:
                               "max_iterations": self.optimizer.max_iterations,
                               "shots": self.optimizer.shots,
                               "gradient_mode": self.optimizer.gradient_mode,
-                              "beta1": self.optimizer.beta1,
-                              "beta2": self.optimizer.beta2,
-                              "epsilon": self.optimizer.epsilon},
+                              "beta1": _BETA1, "beta2": _BETA2,
+                              "epsilon": _EPSILON},
             },
             "seed": self.seed,
             "iterations": [
@@ -234,17 +235,12 @@ def cost_gradient_wrt_probs(histogram: ProbabilityHistogram, graph: Graph,
 
 
 def cost_gradient_params(graph: Graph, ansatz: AnsatzConfig,
-                         encoding: EncodingConfig, params,
-                         histogram: ProbabilityHistogram | None = None) -> np.ndarray:
-    """Analytic chain-rule gradient dC/dtheta = (dC/dp) . (dp/dtheta).
-
-    When ``histogram`` is omitted the exact distribution at ``params`` is used
-    for the dC/dp factor.  The circuit is simulated once either way.
-    """
+                         encoding: EncodingConfig, params) -> np.ndarray:
+    """Analytic chain-rule gradient dC/dtheta = (dC/dp) . (dp/dtheta) at the
+    exact distribution of ``params``, simulating the circuit once."""
     state = simulator.run_circuit(ansatz, params)
-    if histogram is None:
-        histogram = ProbabilityHistogram(np.abs(state) ** 2)
-    weights = cost_gradient_wrt_probs(histogram, graph, encoding)
+    weights = cost_gradient_wrt_probs(ProbabilityHistogram(np.abs(state) ** 2),
+                                      graph, encoding)
     return simulator.probability_vjp(ansatz, params, weights, state=state)
 
 
@@ -315,11 +311,11 @@ def train(graph: Graph, ansatz: AnsatzConfig, encoding: EncodingConfig,
         best = max(best, cut)
         best_cuts[it - 1] = best
 
-        m = optimizer.beta1 * m + (1.0 - optimizer.beta1) * grad
-        v = optimizer.beta2 * v + (1.0 - optimizer.beta2) * grad * grad
-        m_hat = m / (1.0 - optimizer.beta1 ** it)
-        v_hat = v / (1.0 - optimizer.beta2 ** it)
-        params = params - optimizer.step_size * m_hat / (np.sqrt(v_hat) + optimizer.epsilon)
+        m = _BETA1 * m + (1.0 - _BETA1) * grad
+        v = _BETA2 * v + (1.0 - _BETA2) * grad * grad
+        m_hat = m / (1.0 - _BETA1 ** it)
+        v_hat = v / (1.0 - _BETA2 ** it)
+        params = params - optimizer.step_size * m_hat / (np.sqrt(v_hat) + _EPSILON)
 
     return RunRecord(
         costs=costs, cuts=cuts, best_cuts=best_cuts, final_params=params,

@@ -49,6 +49,9 @@ EXHAUSTIVE_NODE_CAP = 28
 #: masks evaluated per vectorized chunk of the exhaustive search
 _CHUNK_BITS = 20
 
+#: stub-pairing attempts generate_regular makes before giving up
+_MAX_RETRIES = 1000
+
 
 @dataclass(frozen=True, eq=False)
 class Graph:
@@ -241,12 +244,12 @@ def _has_suitable_pair(edges, leftover):
     return False
 
 
-def generate_regular(num_nodes: int, degree: int, seed, *,
-                     max_retries: int = 1000) -> Graph:
+def generate_regular(num_nodes: int, degree: int, seed) -> Graph:
     """Simple connected d-regular graph via the stub-pairing model.
 
     Pairings that clash (self-loop or duplicate) re-shuffle the clashing stubs;
-    a stuck pairing or a disconnected result rejects the whole attempt.
+    a stuck pairing or a disconnected result rejects the whole attempt, and
+    ``_MAX_RETRIES`` rejected attempts raise ``GenerationFailed``.
     Deterministic for a fixed seed.
     """
     if num_nodes < 2 or degree < 1:
@@ -257,7 +260,7 @@ def generate_regular(num_nodes: int, degree: int, seed, *,
         raise InvalidDegree(f"num_nodes*degree = {num_nodes * degree} must be even")
 
     rng = child_rng(seed, "generate_regular", num_nodes, degree)
-    for _ in range(max_retries):
+    for _ in range(_MAX_RETRIES):
         edges = _pair_stubs(num_nodes, degree, rng)
         if edges is None:
             continue
@@ -266,7 +269,7 @@ def generate_regular(num_nodes: int, degree: int, seed, *,
             return graph
     raise GenerationFailed(
         f"no simple connected {degree}-regular graph on {num_nodes} nodes "
-        f"after {max_retries} attempts")
+        f"after {_MAX_RETRIES} attempts")
 
 
 # -- cuts ------------------------------------------------------------------------

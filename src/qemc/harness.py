@@ -176,12 +176,13 @@ class GridResult:
 
 
 def grid_search(graph: Graph, grid: GridSpec, encoding: EncodingConfig, seed=0,
-                *, shots: int | None = None, gradient_mode: str | None = None,
-                target: float | None = None, jobs=None) -> GridResult:
+                *, shots: int | None = None, target: float | None = None,
+                jobs=None) -> GridResult:
     """Average final best cut per (layers, step-size) cell.
 
-    Layer counts must be sorted for ``min_layers_to_target``, which reports
-    the smallest layer count whose best cell reaches ``target``.
+    Every cell takes its gradient mode from ``_trial``: parameter shift when
+    ``shots`` is set, the analytic gradient otherwise.  ``min_layers_to_target``
+    reports the smallest layer count whose best cell reaches ``target``.
     """
     if encoding.num_nodes != graph.num_nodes:
         raise ShapeMismatch("encoding and graph disagree on num_nodes")
@@ -189,8 +190,8 @@ def grid_search(graph: Graph, grid: GridSpec, encoding: EncodingConfig, seed=0,
     for layers in grid.layer_values:
         for step in grid.step_values:
             cell = QemcSettings(layers=layers, step_size=step, iterations=grid.iteration_budget,
-                                shots=shots, gradient_mode=gradient_mode,
-                                blue_count=encoding.blue_count, trials=grid.trials_per_cell)
+                                shots=shots, blue_count=encoding.blue_count,
+                                trials=grid.trials_per_cell)
             items += [_trial(graph, cell, derive_seed(seed, "grid", layers, step, trial))
                       for trial in range(cell.trials)]
     records = _map_jobs(_run_train, items, jobs)

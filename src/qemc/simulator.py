@@ -83,7 +83,7 @@ _BLOCK_QUBITS = 4
 def num_qubits_for(num_nodes: int) -> int:
     """Qubits needed to index ``num_nodes`` basis states: ceil(log2 N)."""
     if num_nodes < 2:
-        raise ValueError("num_nodes must be at least 2")
+        raise ShapeMismatch(f"need at least 2 nodes, got {num_nodes}")
     return (num_nodes - 1).bit_length()
 
 
@@ -93,7 +93,7 @@ def default_strides(num_qubits: int, num_layers: int) -> tuple[int, ...]:
     A single qubit admits no entanglers, so the list is empty for n = 1.
     """
     if num_qubits < 1:
-        raise ValueError("num_qubits must be positive")
+        raise ShapeMismatch("num_qubits must be positive")
     if num_qubits == 1:
         return ()
     return tuple(((l - 1) % (num_qubits - 1)) + 1 for l in range(1, num_layers + 1))

@@ -65,6 +65,16 @@ class TestSolve:
         assert payload["config"]["optimizer"]["step_size"] == 0.99
         assert payload["version"]
 
+    def test_record_pins_optimizer_config(self, k4_file, tmp_path):
+        out = tmp_path / "run.json"
+        code = main(["solve", "--graph", k4_file, "--layers", "1", "--step-size",
+                     "0.5", "--iters", "2", "--shots", "16", "--out", str(out)])
+        assert code == 0
+        assert json.loads(out.read_text())["config"]["optimizer"] == {
+            "step_size": 0.5, "max_iterations": 2, "shots": 16,
+            "gradient_mode": "parameter_shift",
+            "beta1": 0.9, "beta2": 0.99, "epsilon": 1e-8}
+
     def test_shots_token_3n2(self, tmp_path):
         graph_path = tmp_path / "g16.txt"
         main(["generate", "--nodes", "16", "--degree", "3", "--seed", "2",
@@ -290,6 +300,16 @@ class TestScaling:
         assert "[4, 8]" in err
         assert not out.exists()
 
+    def test_target_count_mismatch_exits_1(self, k4_file, tmp_path, capsys,
+                                           no_training):
+        out = tmp_path / "scaling.csv"
+        code = main(["scaling", "--graph", k4_file, "--graph", k4_file,
+                     "--target", "3", "--axis", "layers", "--values", "1",
+                     "--trials", "1", "--jobs", "1", "--out", str(out)])
+        assert code == 1
+        assert "qemc: error: need exactly one target per graph" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_config_records_resolved_shots(self, k4_file, tmp_path):
         out = tmp_path / "scaling.csv"
         code = main(["scaling", "--graph", k4_file, "--target", "3",
@@ -381,6 +401,17 @@ class TestZeroIterations:
         assert "qemc: error: iterations" in capsys.readouterr().err
         assert not out.exists()
         assert not chart.exists()
+
+
+class TestOneNodeGraph:
+    @pytest.mark.parametrize("command", ["solve", "scaling"])
+    def test_exits_1_before_training(self, tmp_path, capsys, no_training, command):
+        graph = tmp_path / "one.txt"
+        graph.write_text("N 1\n")
+        out = tmp_path / "r.out"
+        assert main(_command(command, str(graph), str(out))) == 1
+        assert "qemc: error: need at least 2 nodes" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestOutputPath:

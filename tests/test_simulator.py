@@ -94,7 +94,7 @@ class TestShapes:
         assert num_qubits_for(2048) == 11
         assert num_qubits_for(6) == 3
         assert num_qubits_for(2) == 1
-        with pytest.raises(ValueError):
+        with pytest.raises(ShapeMismatch):
             num_qubits_for(1)
 
     def test_default_strides(self):
