@@ -28,7 +28,6 @@ from .core import (
     decode,
     default_shots,
     rescaled_ratio,
-    scan_blue_sizes,
     train,
 )
 from .graphs import (
@@ -55,10 +54,10 @@ from .harness import (
     ScalingRow,
     StudyResult,
     grid_search,
-    iterations_to_target,
     multi_instance_study,
     resource_estimate,
     scaling_study,
+    scan_blue_sizes,
 )
 from .simulator import (
     ANALYTIC,
@@ -92,12 +91,12 @@ __all__ = [
     # core
     "EncodingConfig", "OptimizerConfig", "RunCounters", "RunRecord", "decode",
     "cost", "cost_gradient_wrt_probs", "cost_gradient_params", "train",
-    "scan_blue_sizes", "cut_ratio", "rescaled_ratio", "default_shots",
+    "cut_ratio", "rescaled_ratio", "default_shots",
     # baselines
     "Embedding", "GwSolveResult", "default_rank", "gw_solve", "gw_round", "gw",
     "random_star_cuts",
     # harness
     "QemcSettings", "GridSpec", "GridResult", "ScalingRow", "StudyResult",
-    "ResourceEstimate", "grid_search", "iterations_to_target", "scaling_study",
+    "ResourceEstimate", "grid_search", "scan_blue_sizes", "scaling_study",
     "multi_instance_study", "resource_estimate",
 ]

@@ -18,7 +18,7 @@ from math import ceil, sqrt
 
 import numpy as np
 
-from .errors import InvalidCount
+from .errors import ConfigError, InvalidCount, SizeMismatch
 from .graphs import Graph, Partition, cut_value, exhaustive_maxcut, random_star_partition
 from .seeding import child_rng, derive_seed
 
@@ -51,10 +51,10 @@ class Embedding:
     def __post_init__(self):
         vec = np.asarray(self.vectors, dtype=np.float64)
         if vec.ndim != 2:
-            raise ValueError("vectors must be a 2-D array (nodes x rank)")
+            raise ConfigError("vectors must be a 2-D array (nodes x rank)")
         norms = np.linalg.norm(vec, axis=1)
         if np.any(np.abs(norms - 1.0) > 1e-8):
-            raise ValueError("every embedding row must have unit norm")
+            raise ConfigError("every embedding row must have unit norm")
         vec.setflags(write=False)
         object.__setattr__(self, "vectors", vec)
 
@@ -101,7 +101,7 @@ def gw_solve(graph: Graph, rank: int | None = None, max_iterations: int = 5000,
     if rank is None:
         rank = default_rank(graph.num_nodes)
     if rank < 2:
-        raise ValueError("rank must be at least 2")
+        raise ConfigError(f"rank must be at least 2, got {rank}")
     weight_matrix = graph.adjacency_matrix()
     rng = child_rng(seed, "gw_solve")
     vectors = _normalize_rows(rng.normal(size=(graph.num_nodes, rank)))
@@ -153,7 +153,7 @@ def gw_round(embedding: Embedding, graph: Graph, num_hyperplanes: int = 100,
     if num_hyperplanes < 1:
         raise InvalidCount(f"num_hyperplanes must be >= 1, got {num_hyperplanes}")
     if embedding.num_nodes != graph.num_nodes:
-        raise ValueError("embedding and graph disagree on node count")
+        raise SizeMismatch("embedding and graph disagree on node count")
     rng = child_rng(seed, "gw_round")
     normals = rng.normal(size=(num_hyperplanes, embedding.rank))
     sides = (embedding.vectors @ normals.T) > 0          # nodes x hyperplanes
@@ -173,7 +173,7 @@ def random_star_cuts(graph: Graph, trials: int, seed=0,
     balanced.  Running maxima of the returned list give a best-so-far curve.
     """
     if trials < 1:
-        raise ValueError("trials must be >= 1")
+        raise InvalidCount(f"trials must be >= 1, got {trials}")
     blue = blue_count if blue_count is not None else graph.num_nodes // 2
     return [cut_value(graph,
                       random_star_partition(graph.num_nodes, blue,

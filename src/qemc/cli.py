@@ -110,14 +110,12 @@ def _cmd_solve(args) -> int:
                             iterations=args.iters,
                             shots=_parse_shots(args.shots, graph.num_nodes),
                             gradient_mode=_GRADIENT_MODES[args.grad],
-                            blue_count=args.blue)
-    graph, ansatz, encoding, optimizer = harness._trial(graph, settings, args.seed)
+                            blue_count=args.blue, trials=args.scan_trials)
     if args.scan_blue:
-        blue, record = core.scan_blue_sizes(graph, ansatz, optimizer,
-                                            trials_per_blue=args.scan_trials)
-        print(f"scan selected blue_count={blue}")
+        record = harness.scan_blue_sizes(graph, settings, seed=args.seed)
+        print(f"scan selected blue_count={record.encoding.blue_count}")
     else:
-        record = core.train(graph, ansatz, encoding, optimizer)
+        record = core.train(*harness._trial(graph, settings, args.seed))
         if args.verbose:
             for i, (c, k, b) in enumerate(zip(record.costs, record.cuts,
                                               record.best_cuts), start=1):

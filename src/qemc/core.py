@@ -15,7 +15,6 @@ best histogram seen yields the returned cut.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,11 +24,10 @@ from .errors import (
     DegenerateDenominator,
     HistogramTooShort,
     InvalidBlueCount,
-    InvalidCount,
     ShapeMismatch,
 )
 from .graphs import Graph, Partition, cut_value
-from .seeding import child_sequence, derive_seed
+from .seeding import child_sequence
 from .simulator import ANALYTIC, PARAMETER_SHIFT, AnsatzConfig, ProbabilityHistogram
 
 __all__ = [
@@ -42,7 +40,6 @@ __all__ = [
     "cost_gradient_wrt_probs",
     "cost_gradient_params",
     "train",
-    "scan_blue_sizes",
     "cut_ratio",
     "rescaled_ratio",
     "default_shots",
@@ -323,27 +320,6 @@ def train(graph: Graph, ansatz: AnsatzConfig, encoding: EncodingConfig,
         counters=counters, graph_num_nodes=graph.num_nodes,
         graph_num_edges=graph.num_edges, ansatz=ansatz, encoding=encoding,
         optimizer=optimizer)
-
-
-def scan_blue_sizes(graph: Graph, ansatz: AnsatzConfig,
-                    optimizer: OptimizerConfig, trials_per_blue: int = 1):
-    """Train over every blue-set size B = 1 .. floor(N/2) and keep the best.
-
-    Returns ``(blue_count, record)`` for the largest best-so-far cut; ties go
-    to the smaller B, whose larger threshold needs fewer shots in practice.
-    """
-    if trials_per_blue < 1:
-        raise InvalidCount(f"trials_per_blue must be >= 1, got {trials_per_blue}")
-    best_blue, best_record = None, None
-    for blue in range(1, graph.num_nodes // 2 + 1):
-        encoding = EncodingConfig(blue, graph.num_nodes)
-        for trial in range(trials_per_blue):
-            trial_seed = derive_seed(optimizer.seed, "scan_blue", blue, trial)
-            cfg = dataclasses.replace(optimizer, seed=trial_seed)
-            record = train(graph, ansatz, encoding, cfg)
-            if best_record is None or record.final_best_cut > best_record.final_best_cut:
-                best_blue, best_record = blue, record
-    return best_blue, best_record
 
 
 # -- quality metrics -----------------------------------------------------------------

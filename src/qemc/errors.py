@@ -34,7 +34,7 @@ class GenerationFailed(RuntimeFailure):
 
 
 class SizeMismatch(ConfigError):
-    """A partition's length does not match the graph's node count."""
+    """A partition's or embedding's node count does not match the graph's."""
 
 
 class TooLarge(ConfigError):
@@ -46,7 +46,7 @@ class InvalidBlueCount(ConfigError):
 
 
 class InvalidCount(ConfigError):
-    """A trial or instance count is below 1, or a list of values is empty."""
+    """A node, trial or instance count is below 1, or a list of values is empty."""
 
 
 class ParseError(RuntimeFailure):

@@ -12,9 +12,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    ConfigError,
     DuplicateEdge,
     GenerationFailed,
     InvalidBlueCount,
+    InvalidCount,
     InvalidDegree,
     ParseError,
     SelfLoop,
@@ -64,19 +66,19 @@ class Graph:
 
     def __post_init__(self):
         if self.num_nodes < 1:
-            raise ValueError("graph needs at least one node")
+            raise InvalidCount("graph needs at least one node")
         u = np.asarray(self.edge_u, dtype=np.int64)
         v = np.asarray(self.edge_v, dtype=np.int64)
         w = np.asarray(self.edge_w, dtype=np.float64)
         if not (u.shape == v.shape == w.shape):
-            raise ValueError("edge arrays must have equal length")
+            raise ConfigError("edge arrays must have equal length")
         if u.size:
             if u.min() < 0 or v.max() >= self.num_nodes:
-                raise ValueError("edge endpoint out of range")
+                raise ConfigError("edge endpoint out of range")
             if np.any(u == v):
                 raise SelfLoop("self-loop in edge set")
             if np.any(u > v):
-                raise ValueError("edges must be stored as u < v")
+                raise ConfigError("edges must be stored as u < v")
             keys = u * self.num_nodes + v
             if np.unique(keys).size != keys.size:
                 raise DuplicateEdge("duplicate edge in edge set")
@@ -165,9 +167,9 @@ class Partition:
     def __post_init__(self):
         c = np.asarray(self.colors, dtype=np.uint8)
         if c.ndim != 1:
-            raise ValueError("colors must be one-dimensional")
+            raise ConfigError("colors must be one-dimensional")
         if c.size and c.max() > 1:
-            raise ValueError("colors must be 0 (white) or 1 (blue)")
+            raise ConfigError("colors must be 0 (white) or 1 (blue)")
         c.setflags(write=False)
         object.__setattr__(self, "colors", c)
 

@@ -1,4 +1,4 @@
-"""Experiment orchestration: grid searches, multi-instance studies, resource scaling.
+"""Experiment orchestration: grid searches, blue-set scans, studies, resource scaling.
 
 Every experiment funnels its randomness through one master seed; per-trial
 seeds are derived from (experiment, instance, trial) tag paths, so results are
@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import csv
 import dataclasses
-import io
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -38,7 +37,7 @@ __all__ = [
     "StudyResult",
     "ResourceEstimate",
     "grid_search",
-    "iterations_to_target",
+    "scan_blue_sizes",
     "scaling_study",
     "multi_instance_study",
     "resource_estimate",
@@ -210,9 +209,24 @@ def grid_search(graph: Graph, grid: GridSpec, encoding: EncodingConfig, seed=0,
                       min_layers_to_target=min_layers)
 
 
-def iterations_to_target(record: RunRecord, target_cut: float) -> int | None:
-    """Smallest 1-based iteration whose best-so-far cut reaches the target."""
-    return record.iterations_to_target(target_cut)
+# -- blue-set scan ----------------------------------------------------------------
+
+
+def scan_blue_sizes(graph: Graph, settings: QemcSettings, seed=0) -> RunRecord:
+    """Train ``settings.trials`` trials at every blue-set size B = 1 .. N//2 and
+    return the record with the largest best-so-far cut.
+
+    ``settings.blue_count`` is ignored.  Ties go to the smaller B, whose larger
+    threshold needs fewer shots in practice; the winner's B is
+    ``record.encoding.blue_count``.
+    """
+    # B = 1 is always tried, so a graph too small to encode fails in _trial.
+    items = [_trial(graph, dataclasses.replace(settings, blue_count=blue),
+                    derive_seed(seed, "scan_blue", blue, trial))
+             for blue in range(1, max(1, graph.num_nodes // 2) + 1)
+             for trial in range(settings.trials)]
+    records = _map_jobs(_run_train, items, None)
+    return max(records, key=lambda r: r.final_best_cut)
 
 
 # -- resource scaling --------------------------------------------------------------
@@ -336,10 +350,11 @@ def multi_instance_study(num_instances: int, num_nodes: int, degree: int,
     and average GW levels stay distinct trial statistics; raise
     ``gw_hyperplanes`` to stabilize individual trials instead.
     """
-    if num_instances < 1 or gw_trials < 1:
+    if min(num_instances, gw_trials, gw_hyperplanes) < 1:
         raise InvalidCount(
-            f"num_instances and gw_trials must be >= 1, got {num_instances} "
-            f"instances and {gw_trials} GW trials")
+            f"num_instances, gw_trials and gw_hyperplanes must be >= 1, got "
+            f"{num_instances} instances, {gw_trials} GW trials and "
+            f"{gw_hyperplanes} hyperplanes")
     instances = [generate_regular(num_nodes, degree,
                                   derive_seed(seed, "study", "instance", i))
                  for i in range(num_instances)]
@@ -429,9 +444,3 @@ def write_csv(path_or_buffer, header, rows, *, comments=()) -> None:
     finally:
         if own:
             fh.close()
-
-
-def csv_text(header, rows, *, comments=()) -> str:
-    buf = io.StringIO()
-    write_csv(buf, header, rows, comments=comments)
-    return buf.getvalue()

@@ -59,7 +59,6 @@ __all__ = [
     "ProbabilityHistogram",
     "num_qubits_for",
     "default_strides",
-    "num_parameters",
     "random_parameters",
     "gate_count",
     "run_circuit",
@@ -154,10 +153,6 @@ class ProbabilityHistogram:
 
     def __len__(self):
         return int(self.probs.size)
-
-
-def num_parameters(config: AnsatzConfig) -> int:
-    return config.num_parameters
 
 
 def random_parameters(config: AnsatzConfig, seed) -> np.ndarray:

@@ -9,7 +9,7 @@ from qemc.baselines import (
     gw_solve,
     random_star_cuts,
 )
-from qemc.errors import InvalidCount
+from qemc.errors import ConfigError, InvalidCount, SizeMismatch
 from qemc.graphs import (
     Graph,
     complete_bipartite_graph,
@@ -22,8 +22,12 @@ from qemc.graphs import (
 
 class TestEmbedding:
     def test_rows_must_be_unit(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match="unit norm"):
             Embedding(np.array([[1.0, 1.0], [0.0, 1.0]]))
+
+    def test_rows_must_form_a_matrix(self):
+        with pytest.raises(ConfigError, match="2-D"):
+            Embedding(np.array([1.0, 0.0]))
 
     def test_default_rank(self):
         assert default_rank(8) == 5
@@ -57,7 +61,7 @@ class TestGwSolve:
         assert np.isfinite(result.relaxation_value)
 
     def test_rank_validated(self, k4):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match="rank must be at least 2"):
             gw_solve(k4, rank=1)
 
     def test_deterministic(self, k4):
@@ -113,6 +117,11 @@ class TestGwRound:
         with pytest.raises(InvalidCount):
             gw_round(solved.embedding, k4, num_hyperplanes=0)
 
+    def test_node_count_validated(self, k4):
+        solved = gw_solve(k4, seed=13)
+        with pytest.raises(SizeMismatch):
+            gw_round(solved.embedding, complete_graph(5))
+
     def test_bipartite_full_cut(self):
         for left, right in [(3, 3), (4, 4), (5, 6)]:
             g = complete_bipartite_graph(left, right)
@@ -163,5 +172,5 @@ class TestRandomStarCuts:
         assert cuts == [3.0] * 10  # any 1-vs-3 split of K4 cuts 3 edges
 
     def test_trials_validated(self, k4):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidCount, match="trials must be >= 1"):
             random_star_cuts(k4, trials=0)

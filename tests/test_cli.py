@@ -163,7 +163,16 @@ class TestSolve:
                      "--step-size", "0.5", "--iters", "2", "--scan-blue",
                      "--scan-trials", "0", "--out", str(tmp_path / "x.json")])
         assert code == 1
-        assert "qemc: error: trials_per_blue" in capsys.readouterr().err
+        assert "qemc: error: trials must be >= 1" in capsys.readouterr().err
+
+    def test_scan_trials_zero_exits_1_without_scan(self, k4_file, tmp_path, capsys,
+                                                   no_training):
+        out = tmp_path / "x.json"
+        code = main(["solve", "--graph", k4_file, "--layers", "1", "--step-size",
+                     "0.5", "--iters", "2", "--scan-trials", "0", "--out", str(out)])
+        assert code == 1
+        assert "qemc: error: trials must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_rerun_is_bit_identical(self, k4_file, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -362,6 +371,15 @@ class TestStudy:
                      "--jobs", "1", "--out", str(tmp_path / "study.csv")])
         assert code == 1
         assert "qemc: error: num_instances" in capsys.readouterr().err
+
+    def test_zero_gw_hyperplanes_exits_1_before_training(self, tmp_path, capsys,
+                                                         no_training):
+        out = tmp_path / "study.csv"
+        args = _command("study", "unused", str(out))
+        code = main(args + ["--gw-hyperplanes", "0"])
+        assert code == 1
+        assert "gw_hyperplanes must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def _command(name, graph, out):

@@ -11,7 +11,6 @@ from qemc.core import (
     decode,
     default_shots,
     rescaled_ratio,
-    scan_blue_sizes,
     train,
 )
 from qemc.errors import (
@@ -21,7 +20,7 @@ from qemc.errors import (
     ShapeMismatch,
 )
 from qemc import simulator
-from qemc.graphs import Graph, complete_bipartite_graph, cut_value
+from qemc.graphs import Graph, cut_value
 from qemc.simulator import (
     PARAMETER_SHIFT,
     AnsatzConfig,
@@ -272,36 +271,6 @@ class TestTrain:
         assert set(payload["iterations"][0]) == {"cost", "cut", "best_cut"}
         assert set(payload["counters"]) == {"circuit_executions", "shots_total",
                                             "gate_applications"}
-
-
-class TestScanBlueSizes:
-    def test_k4_scans_both_sizes_and_picks_two(self, k4):
-        # B = 1 cannot decode a balanced split (two probabilities > 1/2 would
-        # exceed normalization), so B = 2 wins with cut 4.
-        blue, record = scan_blue_sizes(
-            k4, AnsatzConfig(2, 1),
-            OptimizerConfig(step_size=0.99, max_iterations=200, seed=0))
-        assert blue == 2
-        assert record.final_best_cut == 4.0
-        assert record.encoding.blue_count == 2
-
-    def test_tie_prefers_smaller_blue_count(self):
-        # A star K_{1,3} is fully cut by blue = {center}, reachable under both
-        # B = 1 and B = 2, so both saturate at 3 and the tie goes to B = 1.
-        star = complete_bipartite_graph(1, 3)
-        blue, record = scan_blue_sizes(
-            star, AnsatzConfig(2, 2),
-            OptimizerConfig(step_size=0.9, max_iterations=200, seed=3),
-            trials_per_blue=2)
-        assert record.final_best_cut == 3.0
-        assert blue == 1
-
-    def test_bipartite_two_six(self):
-        g = complete_bipartite_graph(2, 6)
-        blue, record = scan_blue_sizes(
-            g, AnsatzConfig(3, 3),
-            OptimizerConfig(step_size=0.8, max_iterations=150, seed=0))
-        assert record.final_best_cut == g.total_weight == 12.0
 
 
 class TestRatios:

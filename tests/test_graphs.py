@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from qemc.errors import (
+    ConfigError,
     DuplicateEdge,
     InvalidBlueCount,
     InvalidDegree,
@@ -40,8 +41,19 @@ class TestGraphConstruction:
             Graph.from_edges(3, [(0, 1), (1, 0)])
 
     def test_out_of_range_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match="out of range"):
             Graph.from_edges(2, [(0, 5)])
+
+    @pytest.mark.parametrize("build", [
+        lambda: Graph(0, [], [], []),
+        lambda: Graph(3, [0, 1], [1], [1.0]),
+        lambda: Graph(3, [1], [0], [1.0]),
+        lambda: Partition(np.zeros((2, 2))),
+        lambda: Partition(np.array([0, 2])),
+    ], ids=["no-nodes", "ragged-edges", "u-above-v", "2-d-colors", "bad-color"])
+    def test_invariants_raise_config_error(self, build):
+        with pytest.raises(ConfigError):
+            build()
 
     def test_equality_and_immutability(self, k4):
         assert k4 == complete_graph(4)

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 
 import numpy as np
@@ -6,17 +7,17 @@ import pytest
 from qemc import core
 from qemc.core import EncodingConfig, OptimizerConfig, train
 from qemc.errors import ConfigError, InvalidCount, ShapeMismatch
+from qemc.graphs import Graph, complete_bipartite_graph, generate_regular
 from qemc.harness import (
     GridSpec,
     QemcSettings,
     _trial,
-    csv_text,
     default_shot_ladder,
     grid_search,
-    iterations_to_target,
     multi_instance_study,
     resource_estimate,
     scaling_study,
+    scan_blue_sizes,
     write_csv,
 )
 from qemc.seeding import derive_seed
@@ -40,8 +41,6 @@ class TestQemcSettings:
             QemcSettings(step_size=0.5, **counts)
 
     def test_trial_resolves_defaults(self):
-        from qemc.graphs import generate_regular
-
         graph = generate_regular(12, 3, seed=1)
         _, ansatz, encoding, optimizer = _trial(
             graph, QemcSettings(layers=3, step_size=0.5, iterations=4), seed=7)
@@ -140,8 +139,6 @@ class TestGridSearch:
         # Trend on a 22-node cubic instance: the best step size per layer
         # count never grows with depth (ties allowed).  Deterministic seeds,
         # so the observed argmax sequence (0.99, 0.99, 0.5) is stable.
-        from qemc.graphs import generate_regular
-
         g = generate_regular(22, 3, seed=22)
         grid = GridSpec(layer_values=(1, 3, 5), step_values=(0.1, 0.5, 0.99),
                         trials_per_cell=5, iteration_budget=200)
@@ -156,20 +153,64 @@ class TestIterationsToTarget:
     def test_immediate_hit(self, k4):
         record = train(k4, AnsatzConfig(2, 1), EncodingConfig(2, 4),
                        OptimizerConfig(step_size=0.99, max_iterations=100, seed=1))
-        assert iterations_to_target(record, 0.0) == 1
+        assert record.iterations_to_target(0.0) == 1
 
     def test_unreachable(self, k4):
         record = train(k4, AnsatzConfig(2, 1), EncodingConfig(2, 4),
                        OptimizerConfig(step_size=0.99, max_iterations=10, seed=1))
-        assert iterations_to_target(record, 100.0) is None
+        assert record.iterations_to_target(100.0) is None
 
     def test_matches_first_crossing(self, k4):
         record = train(k4, AnsatzConfig(2, 1), EncodingConfig(2, 4),
                        OptimizerConfig(step_size=0.99, max_iterations=150, seed=2))
-        hit = iterations_to_target(record, 4.0)
+        hit = record.iterations_to_target(4.0)
         assert hit is not None
         assert record.best_cuts[hit - 1] >= 4.0
         assert np.all(record.best_cuts[:hit - 1] < 4.0)
+
+
+class TestScanBlueSizes:
+    def test_k4_scans_both_sizes_and_picks_two(self, k4):
+        # B = 1 cannot decode a balanced split (two probabilities > 1/2 would
+        # exceed normalization), so B = 2 wins with cut 4.
+        record = scan_blue_sizes(
+            k4, QemcSettings(layers=1, step_size=0.99, iterations=200, trials=1))
+        assert record.final_best_cut == 4.0
+        assert record.encoding.blue_count == 2
+
+    def test_tie_prefers_smaller_blue_count(self):
+        # A star K_{1,3} is fully cut by blue = {center}, reachable under both
+        # B = 1 and B = 2, so both saturate at 3 and the tie goes to B = 1.
+        star = complete_bipartite_graph(1, 3)
+        record = scan_blue_sizes(
+            star, QemcSettings(layers=2, step_size=0.9, iterations=200, trials=2),
+            seed=3)
+        assert record.final_best_cut == 3.0
+        assert record.encoding.blue_count == 1
+
+    def test_bipartite_two_six(self):
+        g = complete_bipartite_graph(2, 6)
+        record = scan_blue_sizes(
+            g, QemcSettings(layers=3, step_size=0.8, iterations=150, trials=1))
+        assert record.final_best_cut == g.total_weight == 12.0
+
+    def test_record_replays_with_train(self):
+        graph = generate_regular(10, 3, seed=2)
+        settings = QemcSettings(layers=2, step_size=0.7, iterations=15, trials=2)
+        record = scan_blue_sizes(graph, settings, seed=5)
+        blue = record.encoding.blue_count
+        assert record.seed in {derive_seed(5, "scan_blue", blue, t) for t in range(2)}
+        replay = train(*_trial(graph, dataclasses.replace(settings, blue_count=blue),
+                               record.seed))
+        assert replay.to_json_dict() == record.to_json_dict()
+        for name in ("costs", "cuts", "best_cuts", "final_params"):
+            assert getattr(replay, name).tobytes() == getattr(record, name).tobytes()
+
+    def test_one_node_graph_rejected_before_training(self, no_training):
+        one = Graph.from_edges(1, [])
+        with pytest.raises(ShapeMismatch):
+            scan_blue_sizes(one, QemcSettings(layers=1, step_size=0.5, iterations=2,
+                                              trials=1))
 
 
 class TestScalingStudy:
@@ -297,8 +338,9 @@ class TestResourceEstimate:
 
 class TestCsv:
     def test_comments_then_header(self):
-        text = csv_text(["a", "b"], [(1, 2), (3, 4)], comments=["version: test"])
-        lines = text.strip().splitlines()
+        buf = io.StringIO()
+        write_csv(buf, ["a", "b"], [(1, 2), (3, 4)], comments=["version: test"])
+        lines = buf.getvalue().strip().splitlines()
         assert lines[0] == "# version: test"
         assert lines[1] == "a,b"
         assert len(lines) == 4
