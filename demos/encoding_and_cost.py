@@ -4,14 +4,14 @@ A graph on N nodes is represented by the measurement distribution of a
 ceil(log2 N)-qubit state: basis state |k> carries node k.  Assuming B blue
 nodes, node k is blue exactly when p(k) exceeds the threshold 1/(2B).  The
 cost pushes every edge toward one endpoint at probability 0 and the other at
-1/B, i.e. toward distinctly white / distinctly blue endpoints.
+1/B, i.e. toward distinctly white / distinctly blue endpoints.  A histogram
+is a plain float64 array of length 2^n, as the simulator returns it.
 """
 
 import numpy as np
 
 from qemc import (
     EncodingConfig,
-    ProbabilityHistogram,
     complete_bipartite_graph,
     cost,
     cost_gradient_wrt_probs,
@@ -25,19 +25,19 @@ encoding = EncodingConfig(blue_count=3, num_nodes=6)
 print(f"threshold p_th = 1/(2B) = {encoding.threshold}")
 
 # Three qubits cover six nodes; the two extra basis states are zero padding.
-ideal = ProbabilityHistogram(np.array([1/3, 1/3, 1/3, 0, 0, 0, 0, 0]))
+ideal = np.array([1/3, 1/3, 1/3, 0, 0, 0, 0, 0])
 partition = decode(ideal, encoding)
 print(f"ideal histogram decodes to blue set {partition.blue_nodes()}")
 print(f"cut value: {cut_value(graph, partition):g} of {graph.num_edges} edges")
 print(f"cost at the ideal histogram: {cost(ideal, graph, encoding):.2e}")
 
 # Any deviation raises the cost: move a little probability across the split.
-smeared = ProbabilityHistogram(np.array([0.30, 1/3, 1/3, 0.2/6, 0.2/6, 0.2/6, 0, 0]))
+smeared = np.array([0.30, 1/3, 1/3, 0.2/6, 0.2/6, 0.2/6, 0, 0])
 print(f"cost after smearing some weight: {cost(smeared, graph, encoding):.4f}")
 
 # The uniform state sits far from any solution: every node looks identical
 # and lands exactly on the threshold, decoding to all white.
-uniform = ProbabilityHistogram(np.full(8, 0.125))
+uniform = np.full(8, 0.125)
 print(f"uniform decodes {decode(uniform, encoding).blue_count} blue nodes, "
       f"cost {cost(uniform, graph, encoding):.4f}")
 

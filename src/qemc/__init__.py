@@ -63,8 +63,6 @@ from .simulator import (
     ANALYTIC,
     PARAMETER_SHIFT,
     AnsatzConfig,
-    ProbabilityHistogram,
-    default_strides,
     gate_count,
     num_qubits_for,
     probabilities,
@@ -84,10 +82,9 @@ __all__ = [
     "write_edge_list", "read_edge_list_file", "write_edge_list_file",
     "complete_graph", "complete_bipartite_graph",
     # simulator
-    "AnsatzConfig", "ProbabilityHistogram", "ANALYTIC", "PARAMETER_SHIFT",
-    "num_qubits_for", "default_strides", "random_parameters", "gate_count",
-    "run_circuit", "probabilities", "sample_histogram", "probability_jacobian",
-    "probability_vjp",
+    "AnsatzConfig", "ANALYTIC", "PARAMETER_SHIFT", "num_qubits_for",
+    "random_parameters", "gate_count", "run_circuit", "probabilities",
+    "sample_histogram", "probability_jacobian", "probability_vjp",
     # core
     "EncodingConfig", "OptimizerConfig", "RunCounters", "RunRecord", "decode",
     "cost", "cost_gradient_wrt_probs", "cost_gradient_params", "train",

@@ -116,10 +116,10 @@ def _cmd_solve(args) -> int:
         print(f"scan selected blue_count={record.encoding.blue_count}")
     else:
         record = core.train(*harness._trial(graph, settings, args.seed))
-        if args.verbose:
-            for i, (c, k, b) in enumerate(zip(record.costs, record.cuts,
-                                              record.best_cuts), start=1):
-                print(f"iter {i}: cost {c:.6f} cut {k:g} best {b:g}")
+    if args.verbose:
+        for i, (c, k, b) in enumerate(zip(record.costs, record.cuts,
+                                          record.best_cuts), start=1):
+            print(f"iter {i}: cost {c:.6f} cut {k:g} best {b:g}")
 
     payload = record.to_json_dict()
     payload["version"] = __version__

@@ -11,10 +11,15 @@ probability 0 and the other at 1/B:
 The weight factor is an extension for weighted graphs; unit weights reproduce
 the plain sum.  Minimizing with Adam over the circuit angles and decoding the
 best histogram seen yields the returned cut.
+
+``decode``, ``cost`` and ``cost_gradient_wrt_probs`` take the distribution as
+a plain float64 array of length 2^n, as ``simulator.probabilities`` and
+``simulator.sample_histogram`` return it.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,7 +33,7 @@ from .errors import (
 )
 from .graphs import Graph, Partition, cut_value
 from .seeding import child_sequence
-from .simulator import ANALYTIC, PARAMETER_SHIFT, AnsatzConfig, ProbabilityHistogram
+from .simulator import ANALYTIC, PARAMETER_SHIFT, AnsatzConfig
 
 __all__ = [
     "EncodingConfig",
@@ -95,10 +100,12 @@ class OptimizerConfig:
         if not (np.isfinite(self.step_size) and self.step_size > 0):
             raise ShapeMismatch(
                 f"step_size must be positive and finite, got {self.step_size}")
-        if self.max_iterations < 0:
-            raise ShapeMismatch("max_iterations must be non-negative")
-        if self.shots is not None and self.shots < 1:
-            raise ShapeMismatch("shots must be a positive integer or None")
+        iterations, shots = self.max_iterations, self.shots
+        if not isinstance(iterations, numbers.Integral) or iterations < 0:
+            raise ShapeMismatch(
+                f"max_iterations must be a non-negative integer, got {iterations!r}")
+        if shots is not None and (not isinstance(shots, numbers.Integral) or shots < 1):
+            raise ShapeMismatch(f"shots must be a positive integer or None, got {shots!r}")
         if self.gradient_mode not in (ANALYTIC, PARAMETER_SHIFT):
             raise ShapeMismatch(f"unknown gradient mode {self.gradient_mode!r}")
 
@@ -177,30 +184,30 @@ class RunRecord:
 # -- encoding and cost -------------------------------------------------------------
 
 
-def _check_histogram(histogram: ProbabilityHistogram, num_nodes: int) -> np.ndarray:
-    probs = histogram.probs
+def _check_probs(probs, num_nodes: int) -> np.ndarray:
+    probs = np.asarray(probs, dtype=np.float64)
     if probs.size < num_nodes:
         raise HistogramTooShort(
             f"histogram has {probs.size} entries, graph has {num_nodes} nodes")
     return probs
 
 
-def decode(histogram: ProbabilityHistogram, encoding: EncodingConfig) -> Partition:
+def decode(probs, encoding: EncodingConfig) -> Partition:
     """Color node k blue iff p(k) strictly exceeds the threshold 1/(2B).
 
-    Histogram entries at indices >= num_nodes are zero padding for graphs
-    whose size is not a power of two; they are ignored.
+    ``probs`` is the length-2^n distribution, exact or sampled.  Entries at
+    indices >= num_nodes are zero padding for graphs whose size is not a
+    power of two; they are ignored.
     """
-    probs = _check_histogram(histogram, encoding.num_nodes)
+    probs = _check_probs(probs, encoding.num_nodes)
     blue = probs[:encoding.num_nodes] > encoding.threshold
     return Partition(blue.astype(np.uint8))
 
 
-def cost(histogram: ProbabilityHistogram, graph: Graph,
-         encoding: EncodingConfig) -> float:
+def cost(probs, graph: Graph, encoding: EncodingConfig) -> float:
     """Edge-wise mean-squared-error cost; zero exactly when every edge pairs a
     probability-0 endpoint with a probability-1/B endpoint."""
-    probs = _check_histogram(histogram, graph.num_nodes)
+    probs = _check_probs(probs, graph.num_nodes)
     pj = probs[graph.edge_u]
     pk = probs[graph.edge_v]
     inv_b = 1.0 / encoding.blue_count
@@ -209,15 +216,15 @@ def cost(histogram: ProbabilityHistogram, graph: Graph,
     return float(np.sum(graph.edge_w * ((d - inv_b) ** 2 + (s - inv_b) ** 2)))
 
 
-def cost_gradient_wrt_probs(histogram: ProbabilityHistogram, graph: Graph,
+def cost_gradient_wrt_probs(probs, graph: Graph,
                             encoding: EncodingConfig) -> np.ndarray:
-    """dC/dp(j) for every histogram entry; padded indices get 0.
+    """dC/dp(j) for every entry of ``probs``; padded indices get 0.
 
     At the |p(j)-p(k)| kink the subgradient midpoint sign(0) = 0 is used, so
     symmetric configurations get a vanishing difference term instead of an
     arbitrary sign.
     """
-    probs = _check_histogram(histogram, graph.num_nodes)
+    probs = _check_probs(probs, graph.num_nodes)
     pj = probs[graph.edge_u]
     pk = probs[graph.edge_v]
     inv_b = 1.0 / encoding.blue_count
@@ -236,8 +243,7 @@ def cost_gradient_params(graph: Graph, ansatz: AnsatzConfig,
     """Analytic chain-rule gradient dC/dtheta = (dC/dp) . (dp/dtheta) at the
     exact distribution of ``params``, simulating the circuit once."""
     state = simulator.run_circuit(ansatz, params)
-    weights = cost_gradient_wrt_probs(ProbabilityHistogram(np.abs(state) ** 2),
-                                      graph, encoding)
+    weights = cost_gradient_wrt_probs(np.abs(state) ** 2, graph, encoding)
     return simulator.probability_vjp(ansatz, params, weights, state=state)
 
 
@@ -279,17 +285,15 @@ def train(graph: Graph, ansatz: AnsatzConfig, encoding: EncodingConfig,
 
     for it in range(1, optimizer.max_iterations + 1):
         state = simulator.run_circuit(ansatz, params)
-        if optimizer.shots is None:
-            hist = ProbabilityHistogram(np.abs(state) ** 2)
-        else:
-            hist = simulator.sample_histogram(
-                ansatz, params, optimizer.shots,
-                seed=child_sequence(optimizer.seed, "shots", it), state=state)
+        probs = np.abs(state) ** 2
+        if optimizer.shots is not None:
+            probs = simulator.sample_histogram(
+                probs, optimizer.shots, seed=child_sequence(optimizer.seed, "shots", it))
             counters.shots_total += optimizer.shots
         counters.circuit_executions += 1
         counters.gate_applications += gates_per_run
 
-        weights = cost_gradient_wrt_probs(hist, graph, encoding)
+        weights = cost_gradient_wrt_probs(probs, graph, encoding)
         if optimizer.gradient_mode == ANALYTIC:
             grad = simulator.probability_vjp(ansatz, params, weights, state=state)
         else:
@@ -302,8 +306,8 @@ def train(graph: Graph, ansatz: AnsatzConfig, encoding: EncodingConfig,
             if optimizer.shots is not None:
                 counters.shots_total += 2 * num_params * optimizer.shots
 
-        costs[it - 1] = cost(hist, graph, encoding)
-        cut = cut_value(graph, decode(hist, encoding))
+        costs[it - 1] = cost(probs, graph, encoding)
+        cut = cut_value(graph, decode(probs, encoding))
         cuts[it - 1] = cut
         best = max(best, cut)
         best_cuts[it - 1] = best

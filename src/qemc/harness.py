@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -86,6 +87,8 @@ class QemcSettings:
     def __post_init__(self):
         for name in ("iterations", "trials", "layers"):
             value = getattr(self, name)
+            if not isinstance(value, numbers.Integral):
+                raise InvalidCount(f"{name} must be an integer, got {value!r}")
             if value < 1:
                 raise InvalidCount(f"{name} must be >= 1, got {value}")
 

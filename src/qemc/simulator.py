@@ -2,13 +2,14 @@
 
 Circuit layout: starting from |0...0>, one uncounted layer of Hadamards, then
 each layer applies a general single-qubit rotation to every qubit followed by
-a ring of CNOTs with a per-layer stride.  The rotation convention is
+a ring of CNOTs q -> q + r (mod n) whose stride r cycles through 1 .. n-1
+from layer to layer.  The rotation convention is
 
     Rot(phi, theta, omega) = RZ(omega) @ RY(theta) @ RZ(phi)
 
 with phi applied first; step-size recommendations elsewhere in the package
-were tuned under this convention and the cyclic stride default, so both are
-fixed here rather than left configurable per call.
+were tuned under this convention and the cyclic strides, so both are fixed
+here rather than left configurable per call.
 
 Basis-state index k uses the standard decimal-to-binary mapping with qubit 0
 as the most significant bit.  Parameter vectors are flat arrays of length
@@ -26,9 +27,13 @@ Jones & Gacon (arXiv:2009.02823), serves both the vector-Jacobian product
 and the analytic Jacobian: the Jacobian is the same sweep run with the
 identity as the batch of weight rows.  Per block the sweep forms one cross
 density between the adjoints and the state and sums it down to each
-qubit's 2x2 transition matrix.  ``probability_vjp`` and ``sample_histogram``
-accept the statevector as ``state=`` from a caller that has already simulated
-it, so training runs the forward pass once per iteration.
+qubit's 2x2 transition matrix.  ``probability_vjp`` accepts the statevector
+as ``state=`` from a caller that has already simulated it, so training runs
+the forward pass once per iteration.
+
+Distributions are plain float64 arrays of length 2^n: ``probabilities``
+returns |amplitude|^2, and ``sample_histogram`` turns any such array into
+the frequencies of a multinomial draw.
 
 The parameter-shift Jacobian simulates its 2P shifted circuits in one batched
 sweep over a (2P + 1, 2^n) array whose row 0 is the unshifted circuit.  A
@@ -46,19 +51,18 @@ All functions are pure: no shared mutable state, safe to call concurrently.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .errors import ShapeMismatch
+from .errors import ConfigError, InvalidCount, ShapeMismatch
 from .seeding import child_sequence
 
 __all__ = [
     "AnsatzConfig",
-    "ProbabilityHistogram",
     "num_qubits_for",
-    "default_strides",
     "random_parameters",
     "gate_count",
     "run_circuit",
@@ -86,45 +90,28 @@ def num_qubits_for(num_nodes: int) -> int:
     return (num_nodes - 1).bit_length()
 
 
-def default_strides(num_qubits: int, num_layers: int) -> tuple[int, ...]:
-    """Cyclic entangler strides: layer l (1-based) uses ((l-1) mod (n-1)) + 1.
-
-    A single qubit admits no entanglers, so the list is empty for n = 1.
-    """
-    if num_qubits < 1:
-        raise ShapeMismatch("num_qubits must be positive")
-    if num_qubits == 1:
-        return ()
-    return tuple(((l - 1) % (num_qubits - 1)) + 1 for l in range(1, num_layers + 1))
-
-
 @dataclass(frozen=True)
 class AnsatzConfig:
-    """Circuit shape: qubit count, layer count and per-layer entangler strides."""
+    """Circuit shape: qubit count and layer count."""
 
     num_qubits: int
     num_layers: int
-    entangler_strides: tuple[int, ...] | None = None
 
     def __post_init__(self):
-        if self.num_qubits < 1:
-            raise ShapeMismatch("num_qubits must be positive")
-        if self.num_layers < 0:
-            raise ShapeMismatch("num_layers must be non-negative")
-        strides = self.entangler_strides
-        if strides is None:
-            strides = default_strides(self.num_qubits, self.num_layers)
-        elif self.num_qubits == 1:
-            strides = ()  # a single qubit admits no entanglers
-        else:
-            strides = tuple(int(r) for r in strides)
-            if len(strides) != self.num_layers:
-                raise ShapeMismatch("need one stride per layer")
-            for r in strides:
-                if not 1 <= r <= self.num_qubits - 1:
-                    raise ShapeMismatch(
-                        f"stride {r} outside [1, {self.num_qubits - 1}]")
-        object.__setattr__(self, "entangler_strides", strides)
+        if not isinstance(self.num_qubits, numbers.Integral) or self.num_qubits < 1:
+            raise ShapeMismatch(
+                f"num_qubits must be a positive integer, got {self.num_qubits!r}")
+        if not isinstance(self.num_layers, numbers.Integral) or self.num_layers < 0:
+            raise ShapeMismatch(
+                f"num_layers must be a non-negative integer, got {self.num_layers!r}")
+
+    @property
+    def entangler_strides(self) -> tuple[int, ...]:
+        """Cyclic CNOT-ring strides: layer l (1-based) uses ((l-1) mod (n-1)) + 1;
+        empty for one qubit, which admits no entanglers."""
+        if self.num_qubits == 1:
+            return ()
+        return tuple(l % (self.num_qubits - 1) + 1 for l in range(self.num_layers))
 
     @property
     def num_parameters(self) -> int:
@@ -133,26 +120,6 @@ class AnsatzConfig:
     @property
     def dim(self) -> int:
         return 1 << self.num_qubits
-
-
-@dataclass(frozen=True)
-class ProbabilityHistogram:
-    """Length-2^n probability distribution; ``shots`` is None for exact values."""
-
-    probs: np.ndarray
-    shots: int | None = None
-
-    def __post_init__(self):
-        p = np.asarray(self.probs, dtype=np.float64)
-        p.setflags(write=False)
-        object.__setattr__(self, "probs", p)
-
-    @property
-    def is_exact(self) -> bool:
-        return self.shots is None
-
-    def __len__(self):
-        return int(self.probs.size)
 
 
 def random_parameters(config: AnsatzConfig, seed) -> np.ndarray:
@@ -183,11 +150,12 @@ def _rings(config: AnsatzConfig) -> tuple:
     """Per layer, its CNOT ring as one index permutation and that permutation's
     inverse: ``state[perm]`` applies the ring, ``state[inverse]`` undoes it."""
     n = config.num_qubits
+    strides = config.entangler_strides
     rings = []
     for layer in range(config.num_layers):
         perm = np.arange(config.dim, dtype=np.int64)
         if n >= 2:
-            stride = config.entangler_strides[layer]
+            stride = strides[layer]
             for q in range(n):
                 perm = perm[_cnot_permutation(n, q, (q + stride) % n)]
         inverse = np.argsort(perm)
@@ -304,18 +272,9 @@ def run_circuit(config: AnsatzConfig, params) -> np.ndarray:
     return _run(config, _blocks(_rotations(angles)))
 
 
-def probabilities(config: AnsatzConfig, params) -> ProbabilityHistogram:
-    """Exact measurement distribution |amplitude|^2."""
-    state = run_circuit(config, params)
-    return ProbabilityHistogram(np.abs(state) ** 2, shots=None)
-
-
-def _check_state(config: AnsatzConfig, state) -> np.ndarray:
-    state = np.asarray(state, dtype=np.complex128)
-    if state.shape != (config.dim,):
-        raise ShapeMismatch(
-            f"expected a state of {config.dim} amplitudes, got shape {state.shape}")
-    return state
+def probabilities(config: AnsatzConfig, params) -> np.ndarray:
+    """Exact measurement distribution |amplitude|^2: float64 array of length 2^n."""
+    return np.abs(run_circuit(config, params)) ** 2
 
 
 def _draw(probs: np.ndarray, shots: int,
@@ -330,19 +289,29 @@ def _draw(probs: np.ndarray, shots: int,
     return rng.multinomial(shots, probs / probs.sum(axis=-1, keepdims=True)) / shots
 
 
-def sample_histogram(config: AnsatzConfig, params, shots: int, seed, *,
-                     state=None) -> ProbabilityHistogram:
-    """Empirical distribution from a multinomial draw of ``shots`` samples.
+def _check_shots(shots) -> None:
+    if not isinstance(shots, numbers.Integral) or shots < 1:
+        raise InvalidCount(f"shots must be a positive integer, got {shots!r}")
 
-    A caller that already holds ``run_circuit(config, params)`` passes it as
-    ``state`` to skip the forward pass; the draw is the same bit for bit.
+
+def sample_histogram(probs, shots: int, seed) -> np.ndarray:
+    """Frequencies of a multinomial draw of ``shots`` samples from ``probs``.
+
+    ``probs`` is a 1-D array of non-negative weights, normalized before the
+    draw.  ``seed`` is a ``SeedSequence`` used as given, or a seed from which
+    one is derived.
     """
-    if shots < 1:
-        raise ValueError("shots must be a positive integer")
-    state = run_circuit(config, params) if state is None else _check_state(config, state)
+    _check_shots(shots)
+    probs = np.asarray(probs, dtype=np.float64)
+    if probs.ndim != 1:
+        raise ShapeMismatch(f"expected a 1-D distribution, got shape {probs.shape}")
+    total = probs.sum()
+    if not (np.isfinite(total) and total > 0 and probs.min() >= 0):
+        raise ConfigError(
+            "probabilities must be finite and non-negative with a positive sum")
     if not isinstance(seed, np.random.SeedSequence):
         seed = child_sequence(seed, "sample")
-    return ProbabilityHistogram(_draw(np.abs(state) ** 2, shots, seed), shots=shots)
+    return _draw(probs, shots, seed)
 
 
 # -- differentiation ---------------------------------------------------------------
@@ -401,7 +370,10 @@ def probability_vjp(config: AnsatzConfig, params, weights, *,
     if w.size != config.dim:
         raise ShapeMismatch(f"expected {config.dim} weights, got {w.size}")
     if state is not None:
-        state = _check_state(config, state)
+        state = np.asarray(state, dtype=np.complex128)
+        if state.shape != (config.dim,):
+            raise ShapeMismatch(
+                f"expected a state of {config.dim} amplitudes, got shape {state.shape}")
     return _vjp(config, params, w[np.newaxis], state)[0]
 
 
@@ -463,10 +435,12 @@ def probability_jacobian(config: AnsatzConfig, params, mode: str = ANALYTIC,
     params = _check_params(config, params)
     if mode == ANALYTIC:
         if shots is not None:
-            raise ValueError("analytic mode does not take a shot budget")
+            raise ConfigError("analytic mode does not take a shot budget")
         return _vjp(config, params, np.eye(config.dim))
     if mode == PARAMETER_SHIFT:
-        if shots is not None and seed is None:
-            raise ValueError("sampled parameter shift needs a seed")
+        if shots is not None:
+            _check_shots(shots)
+            if seed is None:
+                raise ConfigError("sampled parameter shift needs a seed")
         return _jacobian_parameter_shift(config, params, shots, seed)
-    raise ValueError(f"unknown jacobian mode {mode!r}")
+    raise ConfigError(f"unknown jacobian mode {mode!r}")

@@ -114,7 +114,7 @@ def test_a5_gradient_correctness():
         blue = int(rng.integers(1, num_nodes // 2 + 1))
         encoding = EncodingConfig(blue, num_nodes)
         params = rng.uniform(0, 2 * np.pi, config.num_parameters)
-        probs = probabilities(config, params).probs
+        probs = probabilities(config, params)
         if np.min(np.abs(probs[g.edge_u] - probs[g.edge_v])) < 1e-7:
             continue  # stay away from the |p(j)-p(k)| kink
         checked += 1
@@ -153,21 +153,18 @@ def test_a6_encoding_invariants():
         norm = np.linalg.norm(simulator.run_circuit(config, params))
         worst_norm = max(worst_norm, abs(norm - 1.0))
 
-    boundary = core.decode(
-        simulator.ProbabilityHistogram(np.full(4, 0.25)), EncodingConfig(2, 4))
+    boundary = core.decode(np.full(4, 0.25), EncodingConfig(2, 4))
     boundary_white = boundary.blue_count == 0
 
     padding_ok = True
     monotone_ok = True
     for _ in range(200):
         probs = rng.dirichlet(np.ones(8))
-        partition = core.decode(simulator.ProbabilityHistogram(probs),
-                                EncodingConfig(2, 5))
+        partition = core.decode(probs, EncodingConfig(2, 5))
         padding_ok &= partition.num_nodes == 5
         previous = set()
         for blue_count in range(1, 5):
-            blue = set(core.decode(simulator.ProbabilityHistogram(probs),
-                                   EncodingConfig(blue_count, 8)).blue_nodes())
+            blue = set(core.decode(probs, EncodingConfig(blue_count, 8)).blue_nodes())
             monotone_ok &= previous <= blue
             previous = blue
     ok = worst_norm < 1e-10 and boundary_white and padding_ok and monotone_ok
@@ -183,8 +180,7 @@ def test_a7_zero_cost_characterization():
     k33 = graphs.complete_bipartite_graph(3, 3)
     cut_star, _ = graphs.exhaustive_maxcut(k33)
     encoding = EncodingConfig(3, 6)
-    ideal = simulator.ProbabilityHistogram(
-        np.array([1 / 3, 1 / 3, 1 / 3, 0.0, 0.0, 0.0, 0.0, 0.0]))
+    ideal = np.array([1 / 3, 1 / 3, 1 / 3, 0.0, 0.0, 0.0, 0.0, 0.0])
     value = core.cost(ideal, k33, encoding)
     cut = graphs.cut_value(k33, core.decode(ideal, encoding))
     ok = value < 1e-12 and cut == 9 == cut_star
@@ -215,14 +211,14 @@ def test_a9_shot_estimator_consistency():
     by sqrt(10) per decade of shots, within a factor of 2."""
     config = AnsatzConfig(3, 2)
     params = random_parameters(config, seed=SEED)
-    exact = probabilities(config, params).probs
+    exact = probabilities(config, params)
     medians = []
     for shots in (10 ** 3, 10 ** 4, 10 ** 5):
         distances = []
         for trial in range(20):
-            empirical = sample_histogram(config, params, shots,
+            empirical = sample_histogram(exact, shots,
                                          seed=derive_seed(SEED, "A9", shots, trial))
-            distances.append(0.5 * np.abs(empirical.probs - exact).sum())
+            distances.append(0.5 * np.abs(empirical - exact).sum())
         medians.append(float(np.median(distances)))
     ratios = [medians[i] / medians[i + 1] for i in range(2)]
     root_ten = np.sqrt(10.0)

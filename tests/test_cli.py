@@ -189,6 +189,15 @@ class TestSolve:
         assert code == 0
         assert "scan selected blue_count=2" in capsys.readouterr().out
 
+    def test_scan_blue_verbose_prints_every_iteration(self, k4_file, tmp_path, capsys):
+        code = main(["solve", "--graph", k4_file, "--layers", "1",
+                     "--step-size", "0.5", "--iters", "7", "--scan-blue", "--verbose",
+                     "--out", str(tmp_path / "scan.json")])
+        assert code == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(":")[0] for line in lines if line.startswith("iter ")] == [
+            f"iter {k}" for k in range(1, 8)]
+
     def test_svg_emission(self, k4_file, tmp_path):
         svg_path = tmp_path / "curve.svg"
         main(["solve", "--graph", k4_file, "--layers", "1", "--step-size",

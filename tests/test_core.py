@@ -24,14 +24,13 @@ from qemc.graphs import Graph, cut_value
 from qemc.simulator import (
     PARAMETER_SHIFT,
     AnsatzConfig,
-    ProbabilityHistogram,
     probabilities,
     random_parameters,
 )
 
 
-def hist(values, shots=None):
-    return ProbabilityHistogram(np.asarray(values, dtype=float), shots=shots)
+def hist(values):
+    return np.asarray(values, dtype=float)
 
 
 class TestEncodingConfig:
@@ -54,6 +53,20 @@ class TestOptimizerConfig:
     def test_step_size_positive_and_finite(self, step):
         with pytest.raises(ShapeMismatch):
             OptimizerConfig(step_size=step, max_iterations=1)
+
+    @pytest.mark.parametrize(
+        "counts",
+        [dict(max_iterations=2.5), dict(max_iterations=2.0), dict(max_iterations="2"),
+         dict(max_iterations=3, shots=3.5), dict(max_iterations=3, shots=np.float64(4))],
+        ids=["iterations-fractional", "iterations-float", "iterations-str",
+             "shots-fractional", "shots-numpy-float"])
+    def test_counts_must_be_integral(self, counts):
+        with pytest.raises(ShapeMismatch):
+            OptimizerConfig(0.5, gradient_mode=PARAMETER_SHIFT, **counts)
+
+    def test_numpy_integer_counts_accepted(self):
+        config = OptimizerConfig(0.5, np.int64(3), shots=np.int32(8))
+        assert (config.max_iterations, config.shots) == (3, 8)
 
 
 class TestDecode:

@@ -40,6 +40,21 @@ class TestQemcSettings:
         with pytest.raises(InvalidCount, match=f"^{field} must be >= 1"):
             QemcSettings(step_size=0.5, **counts)
 
+    @pytest.mark.parametrize("field", ["iterations", "trials", "layers"])
+    @pytest.mark.parametrize("value", [1.5, 2.0, np.float64(2)],
+                             ids=["fractional", "float", "numpy-float"])
+    def test_non_integral_count_rejected(self, field, value):
+        counts = dict(layers=1, iterations=5, trials=2)
+        counts[field] = value
+        with pytest.raises(InvalidCount, match=f"^{field} must be an integer"):
+            QemcSettings(step_size=0.5, **counts)
+
+    def test_numpy_integer_counts_accepted(self):
+        settings = QemcSettings(layers=np.int64(2), step_size=0.5,
+                                iterations=np.int32(3), trials=np.int64(1))
+        _, ansatz, _, optimizer = _trial(generate_regular(8, 3, seed=1), settings, 0)
+        assert (ansatz.num_layers, optimizer.max_iterations) == (2, 3)
+
     def test_trial_resolves_defaults(self):
         graph = generate_regular(12, 3, seed=1)
         _, ansatz, encoding, optimizer = _trial(

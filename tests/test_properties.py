@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 
 from qemc.core import EncodingConfig, cost, cost_gradient_wrt_probs, decode
 from qemc.graphs import Graph, parse_edge_list, write_edge_list
-from qemc.simulator import ProbabilityHistogram
 
 _SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
@@ -70,7 +69,7 @@ class TestDecodeAndCost:
     @given(instances())
     def test_cost_is_non_negative(self, instance):
         graph, encoding, probs = instance
-        assert cost(ProbabilityHistogram(probs), graph, encoding) >= 0.0
+        assert cost(probs, graph, encoding) >= 0.0
 
     @_SETTINGS
     @given(instances(), st.data())
@@ -85,7 +84,7 @@ class TestDecodeAndCost:
                                            max_size=graph.num_nodes)))
         probs = probs.copy()
         probs[:graph.num_nodes][mask] = np.array(picks)[mask]
-        colors = decode(ProbabilityHistogram(probs), encoding).colors
+        colors = decode(probs, encoding).colors
         assert np.array_equal(colors, probs[:graph.num_nodes] > t)
         assert not colors[probs[:graph.num_nodes] == t].any()
 
@@ -93,14 +92,12 @@ class TestDecodeAndCost:
     @given(instances(), st.data())
     def test_padding_is_ignored(self, instance, data):
         graph, encoding, probs = instance
-        hist = ProbabilityHistogram(probs)
         padded = probs.copy()
         padded[graph.num_nodes:] = data.draw(st.lists(
             st.floats(0.0, 1.0), min_size=padded.size - graph.num_nodes,
             max_size=padded.size - graph.num_nodes))
-        other = ProbabilityHistogram(padded)
-        assert decode(other, encoding) == decode(hist, encoding)
-        assert cost(other, graph, encoding) == cost(hist, graph, encoding)
-        grad = cost_gradient_wrt_probs(other, graph, encoding)
-        assert np.array_equal(grad, cost_gradient_wrt_probs(hist, graph, encoding))
+        assert decode(padded, encoding) == decode(probs, encoding)
+        assert cost(padded, graph, encoding) == cost(probs, graph, encoding)
+        grad = cost_gradient_wrt_probs(padded, graph, encoding)
+        assert np.array_equal(grad, cost_gradient_wrt_probs(probs, graph, encoding))
         assert not grad[graph.num_nodes:].any()

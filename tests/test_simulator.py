@@ -2,13 +2,12 @@ import numpy as np
 import pytest
 
 from qemc import simulator
-from qemc.errors import ShapeMismatch
+from qemc.errors import ConfigError, InvalidCount, ShapeMismatch
 from qemc.seeding import child_sequence
 from qemc.simulator import (
     ANALYTIC,
     PARAMETER_SHIFT,
     AnsatzConfig,
-    default_strides,
     gate_count,
     num_qubits_for,
     probabilities,
@@ -73,7 +72,7 @@ def per_circuit_shift_jacobian(config: AnsatzConfig, params, shots=None, seed=No
     rng = None if shots is None else np.random.default_rng(child_sequence(seed, "shift"))
 
     def evaluate(p):
-        probs = probabilities(config, p).probs
+        probs = probabilities(config, p)
         if shots is None:
             return probs
         return rng.multinomial(shots, probs / probs.sum()) / shots
@@ -98,16 +97,17 @@ class TestShapes:
             num_qubits_for(1)
 
     def test_default_strides(self):
-        assert default_strides(3, 2) == (1, 2)
-        assert default_strides(2, 3) == (1, 1, 1)
-        assert default_strides(1, 4) == ()
-        assert default_strides(4, 5) == (1, 2, 3, 1, 2)
+        assert AnsatzConfig(3, 2).entangler_strides == (1, 2)
+        assert AnsatzConfig(2, 3).entangler_strides == (1, 1, 1)
+        assert AnsatzConfig(1, 4).entangler_strides == ()
+        assert AnsatzConfig(4, 5).entangler_strides == (1, 2, 3, 1, 2)
 
-    def test_stride_validation(self):
+    @pytest.mark.parametrize("shape", [(0, 1), (3, -1), (3, 1.5), (2.0, 1)],
+                             ids=["no-qubits", "negative-layers", "fractional-layers",
+                                  "float-qubits"])
+    def test_shape_must_be_counts(self, shape):
         with pytest.raises(ShapeMismatch):
-            AnsatzConfig(3, 2, entangler_strides=(1, 5))
-        with pytest.raises(ShapeMismatch):
-            AnsatzConfig(3, 2, entangler_strides=(1,))
+            AnsatzConfig(*shape)
 
     def test_parameter_count(self):
         assert AnsatzConfig(3, 2).num_parameters == 18
@@ -133,20 +133,16 @@ class TestRunCircuit:
 
     def test_zero_angles_keep_uniform_probabilities(self):
         # CNOTs only permute basis states, so the uniform distribution is fixed.
-        hist = probabilities(AnsatzConfig(2, 1), np.zeros(6))
-        assert np.allclose(hist.probs, 0.25)
-        hist = probabilities(AnsatzConfig(3, 4), np.zeros(36))
-        assert np.allclose(hist.probs, 0.125)
+        assert np.allclose(probabilities(AnsatzConfig(2, 1), np.zeros(6)), 0.25)
+        assert np.allclose(probabilities(AnsatzConfig(3, 4), np.zeros(36)), 0.125)
 
     @pytest.mark.parametrize(
-        "num_qubits,num_layers,strides",
-        [(1, 2, None), (2, 1, None), (2, 3, None), (3, 2, None), (4, 2, None),
-         (5, 2, None), (3, 3, (2, 1, 2)), (4, 3, (3, 3, 1)), (6, 2, None),
-         (9, 1, None)],
-        ids=["1-2", "2-1", "2-3", "3-2", "4-2", "5-2", "3-3-212", "4-3-331", "6-2",
-             "9-1"])
-    def test_matches_dense_oracle(self, num_qubits, num_layers, strides):
-        config = AnsatzConfig(num_qubits, num_layers, strides)
+        "num_qubits,num_layers",
+        [(1, 2), (2, 1), (2, 3), (3, 2), (4, 2), (5, 2), (3, 3), (4, 3), (6, 2),
+         (9, 1)],
+        ids=["1-2", "2-1", "2-3", "3-2", "4-2", "5-2", "3-3", "4-3", "6-2", "9-1"])
+    def test_matches_dense_oracle(self, num_qubits, num_layers):
+        config = AnsatzConfig(num_qubits, num_layers)
         params = random_parameters(config, seed=42 + num_qubits)
         assert np.allclose(run_circuit(config, params),
                            dense_circuit_oracle(config, params), atol=1e-12)
@@ -173,62 +169,68 @@ class TestRunCircuit:
 
 class TestProbabilities:
     def test_exact_mode(self):
-        hist = probabilities(AnsatzConfig(1, 0), [])
-        assert hist.is_exact
-        assert np.allclose(hist.probs, [0.5, 0.5])
+        probs = probabilities(AnsatzConfig(1, 0), [])
+        assert probs.dtype == np.float64
+        assert np.allclose(probs, [0.5, 0.5])
 
     def test_three_qubit_uniform(self):
-        hist = probabilities(AnsatzConfig(3, 0), [])
-        assert np.allclose(hist.probs, 0.125)
+        assert np.allclose(probabilities(AnsatzConfig(3, 0), []), 0.125)
 
     def test_sums_to_one(self):
         rng = np.random.default_rng(1)
         for _ in range(50):
             config = AnsatzConfig(int(rng.integers(1, 5)), int(rng.integers(0, 4)))
             params = rng.uniform(0, 2 * np.pi, config.num_parameters)
-            assert abs(probabilities(config, params).probs.sum() - 1.0) < 1e-9
+            assert abs(probabilities(config, params).sum() - 1.0) < 1e-9
 
 
 class TestSampling:
     def test_large_shot_count_close_to_exact(self):
-        hist = sample_histogram(AnsatzConfig(1, 0), [], shots=10 ** 6, seed=3)
-        assert abs(hist.probs[0] - 0.5) < 0.005
-        assert abs(hist.probs[1] - 0.5) < 0.005
+        sample = sample_histogram(np.full(2, 0.5), shots=10 ** 6, seed=3)
+        assert abs(sample[0] - 0.5) < 0.005
+        assert abs(sample[1] - 0.5) < 0.005
 
     def test_single_shot(self):
-        hist = sample_histogram(AnsatzConfig(2, 0), [], shots=1, seed=5)
-        assert sorted(hist.probs.tolist()) == [0.0, 0.0, 0.0, 1.0]
-        assert hist.shots == 1
+        sample = sample_histogram(np.full(4, 0.25), shots=1, seed=5)
+        assert sorted(sample.tolist()) == [0.0, 0.0, 0.0, 1.0]
 
     def test_deterministic(self):
         config = AnsatzConfig(2, 1)
-        params = random_parameters(config, seed=8)
-        a = sample_histogram(config, params, shots=100, seed=21)
-        b = sample_histogram(config, params, shots=100, seed=21)
-        assert np.array_equal(a.probs, b.probs)
+        probs = probabilities(config, random_parameters(config, seed=8))
+        a = sample_histogram(probs, shots=100, seed=21)
+        b = sample_histogram(probs, shots=100, seed=21)
+        assert np.array_equal(a, b)
 
     def test_counts_are_ratios(self):
-        hist = sample_histogram(AnsatzConfig(2, 0), [], shots=7, seed=0)
-        counts = hist.probs * 7
+        sample = sample_histogram(np.full(4, 0.25), shots=7, seed=0)
+        counts = sample * 7
         assert np.allclose(counts, np.round(counts))
-        assert hist.probs.sum() == pytest.approx(1.0, abs=0)
+        assert sample.sum() == pytest.approx(1.0, abs=0)
 
-    def test_state_is_bit_identical(self):
-        config = AnsatzConfig(3, 2)
-        params = random_parameters(config, seed=6)
-        given = sample_histogram(config, params, shots=100, seed=2,
-                                 state=run_circuit(config, params))
-        assert np.array_equal(given.probs,
-                              sample_histogram(config, params, shots=100, seed=2).probs)
-
-    def test_state_length_checked(self):
-        with pytest.raises(ShapeMismatch):
-            sample_histogram(AnsatzConfig(2, 1), np.zeros(6), shots=10, seed=0,
-                             state=np.ones(8, dtype=complex))
+    def test_weights_are_normalized(self):
+        probs = np.array([0.1, 0.3, 0.2, 0.4])
+        assert np.array_equal(sample_histogram(10 * probs, shots=50, seed=4),
+                              sample_histogram(probs, shots=50, seed=4))
 
     def test_shots_must_be_positive(self):
-        with pytest.raises(ValueError):
-            sample_histogram(AnsatzConfig(1, 0), [], shots=0, seed=0)
+        with pytest.raises(InvalidCount):
+            sample_histogram(np.full(2, 0.5), shots=0, seed=0)
+
+    def test_shots_must_be_integral(self):
+        with pytest.raises(InvalidCount):
+            sample_histogram(np.full(2, 0.5), shots=2.5, seed=0)
+
+    def test_probs_must_be_one_dimensional(self):
+        with pytest.raises(ShapeMismatch):
+            sample_histogram(np.full((2, 2), 0.25), shots=10, seed=0)
+
+    @pytest.mark.parametrize(
+        "probs",
+        [[0.5, np.nan], [0.5, np.inf], [1.5, -0.5], [0.0, 0.0], []],
+        ids=["nan", "inf", "negative", "zero-sum", "empty"])
+    def test_probs_must_be_a_distribution(self, probs):
+        with pytest.raises(ConfigError):
+            sample_histogram(np.array(probs), shots=10, seed=0)
 
 
 class TestJacobian:
@@ -251,8 +253,7 @@ class TestJacobian:
             up, down = params.copy(), params.copy()
             up[i] += h
             down[i] -= h
-            fd = (probabilities(config, up).probs
-                  - probabilities(config, down).probs) / (2 * h)
+            fd = (probabilities(config, up) - probabilities(config, down)) / (2 * h)
             assert np.all(np.abs(jac[:, i] - fd) <= 1e-8 + 1e-4 * np.abs(fd))
 
     def test_analytic_agrees_with_parameter_shift(self):
@@ -273,12 +274,11 @@ class TestJacobian:
 
     @pytest.mark.parametrize("shots", [None, 64], ids=["exact", "sampled"])
     @pytest.mark.parametrize(
-        "num_qubits,num_layers,strides",
-        [(3, 0, None), (1, 3, None), (4, 5, None), (6, 2, None), (4, 3, (3, 3, 1))],
-        ids=["3-0", "1-3", "4-5", "6-2", "4-3-331"])
-    def test_shift_matches_per_circuit_reference(self, num_qubits, num_layers, strides,
-                                                 shots):
-        config = AnsatzConfig(num_qubits, num_layers, strides)
+        "num_qubits,num_layers",
+        [(3, 0), (1, 3), (4, 5), (6, 2), (4, 3)],
+        ids=["3-0", "1-3", "4-5", "6-2", "4-3"])
+    def test_shift_matches_per_circuit_reference(self, num_qubits, num_layers, shots):
+        config = AnsatzConfig(num_qubits, num_layers)
         params = random_parameters(config, seed=30 + num_qubits)
         batched = probability_jacobian(config, params, PARAMETER_SHIFT, shots=shots,
                                        seed=17)
@@ -333,8 +333,22 @@ class TestJacobian:
 
     def test_sampled_shift_needs_seed(self):
         config = AnsatzConfig(2, 1)
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             probability_jacobian(config, np.zeros(6), PARAMETER_SHIFT, shots=16)
+
+    def test_analytic_takes_no_shots(self):
+        with pytest.raises(ConfigError):
+            probability_jacobian(AnsatzConfig(2, 1), np.zeros(6), ANALYTIC, shots=16)
+
+    def test_unknown_mode(self):
+        with pytest.raises(ConfigError):
+            probability_jacobian(AnsatzConfig(2, 1), np.zeros(6), "finite_difference")
+
+    @pytest.mark.parametrize("shots", [0, 2.5], ids=["zero", "fractional"])
+    def test_sampled_shift_shots_checked(self, shots):
+        with pytest.raises(InvalidCount):
+            probability_jacobian(AnsatzConfig(2, 1), np.zeros(6), PARAMETER_SHIFT,
+                                 shots=shots, seed=0)
 
     def test_vjp_matches_jacobian_contraction(self):
         rng = np.random.default_rng(9)
@@ -348,9 +362,8 @@ class TestJacobian:
 
     def test_vjp_matches_parameter_shift_contraction(self):
         rng = np.random.default_rng(11)
-        for n, layers, strides in [(1, 2, None), (3, 2, None), (4, 3, (3, 3, 1)),
-                                   (5, 1, None), (6, 2, None)]:
-            config = AnsatzConfig(n, layers, strides)
+        for n, layers in [(1, 2), (3, 2), (4, 3), (5, 1), (6, 2)]:
+            config = AnsatzConfig(n, layers)
             params = random_parameters(config, seed=n * 10 + layers)
             weights = rng.normal(size=config.dim)
             direct = probability_vjp(config, params, weights)
