@@ -18,7 +18,7 @@ from math import ceil, sqrt
 
 import numpy as np
 
-from .errors import ConfigError, InvalidCount, SizeMismatch
+from .errors import ConfigError, SizeMismatch, check_count
 from .graphs import Graph, Partition, cut_value, exhaustive_maxcut, random_star_partition
 from .seeding import child_rng, derive_seed
 
@@ -98,6 +98,7 @@ def gw_solve(graph: Graph, rank: int | None = None, max_iterations: int = 5000,
     after ``max_iterations``; a run that hits the iteration cap is returned
     as-is with ``converged=False`` rather than raised.
     """
+    check_count("max_iterations", max_iterations, 0)
     if rank is None:
         rank = default_rank(graph.num_nodes)
     if rank < 2:
@@ -150,8 +151,7 @@ def gw_round(embedding: Embedding, graph: Graph, num_hyperplanes: int = 100,
     Each hyperplane is a standard-normal vector r; node i is blue when
     <v_i, r> > 0 and white otherwise (ties to white).  Deterministic per seed.
     """
-    if num_hyperplanes < 1:
-        raise InvalidCount(f"num_hyperplanes must be >= 1, got {num_hyperplanes}")
+    check_count("num_hyperplanes", num_hyperplanes)
     if embedding.num_nodes != graph.num_nodes:
         raise SizeMismatch("embedding and graph disagree on node count")
     rng = child_rng(seed, "gw_round")
@@ -172,8 +172,7 @@ def random_star_cuts(graph: Graph, trials: int, seed=0,
     makes, which beats naive uniform sampling whenever the optimum is roughly
     balanced.  Running maxima of the returned list give a best-so-far curve.
     """
-    if trials < 1:
-        raise InvalidCount(f"trials must be >= 1, got {trials}")
+    check_count("trials", trials)
     blue = blue_count if blue_count is not None else graph.num_nodes // 2
     return [cut_value(graph,
                       random_star_partition(graph.num_nodes, blue,
@@ -185,10 +184,8 @@ def gw(graph: Graph, trials: int = 10, seed=0, *,
        num_hyperplanes: int = 100) -> list[float]:
     """Per-trial best GW cuts; each trial is a fresh random-init ``gw_solve``
     at its default rank and iteration cap, then ``num_hyperplanes`` roundings."""
-    if trials < 1:
-        raise InvalidCount(f"trials must be >= 1, got {trials}")
-    if num_hyperplanes < 1:
-        raise InvalidCount(f"num_hyperplanes must be >= 1, got {num_hyperplanes}")
+    check_count("trials", trials)
+    check_count("num_hyperplanes", num_hyperplanes)
     cuts = []
     for trial in range(trials):
         solved = gw_solve(graph, seed=derive_seed(seed, "gw", trial, "solve"))

@@ -19,7 +19,6 @@ a plain float64 array of length 2^n, as ``simulator.probabilities`` and
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +29,7 @@ from .errors import (
     HistogramTooShort,
     InvalidBlueCount,
     ShapeMismatch,
+    check_count,
 )
 from .graphs import Graph, Partition, cut_value
 from .seeding import child_sequence
@@ -64,9 +64,9 @@ class EncodingConfig:
     num_nodes: int
 
     def __post_init__(self):
-        if self.num_nodes < 2:
-            raise InvalidBlueCount("encoding needs at least 2 nodes")
-        if not 1 <= self.blue_count <= self.num_nodes // 2:
+        check_count("num_nodes", self.num_nodes, 2, InvalidBlueCount)
+        check_count("blue_count", self.blue_count, error=InvalidBlueCount)
+        if self.blue_count > self.num_nodes // 2:
             raise InvalidBlueCount(
                 f"blue_count must be in [1, {self.num_nodes // 2}] "
                 f"(the smaller set is blue), got {self.blue_count}")
@@ -100,12 +100,9 @@ class OptimizerConfig:
         if not (np.isfinite(self.step_size) and self.step_size > 0):
             raise ShapeMismatch(
                 f"step_size must be positive and finite, got {self.step_size}")
-        iterations, shots = self.max_iterations, self.shots
-        if not isinstance(iterations, numbers.Integral) or iterations < 0:
-            raise ShapeMismatch(
-                f"max_iterations must be a non-negative integer, got {iterations!r}")
-        if shots is not None and (not isinstance(shots, numbers.Integral) or shots < 1):
-            raise ShapeMismatch(f"shots must be a positive integer or None, got {shots!r}")
+        check_count("max_iterations", self.max_iterations, 0, ShapeMismatch)
+        if self.shots is not None:
+            check_count("shots", self.shots, error=ShapeMismatch)
         if self.gradient_mode not in (ANALYTIC, PARAMETER_SHIFT):
             raise ShapeMismatch(f"unknown gradient mode {self.gradient_mode!r}")
 

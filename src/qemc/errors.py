@@ -5,6 +5,8 @@ catch one base class.  Config/precondition violations and runtime failures are
 kept as distinct subtrees because the CLI maps them to different exit codes.
 """
 
+import numbers
+
 
 class QemcError(Exception):
     """Base class for all errors raised by this package."""
@@ -26,7 +28,8 @@ class UnwritableOutput(ConfigError):
 # -- graphs -------------------------------------------------------------------
 
 class InvalidDegree(ConfigError):
-    """Regular-graph degree violates parity (N*d even) or bound (d < N)."""
+    """Regular-graph size or degree is not a count, or violates parity (N*d
+    even) or bound (d < N)."""
 
 
 class GenerationFailed(RuntimeFailure):
@@ -46,7 +49,8 @@ class InvalidBlueCount(ConfigError):
 
 
 class InvalidCount(ConfigError):
-    """A node, trial or instance count is below 1, or a list of values is empty."""
+    """A count is not an integer or is below its minimum, or a list of values
+    is empty."""
 
 
 class ParseError(RuntimeFailure):
@@ -84,3 +88,13 @@ class HistogramTooShort(ConfigError):
 
 class DegenerateDenominator(ConfigError):
     """A cut-ratio denominator vanishes (cut_star <= 0 or M == 2*cut_star)."""
+
+
+def check_count(name, value, minimum=1, error=InvalidCount):
+    """Return ``value`` if it is an integer of at least ``minimum``, else raise
+    ``error``; Python and numpy integers both count as integers."""
+    if not isinstance(value, numbers.Integral):
+        raise error(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise error(f"{name} must be >= {minimum}, got {value}")
+    return value

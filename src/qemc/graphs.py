@@ -16,12 +16,12 @@ from .errors import (
     DuplicateEdge,
     GenerationFailed,
     InvalidBlueCount,
-    InvalidCount,
     InvalidDegree,
     ParseError,
     SelfLoop,
     SizeMismatch,
     TooLarge,
+    check_count,
 )
 from .seeding import child_rng
 
@@ -65,8 +65,7 @@ class Graph:
     edge_w: np.ndarray
 
     def __post_init__(self):
-        if self.num_nodes < 1:
-            raise InvalidCount("graph needs at least one node")
+        check_count("num_nodes", self.num_nodes)
         u = np.asarray(self.edge_u, dtype=np.int64)
         v = np.asarray(self.edge_v, dtype=np.int64)
         w = np.asarray(self.edge_w, dtype=np.float64)
@@ -130,21 +129,17 @@ class Graph:
         return a
 
     def is_connected(self) -> bool:
-        if self.num_nodes == 1:
-            return True
-        neighbors = [[] for _ in range(self.num_nodes)]
-        for u, v in zip(self.edge_u, self.edge_v):
-            neighbors[u].append(int(v))
-            neighbors[v].append(int(u))
+        """Whether every node is reachable from node 0; every edge connects,
+        whatever its weight.  Each sweep marks the nodes one hop further."""
+        source = np.concatenate([self.edge_u, self.edge_v])
+        target = np.concatenate([self.edge_v, self.edge_u])
         seen = np.zeros(self.num_nodes, dtype=bool)
-        stack = [0]
         seen[0] = True
-        while stack:
-            for nxt in neighbors[stack.pop()]:
-                if not seen[nxt]:
-                    seen[nxt] = True
-                    stack.append(nxt)
-        return bool(seen.all())
+        while True:
+            reached = np.count_nonzero(seen)
+            seen[source[seen[target]]] = True
+            if np.count_nonzero(seen) == reached:
+                return bool(seen.all())
 
     def __eq__(self, other):
         if not isinstance(other, Graph):
@@ -254,8 +249,8 @@ def generate_regular(num_nodes: int, degree: int, seed) -> Graph:
     ``_MAX_RETRIES`` rejected attempts raise ``GenerationFailed``.
     Deterministic for a fixed seed.
     """
-    if num_nodes < 2 or degree < 1:
-        raise InvalidDegree("need num_nodes >= 2 and degree >= 1")
+    check_count("num_nodes", num_nodes, 2, InvalidDegree)
+    check_count("degree", degree, 1, InvalidDegree)
     if degree >= num_nodes:
         raise InvalidDegree(f"degree {degree} must be < num_nodes {num_nodes}")
     if (num_nodes * degree) % 2 != 0:
@@ -327,7 +322,9 @@ def exhaustive_maxcut(graph: Graph, *, node_cap: int = EXHAUSTIVE_NODE_CAP):
 
 def random_star_partition(num_nodes: int, blue_count: int, seed) -> Partition:
     """Uniformly random partition with exactly ``blue_count`` blue nodes."""
-    if not 1 <= blue_count <= num_nodes:
+    check_count("num_nodes", num_nodes)
+    check_count("blue_count", blue_count, error=InvalidBlueCount)
+    if blue_count > num_nodes:
         raise InvalidBlueCount(
             f"blue_count must be in [1, {num_nodes}], got {blue_count}")
     rng = child_rng(seed, "random_star", num_nodes, blue_count)

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import csv
 import dataclasses
-import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -25,7 +24,7 @@ import numpy as np
 
 from . import baselines, core, simulator
 from .core import EncodingConfig, OptimizerConfig, RunRecord
-from .errors import ConfigError, InvalidCount, ShapeMismatch
+from .errors import ConfigError, InvalidCount, ShapeMismatch, check_count
 from .graphs import Graph, generate_regular
 from .seeding import derive_seed
 from .simulator import ANALYTIC, PARAMETER_SHIFT, AnsatzConfig
@@ -49,7 +48,7 @@ __all__ = [
 def _resolve_jobs(jobs) -> int:
     if jobs is None:
         return max(1, os.cpu_count() or 1)
-    return max(1, int(jobs))
+    return check_count("jobs", jobs)
 
 
 def _run_train(args):
@@ -86,11 +85,7 @@ class QemcSettings:
 
     def __post_init__(self):
         for name in ("iterations", "trials", "layers"):
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Integral):
-                raise InvalidCount(f"{name} must be an integer, got {value!r}")
-            if value < 1:
-                raise InvalidCount(f"{name} must be >= 1, got {value}")
+            check_count(name, getattr(self, name))
 
 
 def _trial(graph: Graph, settings: QemcSettings, seed: int):
@@ -130,9 +125,7 @@ class GridSpec:
         object.__setattr__(self, "step_values", tuple(self.step_values))
         if not self.layer_values or not self.step_values:
             raise InvalidCount("layer_values and step_values must be non-empty")
-        if self.trials_per_cell < 1:
-            raise InvalidCount(
-                f"trials_per_cell must be >= 1, got {self.trials_per_cell}")
+        check_count("trials_per_cell", self.trials_per_cell)
 
 
 @dataclass(frozen=True)
@@ -159,16 +152,13 @@ class GridResult:
         then the step-size attaining it at that layer count; ties in step-size
         go to the larger value.
         """
+        layer_values, step_values = self.spec.layer_values, self.spec.step_values
         means = self.mean_table()
-        top = means.max()
-        for i, layers in enumerate(self.spec.layer_values):
-            row_best = means[i].max()
-            if row_best >= top - 1e-12:
-                candidates = [j for j, _ in enumerate(self.spec.step_values)
-                              if means[i, j] >= row_best - 1e-12]
-                j = max(candidates, key=lambda jj: self.spec.step_values[jj])
-                return layers, self.spec.step_values[j]
-        raise AssertionError("unreachable: some cell attains the maximum")
+        rows = np.flatnonzero(means.max(axis=1) >= means.max() - 1e-12)
+        i = min(rows, key=lambda r: layer_values[r])
+        cells = np.flatnonzero(means[i] >= means[i].max() - 1e-12)
+        j = max(cells, key=lambda c: step_values[c])
+        return layer_values[i], step_values[j]
 
     def to_csv_rows(self):
         for i, layers in enumerate(self.spec.layer_values):
@@ -287,7 +277,7 @@ def _scan_axis(graph, target, axis, values, graph_index, settings, seed, jobs):
     if values is None:
         values = (DEFAULT_LAYER_LADDER if axis == "layers"
                   else default_shot_ladder(graph.num_nodes))
-    for value in sorted(int(v) for v in values):
+    for value in sorted(values):
         rung = dataclasses.replace(settings, **{axis: value})
         items = [_trial(graph, rung, derive_seed(seed, "scaling", axis, graph_index,
                                                  value, trial))
@@ -353,11 +343,9 @@ def multi_instance_study(num_instances: int, num_nodes: int, degree: int,
     and average GW levels stay distinct trial statistics; raise
     ``gw_hyperplanes`` to stabilize individual trials instead.
     """
-    if min(num_instances, gw_trials, gw_hyperplanes) < 1:
-        raise InvalidCount(
-            f"num_instances, gw_trials and gw_hyperplanes must be >= 1, got "
-            f"{num_instances} instances, {gw_trials} GW trials and "
-            f"{gw_hyperplanes} hyperplanes")
+    check_count("num_instances", num_instances)
+    check_count("gw_trials", gw_trials)
+    check_count("gw_hyperplanes", gw_hyperplanes)
     instances = [generate_regular(num_nodes, degree,
                                   derive_seed(seed, "study", "instance", i))
                  for i in range(num_instances)]

@@ -51,13 +51,12 @@ All functions are pure: no shared mutable state, safe to call concurrently.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .errors import ConfigError, InvalidCount, ShapeMismatch
+from .errors import ConfigError, ShapeMismatch, check_count
 from .seeding import child_sequence
 
 __all__ = [
@@ -85,9 +84,9 @@ _BLOCK_QUBITS = 4
 
 def num_qubits_for(num_nodes: int) -> int:
     """Qubits needed to index ``num_nodes`` basis states: ceil(log2 N)."""
-    if num_nodes < 2:
+    if check_count("num_nodes", num_nodes, error=ShapeMismatch) < 2:
         raise ShapeMismatch(f"need at least 2 nodes, got {num_nodes}")
-    return (num_nodes - 1).bit_length()
+    return (int(num_nodes) - 1).bit_length()
 
 
 @dataclass(frozen=True)
@@ -98,12 +97,8 @@ class AnsatzConfig:
     num_layers: int
 
     def __post_init__(self):
-        if not isinstance(self.num_qubits, numbers.Integral) or self.num_qubits < 1:
-            raise ShapeMismatch(
-                f"num_qubits must be a positive integer, got {self.num_qubits!r}")
-        if not isinstance(self.num_layers, numbers.Integral) or self.num_layers < 0:
-            raise ShapeMismatch(
-                f"num_layers must be a non-negative integer, got {self.num_layers!r}")
+        check_count("num_qubits", self.num_qubits, error=ShapeMismatch)
+        check_count("num_layers", self.num_layers, 0, ShapeMismatch)
 
     @property
     def entangler_strides(self) -> tuple[int, ...]:
@@ -289,11 +284,6 @@ def _draw(probs: np.ndarray, shots: int,
     return rng.multinomial(shots, probs / probs.sum(axis=-1, keepdims=True)) / shots
 
 
-def _check_shots(shots) -> None:
-    if not isinstance(shots, numbers.Integral) or shots < 1:
-        raise InvalidCount(f"shots must be a positive integer, got {shots!r}")
-
-
 def sample_histogram(probs, shots: int, seed) -> np.ndarray:
     """Frequencies of a multinomial draw of ``shots`` samples from ``probs``.
 
@@ -301,7 +291,7 @@ def sample_histogram(probs, shots: int, seed) -> np.ndarray:
     draw.  ``seed`` is a ``SeedSequence`` used as given, or a seed from which
     one is derived.
     """
-    _check_shots(shots)
+    check_count("shots", shots)
     probs = np.asarray(probs, dtype=np.float64)
     if probs.ndim != 1:
         raise ShapeMismatch(f"expected a 1-D distribution, got shape {probs.shape}")
@@ -439,7 +429,7 @@ def probability_jacobian(config: AnsatzConfig, params, mode: str = ANALYTIC,
         return _vjp(config, params, np.eye(config.dim))
     if mode == PARAMETER_SHIFT:
         if shots is not None:
-            _check_shots(shots)
+            check_count("shots", shots)
             if seed is None:
                 raise ConfigError("sampled parameter shift needs a seed")
         return _jacobian_parameter_shift(config, params, shots, seed)

@@ -281,6 +281,16 @@ class TestGrid:
         assert code == 1
         assert "qemc: error: trials_per_cell" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_non_positive_jobs_exits_1_before_training(self, k4_file, tmp_path, capsys,
+                                                       no_training, jobs):
+        out = tmp_path / "grid.csv"
+        code = main(["grid", "--graph", k4_file, "--layers", "1", "--steps", "0.5",
+                     "--trials", "1", "--iters", "2", "--jobs", jobs, "--out", str(out)])
+        assert code == 1
+        assert f"qemc: error: jobs must be >= 1, got {jobs}" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestScaling:
     def test_layers_axis(self, k4_file, tmp_path, capsys):

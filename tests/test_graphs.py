@@ -62,6 +62,21 @@ class TestGraphConstruction:
             k4.edge_w[0] = 3.0
 
 
+class TestIsConnected:
+    @pytest.mark.parametrize("num_nodes,edges,connected", [
+        (1, [], True),
+        (3, [], False),
+        (3, [(0, 1)], False),
+        (2, [(0, 1, 0.0)], True),
+        (4, [(0, 1), (2, 3)], False),
+        (5, [(3, 4), (2, 3), (1, 2), (0, 1)], True),
+        (4, [(1, 2), (0, 3, -1.0), (2, 3)], True),
+    ], ids=["one-node", "edgeless", "isolated-node", "zero-weight-edge",
+            "two-components", "path", "negative-weight-edge"])
+    def test_reachability(self, num_nodes, edges, connected):
+        assert Graph.from_edges(num_nodes, edges).is_connected() is connected
+
+
 class TestGenerateRegular:
     def test_k4_is_unique_3_regular_on_4_nodes(self):
         for seed in (0, 1, 99):

@@ -9,6 +9,7 @@ from qemc.core import EncodingConfig, OptimizerConfig, train
 from qemc.errors import ConfigError, InvalidCount, ShapeMismatch
 from qemc.graphs import Graph, complete_bipartite_graph, generate_regular
 from qemc.harness import (
+    GridResult,
     GridSpec,
     QemcSettings,
     _trial,
@@ -121,6 +122,13 @@ class TestGridSearch:
         assert result.mean_table().max() == 4.0
         assert layers == 1
         assert step == 0.99
+
+    def test_best_cell_prefers_fewer_layers_in_any_order(self):
+        spec = GridSpec(layer_values=(3, 1), step_values=(0.5,), trials_per_cell=2,
+                        iteration_budget=30)
+        result = GridResult(spec=spec, cuts=np.full((2, 1, 2), 4.0), target=None,
+                            min_layers_to_target=None)
+        assert result.best_cell() == (1, 0.5)
 
     def test_csv_rows(self, k4):
         grid = GridSpec(layer_values=(1, 2), step_values=(0.5,),
