@@ -105,6 +105,8 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_solve(args) -> int:
+    if args.target is not None and not np.isfinite(args.target):
+        raise ConfigError(f"target must be finite, got {args.target}")
     graph = read_edge_list_file(args.graph)
     settings = QemcSettings(layers=args.layers, step_size=args.step_size,
                             iterations=args.iters,
@@ -368,10 +370,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"qemc: error: {exc}", file=sys.stderr)
         return _USAGE_EXIT
-    except QemcError as exc:
-        print(f"qemc: error: {exc}", file=sys.stderr)
-        return _RUNTIME_EXIT
-    except OSError as exc:
+    except (QemcError, OSError) as exc:
         print(f"qemc: error: {exc}", file=sys.stderr)
         return _RUNTIME_EXIT
 

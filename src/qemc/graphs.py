@@ -194,12 +194,15 @@ class Partition:
 
 def complete_graph(num_nodes: int) -> Graph:
     """K_N with unit weights."""
+    check_count("num_nodes", num_nodes)
     return Graph.from_edges(num_nodes, [(u, v) for u in range(num_nodes)
                                         for v in range(u + 1, num_nodes)])
 
 
 def complete_bipartite_graph(left: int, right: int) -> Graph:
     """K_{left,right}: nodes 0..left-1 on one side, the rest on the other."""
+    check_count("left", left, 0)
+    check_count("right", right, 0)
     return Graph.from_edges(left + right, [(u, left + v) for u in range(left)
                                            for v in range(right)])
 

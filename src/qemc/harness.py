@@ -178,6 +178,8 @@ def grid_search(graph: Graph, grid: GridSpec, encoding: EncodingConfig, seed=0,
     """
     if encoding.num_nodes != graph.num_nodes:
         raise ShapeMismatch("encoding and graph disagree on num_nodes")
+    if target is not None and not np.isfinite(target):
+        raise ConfigError(f"target must be finite, got {target}")
     items = []
     for layers in grid.layer_values:
         for step in grid.step_values:
@@ -257,6 +259,8 @@ def scaling_study(graph_family, targets, resource_axis: str,
     targets = list(targets)
     if len(targets) != len(graph_family):
         raise ConfigError("need exactly one target per graph")
+    if not np.all(np.isfinite(targets)):
+        raise ConfigError(f"every target must be finite, got {targets}")
     if resource_axis not in ("layers", "shots", "iterations"):
         raise ConfigError(f"unknown resource axis {resource_axis!r}")
     if resource_axis == "iterations" and axis_values is not None:

@@ -36,11 +36,11 @@ returns |amplitude|^2, and ``sample_histogram`` turns any such array into
 the frequencies of a multinomial draw.
 
 The parameter-shift Jacobian simulates its 2P shifted circuits in one batched
-sweep over a (2P + 1, 2^n) array whose row 0 is the unshifted circuit.  A
-circuit shifted in layer l equals the unshifted one up to layer l, so its row
-starts there from a copy of row 0; the rows already started share one matmul
-per block, and the 6n rows starting at a layer each take that layer's blocks
-with their one rotation shifted.  This does about half the row-layer work of
+sweep over a (2P + 1, 2^n) array whose row 0 is the unshifted circuit, with
+the shifted rotations built once per call.  A circuit shifted in layer l
+equals the unshifted one up to layer l, so its row starts there as row 0 times
+that layer's blocks with its one rotation shifted; the rows already started
+share one matmul per block.  This does about half the row-layer work of
 simulating every shifted circuit in full.  With a shot budget, one generator
 seeded from the call's seed draws every shifted row's histogram in one
 multinomial call, row by row in the order (0, +), (0, -), (1, +), ...; each
@@ -166,8 +166,10 @@ def _rotations(angles: np.ndarray) -> np.ndarray:
     c, s = np.cos(theta / 2.0), np.sin(theta / 2.0)
     plus = np.exp(-0.5j * (phi + omega))
     minus = np.exp(-0.5j * (phi - omega))
-    return np.stack([plus * c, -minus.conj() * s, minus * s, plus.conj() * c],
-                    axis=-1).reshape(angles.shape[:-1] + (2, 2))
+    rots = np.empty(angles.shape[:-1] + (2, 2), dtype=np.complex128)
+    rots[..., 0, 0], rots[..., 0, 1] = plus * c, -minus.conj() * s
+    rots[..., 1, 0], rots[..., 1, 1] = minus * s, plus.conj() * c
+    return rots
 
 
 def _generators(rots: np.ndarray, params: np.ndarray) -> np.ndarray:
@@ -233,12 +235,12 @@ def _rotate_leading(mat: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """Apply ``mat`` to the leading log2(mat.shape[-1]) index bits of every row
     and move those bits last.
 
-    ``mat`` is one matrix for all rows, or a stack holding one per row.
-    Calling this once per block, in qubit order, acts on every qubit and
-    leaves the index layout as it was.
+    ``mat`` is one matrix for all rows, or a stack with one per row (one row
+    broadcasts to the stack).  Calling this once per block, in qubit order,
+    acts on every qubit and leaves the index layout as it was.
     """
     split = rows.reshape(rows.shape[0], mat.shape[-1], -1)
-    return (split.swapaxes(1, 2) @ mat.swapaxes(-1, -2)).reshape(rows.shape[0], -1)
+    return (split.swapaxes(1, 2) @ mat.swapaxes(-1, -2)).reshape(-1, rows.shape[1])
 
 
 def _check_params(config: AnsatzConfig, params) -> np.ndarray:
@@ -372,36 +374,38 @@ def _shifted_states(config: AnsatzConfig, params: np.ndarray) -> np.ndarray:
 
     Row 0 is the circuit at ``params``; rows 2i + 1 and 2i + 2 are the circuits
     with params[i] shifted to params[i] + pi/2 and to (params[i] + pi/2) - pi.
-    A circuit shifted in layer l equals row 0 before layer l, so its row
-    starts there as a copy of row 0.  At each layer every row started earlier
-    takes the layer's blocks, one shared matmul per block, and each of the 6n
-    rows started there takes its own copy of the blocks, built with its one
-    rotation shifted.  Only one layer's per-row blocks exist at a time.
+    A circuit shifted in layer l equals row 0 before layer l, so its row starts
+    there by applying its own blocks to row 0, while the rows started earlier
+    share one matmul per block.  Every layer's shifted rotations are built up
+    front; only one layer's per-row blocks exist at a time.
     """
     n = config.num_qubits
     angles = params.reshape(config.num_layers, n, 3)
-    blocks = _blocks(_rotations(angles))
+    rots = _rotations(angles)
+    blocks = _blocks(rots)
     per_layer = 6 * n
-    # Row r of a layer shifts angle (qubit[r], slot[r]), + for even r, - for odd.
-    qubit = np.repeat(np.arange(n), 6)
+    # Row r of a layer shifts angle (r // 6, slot[r]): + for even r, - for odd.
+    row = np.arange(per_layer)
     slot = np.tile(np.repeat(np.arange(3), 2), n)
+    triples = np.repeat(angles, 6, axis=1)
+    plus = angles + np.pi / 2.0
+    triples[:, row, slot] = np.stack([plus, plus - np.pi], -1).reshape(-1, per_layer)
+    shifted_rots = np.repeat(rots[:, np.newaxis], per_layer, axis=1)
+    shifted_rots[:, row, row // 6] = _rotations(triples)
     rows = np.empty((1 + per_layer * config.num_layers, config.dim),
                     dtype=np.complex128)
     rows[0] = 2.0 ** (-n / 2.0)
     for layer, (perm, _) in enumerate(_rings(config)):
         done = 1 + per_layer * layer
-        plus = angles[layer] + np.pi / 2.0
-        shifted = np.repeat(angles[layer][np.newaxis], per_layer, axis=0)
-        shifted[np.arange(per_layer), qubit, slot] = np.stack(
-            [plus, plus - np.pi], axis=-1).reshape(-1)
-        started = np.repeat(rows[:1], per_layer, axis=0)
-        for block in _blocks(_rotations(shifted)):
+        started = rows[:1]
+        for block in _blocks(shifted_rots[layer]):
             started = _rotate_leading(block, started)
         active = rows[:done]
         for block in blocks:
             active = _rotate_leading(block[layer], active)
-        rows[:done] = active[:, perm]
-        rows[done:done + per_layer] = started[:, perm]
+        # perm is a permutation, so "clip" clips nothing; it skips buffering out.
+        np.take(active, perm, axis=1, out=rows[:done], mode="clip")
+        np.take(started, perm, axis=1, out=rows[done:done + per_layer], mode="clip")
     return rows
 
 

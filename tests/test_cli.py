@@ -418,6 +418,20 @@ def _command(name, graph, out):
     }[name]
 
 
+class TestNonFiniteTarget:
+    @pytest.mark.parametrize("target", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("command", ["solve", "grid", "scaling"])
+    def test_exits_1_before_training(self, k4_file, tmp_path, capsys, no_training,
+                                     command, target):
+        out = tmp_path / "r.out"
+        args = _command(command, k4_file, str(out))
+        if "--target" in args:
+            del args[args.index("--target"):args.index("--target") + 2]
+        assert main(args + [f"--target={target}"]) == 1
+        assert "target must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestZeroIterations:
     @pytest.mark.parametrize("command", ["solve", "grid", "scaling"])
     def test_exits_1_before_training(self, k4_file, tmp_path, capsys, no_training,

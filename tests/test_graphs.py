@@ -5,6 +5,7 @@ from qemc.errors import (
     ConfigError,
     DuplicateEdge,
     InvalidBlueCount,
+    InvalidCount,
     InvalidDegree,
     ParseError,
     SelfLoop,
@@ -53,6 +54,20 @@ class TestGraphConstruction:
     ], ids=["no-nodes", "ragged-edges", "u-above-v", "2-d-colors", "bad-color"])
     def test_invariants_raise_config_error(self, build):
         with pytest.raises(ConfigError):
+            build()
+
+    @pytest.mark.parametrize("build", [
+        lambda: complete_graph(2.5),
+        lambda: complete_graph(np.float64(4.0)),
+        lambda: complete_graph(-3),
+        lambda: complete_bipartite_graph(1.5, 2),
+        lambda: complete_bipartite_graph(2, 2.0),
+        lambda: complete_bipartite_graph(-1, 3),
+        lambda: complete_bipartite_graph(3, -1),
+    ], ids=["K-float", "K-numpy-float", "K-negative", "Kab-float-left",
+            "Kab-float-right", "Kab-negative-left", "Kab-negative-right"])
+    def test_complete_graph_counts_checked(self, build):
+        with pytest.raises(InvalidCount):
             build()
 
     def test_equality_and_immutability(self, k4):

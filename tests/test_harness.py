@@ -113,6 +113,13 @@ class TestGridSearch:
                              target=3.7, jobs=1)
         assert result.min_layers_to_target == 1
 
+    @pytest.mark.parametrize("target", [np.nan, np.inf, -np.inf])
+    def test_non_finite_target_rejected_before_training(self, k4, no_training, target):
+        grid = GridSpec(layer_values=(1,), step_values=(0.5,),
+                        trials_per_cell=1, iteration_budget=5)
+        with pytest.raises(ConfigError, match="target must be finite"):
+            grid_search(k4, grid, EncodingConfig(2, 4), target=target, jobs=1)
+
     def test_best_cell_prefers_fewer_layers_then_larger_step(self, k4):
         grid = GridSpec(layer_values=(1, 2), step_values=(0.8, 0.99),
                         trials_per_cell=2, iteration_budget=200)
@@ -291,6 +298,14 @@ class TestScalingStudy:
             scaling_study([k4], [1.0, 2.0], "layers", settings)
         with pytest.raises(ConfigError):
             scaling_study([k4], [1.0], "qubits", settings)
+
+    @pytest.mark.parametrize("axis", ["layers", "iterations"])
+    def test_non_finite_target_rejected_before_training(self, k4, no_training, axis):
+        settings = QemcSettings(layers=1, step_size=0.5, iterations=5, trials=1)
+        with pytest.raises(ConfigError, match="every target must be finite"):
+            scaling_study([k4, k4], [3.0, np.nan], axis, settings, jobs=1)
+        with pytest.raises(ConfigError, match="every target must be finite"):
+            scaling_study([k4], [np.inf], axis, settings, jobs=1)
 
     def test_iterations_axis_takes_no_values(self, k4, no_training):
         settings = QemcSettings(layers=1, step_size=0.5, iterations=5)

@@ -275,8 +275,8 @@ class TestJacobian:
     @pytest.mark.parametrize("shots", [None, 64], ids=["exact", "sampled"])
     @pytest.mark.parametrize(
         "num_qubits,num_layers",
-        [(3, 0), (1, 3), (4, 5), (6, 2), (4, 3)],
-        ids=["3-0", "1-3", "4-5", "6-2", "4-3"])
+        [(3, 0), (1, 3), (4, 5), (6, 2), (4, 3), (5, 3), (7, 2), (9, 1)],
+        ids=["3-0", "1-3", "4-5", "6-2", "4-3", "5-3", "7-2", "9-1"])
     def test_shift_matches_per_circuit_reference(self, num_qubits, num_layers, shots):
         config = AnsatzConfig(num_qubits, num_layers)
         params = random_parameters(config, seed=30 + num_qubits)
@@ -296,6 +296,20 @@ class TestJacobian:
         probability_jacobian(config, params, PARAMETER_SHIFT)
         probability_jacobian(config, params, PARAMETER_SHIFT, shots=32, seed=1)
         assert runs == []
+
+    def test_shift_builds_rotations_once_per_call(self, monkeypatch):
+        calls = []
+        real_rotations = simulator._rotations
+        monkeypatch.setattr(simulator, "_rotations",
+                            lambda *args: calls.append(1) or real_rotations(*args))
+        counts = []
+        for num_layers in (1, 6):
+            config = AnsatzConfig(3, num_layers)
+            params = random_parameters(config, seed=3)
+            calls.clear()
+            probability_jacobian(config, params, PARAMETER_SHIFT, shots=32, seed=1)
+            counts.append(len(calls))
+        assert counts[0] == counts[1]
 
     def test_sampled_shift_rows_are_independent(self):
         # A last-layer omega acts after the last rotation's RY and before the
