@@ -24,6 +24,7 @@ from . import __version__, baselines, core, harness, svg
 from .core import EncodingConfig
 from .errors import ConfigError, QemcError, RuntimeFailure, UnwritableOutput
 from .graphs import (
+    EXHAUSTIVE_NODE_CAP,
     exhaustive_maxcut,
     generate_regular,
     read_edge_list_file,
@@ -295,7 +296,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("exhaustive", help="optimal cut by enumeration")
     p.add_argument("--graph", required=True)
-    p.add_argument("--cap", type=int, default=28, help="node-count cap")
+    p.add_argument("--cap", type=int, default=EXHAUSTIVE_NODE_CAP, help="node-count cap")
     p.set_defaults(func=_cmd_exhaustive)
 
     p = sub.add_parser("gw", help="Goemans-Williamson baseline trials")

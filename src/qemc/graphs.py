@@ -416,8 +416,11 @@ def write_edge_list(graph: Graph) -> str:
 
 
 def read_edge_list_file(path) -> Graph:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_edge_list(fh.read())
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return parse_edge_list(fh.read())
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path} is not UTF-8 text: {exc}") from None
 
 
 def write_edge_list_file(graph: Graph, path) -> None:

@@ -9,22 +9,25 @@ worker count (default: available cores) and never changes results.
 Every experiment arm is a checked :class:`QemcSettings`, and every trial, in
 each experiment here and in ``qemc solve``, is built by ``_trial``: the one
 place where the qubit count, the default blue count and the default gradient
-mode are resolved.
+mode are resolved.  An experiment lists all its trials as ``(tags, seed, args)``
+items before any trial runs; a failing trial raises :class:`RuntimeFailure`
+naming its tag path and seed, which replay it alone.
 """
 
 from __future__ import annotations
 
 import csv
 import dataclasses
+import functools
 import os
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import baselines, core, simulator
 from .core import EncodingConfig, OptimizerConfig, RunRecord
-from .errors import ConfigError, InvalidCount, ShapeMismatch, check_count
+from .errors import ConfigError, InvalidCount, RuntimeFailure, ShapeMismatch, check_count
 from .graphs import Graph, generate_regular
 from .seeding import derive_seed
 from .simulator import ANALYTIC, PARAMETER_SHIFT, AnsatzConfig
@@ -51,24 +54,42 @@ def _resolve_jobs(jobs) -> int:
     return check_count("jobs", jobs)
 
 
-def _run_train(args):
-    graph, ansatz, encoding, optimizer = args
-    return core.train(graph, ansatz, encoding, optimizer)
+def _run_train(item):
+    return core.train(*item[2])
 
 
-def _run_gw(args):
-    graph, trials, seed, num_hyperplanes = args
+def _run_gw(item):
+    _, seed, (graph, trials, num_hyperplanes) = item
     return baselines.gw(graph, trials=trials, seed=seed,
                         num_hyperplanes=num_hyperplanes)
 
 
+def _failure(item, exc) -> RuntimeFailure:
+    tags, seed, _ = item
+    return RuntimeFailure(f"trial {'/'.join(map(str, tags))} (seed {seed}) failed: {exc!r}")
+
+
+def _attempt(fn, item):
+    try:
+        return fn(item)
+    except Exception as exc:
+        raise _failure(item, exc) from exc
+
+
 def _map_jobs(fn, items, jobs):
+    """``fn`` over ``(tags, seed, args)`` items, in order; failures name their trial."""
     items = list(items)
     jobs = _resolve_jobs(jobs)
+    run = functools.partial(_attempt, fn)
     if jobs == 1 or len(items) <= 1:
-        return [fn(item) for item in items]
+        return [run(item) for item in items]
+    results = []
     with ProcessPoolExecutor(max_workers=min(jobs, len(items))) as pool:
-        return list(pool.map(fn, items, chunksize=1))
+        try:
+            results.extend(pool.map(run, items, chunksize=1))
+        except BrokenExecutor as exc:   # a worker died: name the first lost trial
+            raise _failure(items[len(results)], exc) from exc
+    return results
 
 
 @dataclass(frozen=True)
@@ -106,6 +127,16 @@ def _trial(graph: Graph, settings: QemcSettings, seed: int):
         step_size=settings.step_size, max_iterations=settings.iterations,
         shots=settings.shots, gradient_mode=mode, seed=seed)
     return graph, ansatz, encoding, optimizer
+
+
+def _plan(triples, master_seed):
+    """The ``(tags, seed, args)`` items of ``(tags, graph, settings)`` triples:
+    the only place a QEMC trial's seed is derived from its tag path."""
+    items = []
+    for tags, graph, settings in triples:
+        seed = derive_seed(master_seed, *tags)
+        items.append((tags, seed, _trial(graph, settings, seed)))
+    return items
 
 
 # -- grid search -----------------------------------------------------------------
@@ -180,15 +211,15 @@ def grid_search(graph: Graph, grid: GridSpec, encoding: EncodingConfig, seed=0,
         raise ShapeMismatch("encoding and graph disagree on num_nodes")
     if target is not None and not np.isfinite(target):
         raise ConfigError(f"target must be finite, got {target}")
-    items = []
+    triples = []
     for layers in grid.layer_values:
         for step in grid.step_values:
             cell = QemcSettings(layers=layers, step_size=step, iterations=grid.iteration_budget,
                                 shots=shots, blue_count=encoding.blue_count,
                                 trials=grid.trials_per_cell)
-            items += [_trial(graph, cell, derive_seed(seed, "grid", layers, step, trial))
-                      for trial in range(cell.trials)]
-    records = _map_jobs(_run_train, items, jobs)
+            triples += [(("grid", layers, step, trial), graph, cell)
+                        for trial in range(cell.trials)]
+    records = _map_jobs(_run_train, _plan(triples, seed), jobs)
     cuts = np.array([r.final_best_cut for r in records]).reshape(
         len(grid.layer_values), len(grid.step_values), grid.trials_per_cell)
 
@@ -216,10 +247,10 @@ def scan_blue_sizes(graph: Graph, settings: QemcSettings, seed=0) -> RunRecord:
     ``record.encoding.blue_count``.
     """
     # B = 1 is always tried, so a graph too small to encode fails in _trial.
-    items = [_trial(graph, dataclasses.replace(settings, blue_count=blue),
-                    derive_seed(seed, "scan_blue", blue, trial))
-             for blue in range(1, max(1, graph.num_nodes // 2) + 1)
-             for trial in range(settings.trials)]
+    items = _plan(((("scan_blue", blue, trial), graph,
+                    dataclasses.replace(settings, blue_count=blue))
+                   for blue in range(1, max(1, graph.num_nodes // 2) + 1)
+                   for trial in range(settings.trials)), seed)
     records = _map_jobs(_run_train, items, None)
     return max(records, key=lambda r: r.final_best_cut)
 
@@ -267,42 +298,38 @@ def scaling_study(graph_family, targets, resource_axis: str,
         raise ConfigError("the iterations axis takes no axis_values: one set of "
                           "settings.iterations runs gives every smaller budget")
 
-    rows = []
-    for index, (graph, target) in enumerate(zip(graph_family, targets)):
-        if resource_axis == "iterations":
-            rows.append(_iterations_row(graph, target, index, settings, seed, jobs))
-        else:
-            rows.append(_scan_axis(graph, target, resource_axis, axis_values, index,
-                                   settings, seed, jobs))
-    return rows
+    plans = [_scaling_plan(graph, index, resource_axis, axis_values, settings, seed)
+             for index, graph in enumerate(graph_family)]
+    return [_scan_axis(graph.num_nodes, resource_axis, rungs, target, jobs)
+            for graph, target, rungs in zip(graph_family, targets, plans)]
 
 
-def _scan_axis(graph, target, axis, values, graph_index, settings, seed, jobs):
-    if values is None:
-        values = (DEFAULT_LAYER_LADDER if axis == "layers"
-                  else default_shot_ladder(graph.num_nodes))
-    for value in sorted(values):
-        rung = dataclasses.replace(settings, **{axis: value})
-        items = [_trial(graph, rung, derive_seed(seed, "scaling", axis, graph_index,
-                                                 value, trial))
-                 for trial in range(rung.trials)]
+def _scaling_plan(graph, graph_index, axis, values, settings, seed):
+    """``(value, items)`` rungs in ascending order; the iterations axis has one."""
+    if axis == "iterations":
+        rungs = [(None, settings, ("scaling", axis, graph_index))]
+    else:
+        if values is None:
+            values = (DEFAULT_LAYER_LADDER if axis == "layers"
+                      else default_shot_ladder(graph.num_nodes))
+        rungs = [(value, dataclasses.replace(settings, **{axis: value}),
+                  ("scaling", axis, graph_index, value)) for value in sorted(values)]
+    return [(value, _plan([(tags + (trial,), graph, rung) for trial in range(rung.trials)], seed))
+            for value, rung, tags in rungs]
+
+
+def _scan_axis(num_nodes, axis, rungs, target, jobs):
+    """Run the rungs in order up to the first whose mean cut reaches ``target``;
+    on the iterations axis, the first budget whose mean best-so-far cut does."""
+    for value, items in rungs:
         records = _map_jobs(_run_train, items, jobs)
-        mean_cut = float(np.mean([r.final_best_cut for r in records]))
-        if mean_cut >= target:
-            return ScalingRow(graph.num_nodes, axis, float(value), True)
-    return ScalingRow(graph.num_nodes, axis, None, False)
-
-
-def _iterations_row(graph, target, graph_index, settings, seed, jobs):
-    items = [_trial(graph, settings, derive_seed(seed, "scaling", "iterations",
-                                                 graph_index, trial))
-             for trial in range(settings.trials)]
-    records = _map_jobs(_run_train, items, jobs)
-    mean_curve = np.mean([r.best_cuts for r in records], axis=0)
-    hits = np.flatnonzero(mean_curve >= target)
-    if hits.size:
-        return ScalingRow(graph.num_nodes, "iterations", float(hits[0] + 1), True)
-    return ScalingRow(graph.num_nodes, "iterations", None, False)
+        if axis == "iterations":
+            hits = np.flatnonzero(np.mean([r.best_cuts for r in records], axis=0) >= target)
+            if hits.size:
+                return ScalingRow(num_nodes, axis, float(hits[0] + 1), True)
+        elif float(np.mean([r.final_best_cut for r in records])) >= target:
+            return ScalingRow(num_nodes, axis, float(value), True)
+    return ScalingRow(num_nodes, axis, None, False)
 
 
 # -- multi-instance study ------------------------------------------------------------
@@ -354,15 +381,15 @@ def multi_instance_study(num_instances: int, num_nodes: int, degree: int,
                                   derive_seed(seed, "study", "instance", i))
                  for i in range(num_instances)]
 
-    items = [_trial(graph, settings, derive_seed(seed, "study", "qemc", i, trial))
-             for i, graph in enumerate(instances)
-             for trial in range(settings.trials)]
+    items = _plan(((("study", "qemc", i, trial), graph, settings)
+                   for i, graph in enumerate(instances)
+                   for trial in range(settings.trials)), seed)
+    gw_items = [(("study", "gw", i), derive_seed(seed, "study", "gw", i),
+                 (graph, gw_trials, gw_hyperplanes))
+                for i, graph in enumerate(instances)]
     records = _map_jobs(_run_train, items, jobs)
     best_curves = np.array([r.best_cuts for r in records]).reshape(
         num_instances, settings.trials, settings.iterations)
-
-    gw_items = [(graph, gw_trials, derive_seed(seed, "study", "gw", i), gw_hyperplanes)
-                for i, graph in enumerate(instances)]
     gw_cuts = np.array(_map_jobs(_run_gw, gw_items, jobs))
 
     return StudyResult(
@@ -426,16 +453,11 @@ def resource_estimate(record: RunRecord) -> ResourceEstimate:
 # -- CSV emission -----------------------------------------------------------------------
 
 
-def write_csv(path_or_buffer, header, rows, *, comments=()) -> None:
+def write_csv(path, header, rows, *, comments=()) -> None:
     """CSV file with optional '#'-prefixed comment lines carrying the config."""
-    own = isinstance(path_or_buffer, (str, os.PathLike))
-    fh = open(path_or_buffer, "w", encoding="utf-8", newline="") if own else path_or_buffer
-    try:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
         for comment in comments:
             fh.write(f"# {comment}\n")
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
-    finally:
-        if own:
-            fh.close()

@@ -32,13 +32,9 @@ def child_sequence(seed, *tags) -> np.random.SeedSequence:
     SeedSequence, whose entropy and spawn key are folded in.
     """
     if isinstance(seed, np.random.SeedSequence):
-        entropy = seed.entropy
-        if entropy is None:
-            base: tuple[int, ...] = ()
-        elif isinstance(entropy, (list, tuple)):
-            base = tuple(int(e) for e in entropy)
-        else:
-            base = (int(entropy),)
+        entropy = seed.entropy     # numpy fills it in when none is given
+        base = (tuple(int(e) for e in entropy) if isinstance(entropy, (list, tuple))
+                else (int(entropy),))
         base = base + tuple(int(k) for k in seed.spawn_key)
     else:
         base = (_tag_to_int(seed),)

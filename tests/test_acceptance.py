@@ -32,12 +32,12 @@ def _verdict(name, ok, detail):
     assert ok, line
 
 
-def _train_many(graph, layers, step_size, iterations, seeds, shots=None):
+def _train_many(graph, layers, step_size, iterations, seeds):
     ansatz = AnsatzConfig(num_qubits_for(graph.num_nodes), layers)
     encoding = EncodingConfig(graph.num_nodes // 2, graph.num_nodes)
-    items = [(graph, ansatz, encoding,
-              OptimizerConfig(step_size=step_size, max_iterations=iterations,
-                              shots=shots, seed=seed))
+    items = [(("acceptance", seed), seed,
+              (graph, ansatz, encoding,
+               OptimizerConfig(step_size=step_size, max_iterations=iterations, seed=seed)))
              for seed in seeds]
     return harness._map_jobs(harness._run_train, items, jobs=JOBS)
 

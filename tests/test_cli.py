@@ -3,8 +3,13 @@ import json
 import pytest
 
 from qemc import core
-from qemc.cli import main
-from qemc.graphs import complete_graph, generate_regular, write_edge_list_file
+from qemc.cli import _build_parser, main
+from qemc.graphs import (
+    EXHAUSTIVE_NODE_CAP,
+    complete_graph,
+    generate_regular,
+    write_edge_list_file,
+)
 
 
 @pytest.fixture
@@ -230,6 +235,10 @@ class TestExhaustive:
     def test_cap_exit(self, k4_file):
         assert main(["exhaustive", "--graph", k4_file, "--cap", "3"]) == 1
 
+    def test_cap_defaults_to_the_library_cap(self):
+        args = _build_parser().parse_args(["exhaustive", "--graph", "g.txt"])
+        assert args.cap == EXHAUSTIVE_NODE_CAP
+
 
 class TestGw:
     def test_csv_rows(self, k4_file, tmp_path):
@@ -416,6 +425,33 @@ def _command(name, graph, out):
                   "--qemc-trials", "1", "--gw-trials", "1", "--jobs", "1",
                   "--out", out],
     }[name]
+
+
+class TestFailingTrial:
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_grid_exits_2_naming_the_trial(self, k4_file, tmp_path, capsys, monkeypatch,
+                                           jobs):
+        def overflow(*args):
+            raise FloatingPointError("overflow")
+
+        monkeypatch.setattr(core, "train", overflow)
+        out = tmp_path / "grid.csv"
+        code = main(["grid", "--graph", k4_file, "--layers", "1", "--steps", "0.5",
+                     "--trials", "2", "--iters", "2", "--jobs", jobs, "--out", str(out)])
+        assert code == 2
+        assert "qemc: error: trial grid/1/0.5/0 (seed " in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestNotUtf8:
+    @pytest.mark.parametrize("command", ["exhaustive", "solve", "grid"])
+    def test_exits_2(self, tmp_path, capsys, no_training, command):
+        graph = tmp_path / "bad.txt"
+        graph.write_bytes(b"0 1\n1 2 \xff\n")
+        args = (["exhaustive", "--graph", str(graph)] if command == "exhaustive"
+                else _command(command, str(graph), str(tmp_path / "r.out")))
+        assert main(args) == 2
+        assert "is not UTF-8 text" in capsys.readouterr().err
 
 
 class TestNonFiniteTarget:

@@ -22,6 +22,7 @@ from qemc.graphs import (
     generate_regular,
     parse_edge_list,
     random_star_partition,
+    read_edge_list_file,
     write_edge_list,
 )
 
@@ -280,3 +281,9 @@ class TestEdgeListFormat:
     def test_empty_needs_header(self):
         with pytest.raises(ParseError):
             parse_edge_list("# nothing\n")
+
+    def test_non_utf8_file_is_parse_error(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_bytes(b"0 1\n\xff 2\n")
+        with pytest.raises(ParseError, match="is not UTF-8 text"):
+            read_edge_list_file(path)

@@ -1,12 +1,14 @@
 import dataclasses
-import io
+import os
+import re
+import time
 
 import numpy as np
 import pytest
 
 from qemc import core
 from qemc.core import EncodingConfig, OptimizerConfig, train
-from qemc.errors import ConfigError, InvalidCount, ShapeMismatch
+from qemc.errors import ConfigError, InvalidCount, RuntimeFailure, ShapeMismatch
 from qemc.graphs import Graph, complete_bipartite_graph, generate_regular
 from qemc.harness import (
     GridResult,
@@ -317,6 +319,19 @@ class TestScalingStudy:
         with pytest.raises(InvalidCount, match="^layers"):
             scaling_study([k4], [1.0], "layers", settings, axis_values=[2, 0], jobs=1)
 
+    @pytest.mark.parametrize("values", [[1, 2.5], [1, 3, 1e9]])
+    def test_later_rung_rejected_before_training(self, k4, no_training, values):
+        # Rungs 1 and 3 are valid, but every rung is built before any trains.
+        settings = QemcSettings(layers=1, step_size=0.5, iterations=5, trials=1)
+        with pytest.raises(InvalidCount, match="^layers must be an integer"):
+            scaling_study([k4], [100.0], "layers", settings, axis_values=values, jobs=1)
+
+    def test_later_graph_rejected_before_training(self, k4, no_training):
+        settings = QemcSettings(layers=1, step_size=0.5, iterations=5, trials=1)
+        with pytest.raises(ShapeMismatch):
+            scaling_study([k4, Graph.from_edges(1, [])], [3.0, 0.0], "iterations",
+                          settings, jobs=1)
+
 
 class TestMultiInstanceStudy:
     def test_single_instance_single_trial_collapses(self):
@@ -375,15 +390,72 @@ class TestResourceEstimate:
 
 
 class TestCsv:
-    def test_comments_then_header(self):
-        buf = io.StringIO()
-        write_csv(buf, ["a", "b"], [(1, 2), (3, 4)], comments=["version: test"])
-        lines = buf.getvalue().strip().splitlines()
+    def test_comments_then_header(self, tmp_path):
+        path = tmp_path / "out.csv"
+        write_csv(path, ["a", "b"], [(1, 2), (3, 4)], comments=["version: test"])
+        lines = path.read_text().strip().splitlines()
         assert lines[0] == "# version: test"
         assert lines[1] == "a,b"
         assert len(lines) == 4
 
-    def test_write_to_buffer(self):
-        buf = io.StringIO()
-        write_csv(buf, ["x"], [(1,)])
-        assert buf.getvalue().startswith("x")
+
+GRID = GridSpec(layer_values=(1, 2), step_values=(0.5, 0.9), trials_per_cell=2,
+                iteration_budget=3)
+BAD_SEED = derive_seed(0, "grid", 2, 0.9, 1)
+
+
+def _train_failing_on(monkeypatch, seed, action):
+    """Patch ``core.train`` so the trial seeded ``seed`` runs ``action``; pool
+    workers forked afterwards inherit the patch."""
+    real = core.train
+
+    def train_or_fail(*args):
+        if args[3].seed == seed:
+            action()
+        return real(*args)
+
+    monkeypatch.setattr(core, "train", train_or_fail)
+
+
+class TestTrialFailures:
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_failure_names_tag_path_and_seed(self, k4, monkeypatch, jobs):
+        def overflow():
+            raise FloatingPointError("overflow")
+
+        _train_failing_on(monkeypatch, BAD_SEED, overflow)
+        with pytest.raises(RuntimeFailure) as info:
+            grid_search(k4, GRID, EncodingConfig(2, 4), seed=0, jobs=jobs)
+        message = str(info.value)
+        assert message == (f"trial grid/2/0.9/1 (seed {BAD_SEED}) failed: "
+                           "FloatingPointError('overflow')")
+        # The named seed replays the failing trial alone.
+        seed = int(re.search(r"\(seed (\d+)\)", message).group(1))
+        cell = QemcSettings(layers=2, step_size=0.9, iterations=3, blue_count=2)
+        with pytest.raises(FloatingPointError, match="overflow"):
+            core.train(*_trial(k4, cell, seed))
+
+    def test_dead_worker_raises_runtime_failure(self, k4, monkeypatch):
+        _train_failing_on(monkeypatch, BAD_SEED, lambda: os._exit(3))
+        with pytest.raises(RuntimeFailure, match=r"^trial grid/.*BrokenProcessPool"):
+            grid_search(k4, GRID, EncodingConfig(2, 4), seed=0, jobs=2)
+
+    def test_first_failure_stops_the_rest(self, k4, monkeypatch, tmp_path):
+        calls = tmp_path / "calls"
+        first = derive_seed(0, "grid", 1, 0.5, 0)
+        real = core.train
+
+        def slow_train(*args):
+            with open(calls, "a") as fh:
+                fh.write(f"{args[3].seed}\n")
+            if args[3].seed == first:
+                raise FloatingPointError("overflow")
+            time.sleep(0.2)
+            return real(*args)
+
+        monkeypatch.setattr(core, "train", slow_train)
+        grid = GridSpec(layer_values=(1,), step_values=(0.5,), trials_per_cell=40,
+                        iteration_budget=3)
+        with pytest.raises(RuntimeFailure, match=r"^trial grid/1/0.5/0 "):
+            grid_search(k4, grid, EncodingConfig(2, 4), seed=0, jobs=2)
+        assert len(calls.read_text().splitlines()) < 20
