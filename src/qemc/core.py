@@ -201,16 +201,28 @@ def decode(probs, encoding: EncodingConfig) -> Partition:
     return Partition(blue.astype(np.uint8))
 
 
-def cost(probs, graph: Graph, encoding: EncodingConfig) -> float:
-    """Edge-wise mean-squared-error cost; zero exactly when every edge pairs a
-    probability-0 endpoint with a probability-1/B endpoint."""
+def _cost_terms(probs, graph: Graph, encoding: EncodingConfig) -> tuple:
+    """``(cost, dC/dp)`` from one gather of each edge's endpoint probabilities."""
     probs = _check_probs(probs, graph.num_nodes)
     pj = probs[graph.edge_u]
     pk = probs[graph.edge_v]
     inv_b = 1.0 / encoding.blue_count
-    d = np.abs(pj - pk)
+    diff = pj - pk
+    d = np.abs(diff)
     s = pj + pk
-    return float(np.sum(graph.edge_w * ((d - inv_b) ** 2 + (s - inv_b) ** 2)))
+    value = float(np.sum(graph.edge_w * ((d - inv_b) ** 2 + (s - inv_b) ** 2)))
+    d_term = 2.0 * (d - inv_b) * np.sign(diff)
+    s_term = 2.0 * (s - inv_b)
+    grad = np.zeros(probs.size)
+    np.add.at(grad, graph.edge_u, graph.edge_w * (d_term + s_term))
+    np.add.at(grad, graph.edge_v, graph.edge_w * (-d_term + s_term))
+    return value, grad
+
+
+def cost(probs, graph: Graph, encoding: EncodingConfig) -> float:
+    """Edge-wise mean-squared-error cost; zero exactly when every edge pairs a
+    probability-0 endpoint with a probability-1/B endpoint."""
+    return _cost_terms(probs, graph, encoding)[0]
 
 
 def cost_gradient_wrt_probs(probs, graph: Graph,
@@ -221,18 +233,7 @@ def cost_gradient_wrt_probs(probs, graph: Graph,
     symmetric configurations get a vanishing difference term instead of an
     arbitrary sign.
     """
-    probs = _check_probs(probs, graph.num_nodes)
-    pj = probs[graph.edge_u]
-    pk = probs[graph.edge_v]
-    inv_b = 1.0 / encoding.blue_count
-    diff = pj - pk
-    sgn = np.sign(diff)
-    d_term = 2.0 * (np.abs(diff) - inv_b) * sgn
-    s_term = 2.0 * (pj + pk - inv_b)
-    grad = np.zeros(probs.size)
-    np.add.at(grad, graph.edge_u, graph.edge_w * (d_term + s_term))
-    np.add.at(grad, graph.edge_v, graph.edge_w * (-d_term + s_term))
-    return grad
+    return _cost_terms(probs, graph, encoding)[1]
 
 
 def cost_gradient_params(graph: Graph, ansatz: AnsatzConfig,
@@ -290,7 +291,7 @@ def train(graph: Graph, ansatz: AnsatzConfig, encoding: EncodingConfig,
         counters.circuit_executions += 1
         counters.gate_applications += gates_per_run
 
-        weights = cost_gradient_wrt_probs(probs, graph, encoding)
+        costs[it - 1], weights = _cost_terms(probs, graph, encoding)
         if optimizer.gradient_mode == ANALYTIC:
             grad = simulator.probability_vjp(ansatz, params, weights, state=state)
         else:
@@ -303,7 +304,6 @@ def train(graph: Graph, ansatz: AnsatzConfig, encoding: EncodingConfig,
             if optimizer.shots is not None:
                 counters.shots_total += 2 * num_params * optimizer.shots
 
-        costs[it - 1] = cost(probs, graph, encoding)
         cut = cut_value(graph, decode(probs, encoding))
         cuts[it - 1] = cut
         best = max(best, cut)

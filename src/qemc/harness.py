@@ -49,8 +49,9 @@ __all__ = [
 
 
 def _resolve_jobs(jobs) -> int:
-    if jobs is None:
-        return max(1, os.cpu_count() or 1)
+    if jobs is None:    # the CPUs this process may run on, where the OS tells
+        affinity = getattr(os, "sched_getaffinity", None)
+        return len(affinity(0)) if affinity else max(1, os.cpu_count() or 1)
     return check_count("jobs", jobs)
 
 
@@ -64,16 +65,16 @@ def _run_gw(item):
                         num_hyperplanes=num_hyperplanes)
 
 
-def _failure(item, exc) -> RuntimeFailure:
+def _name(item) -> str:
     tags, seed, _ = item
-    return RuntimeFailure(f"trial {'/'.join(map(str, tags))} (seed {seed}) failed: {exc!r}")
+    return f"{'/'.join(map(str, tags))} (seed {seed})"
 
 
 def _attempt(fn, item):
     try:
         return fn(item)
     except Exception as exc:
-        raise _failure(item, exc) from exc
+        raise RuntimeFailure(f"trial {_name(item)} failed: {exc!r}") from exc
 
 
 def _map_jobs(fn, items, jobs):
@@ -83,13 +84,23 @@ def _map_jobs(fn, items, jobs):
     run = functools.partial(_attempt, fn)
     if jobs == 1 or len(items) <= 1:
         return [run(item) for item in items]
-    results = []
-    with ProcessPoolExecutor(max_workers=min(jobs, len(items))) as pool:
+    workers = min(jobs, len(items))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        futures = [pool.submit(run, item) for item in items]
         try:
-            results.extend(pool.map(run, items, chunksize=1))
-        except BrokenExecutor as exc:   # a worker died: name the first lost trial
-            raise _failure(items[len(results)], exc) from exc
-    return results
+            return [future.result() for future in futures]
+        except BrokenExecutor as exc:
+            # Workers take items in order, so each one before the item that
+            # killed its worker has a result or ran beside it: the culprit is
+            # among the first `workers` without one (+1 for a result in transit).
+            lost = [item for item, future in zip(items, futures)
+                    if future.exception() is not None][:workers + 1]
+            raise RuntimeFailure(
+                f"trial {' or '.join(map(_name, lost))}: a pool worker died while "
+                f"running it: {exc!r}") from exc
+        finally:    # after a failure, start no further trial
+            for future in futures:
+                future.cancel()
 
 
 @dataclass(frozen=True)

@@ -24,12 +24,13 @@ one matmul per block: 1 for n <= 4, 2 for n = 8, 3 for n = 11.  Each
 layer's CNOT ring is composed into one index permutation (and its inverse),
 cached per ``AnsatzConfig``.  One reverse sweep, the adjoint method of
 Jones & Gacon (arXiv:2009.02823), serves both the vector-Jacobian product
-and the analytic Jacobian: the Jacobian is the same sweep run with the
-identity as the batch of weight rows.  Per block the sweep forms one cross
-density between the adjoints and the state and sums it down to each
-qubit's 2x2 transition matrix.  ``probability_vjp`` accepts the statevector
-as ``state=`` from a caller that has already simulated it, so training runs
-the forward pass once per iteration.
+and the analytic Jacobian, which runs it with the identity as the weight
+rows.  The sweep only undoes the circuit and keeps its rows before each
+block; for a chunk of layers at a time, bounded in bytes, a few stacked
+calls per block form the cross densities between adjoints and state and sum
+them to each qubit's 2x2 transition matrix.  ``probability_vjp`` accepts the
+statevector as ``state=``, and the last parameters' rotations and blocks are
+kept, so a training step simulates and builds its circuit once.
 
 Distributions are plain float64 arrays of length 2^n: ``probabilities``
 returns |amplitude|^2, and ``sample_histogram`` turns any such array into
@@ -46,7 +47,8 @@ seeded from the call's seed draws every shifted row's histogram in one
 multinomial call, row by row in the order (0, +), (0, -), (1, +), ...; each
 row is an independent draw of ``shots`` samples from its own circuit.
 
-All functions are pure: no shared mutable state, safe to call concurrently.
+All functions are pure and safe to call concurrently; the only shared state
+is that read-only memo of the last circuit built.
 """
 
 from __future__ import annotations
@@ -80,6 +82,12 @@ PARAMETER_SHIFT = "parameter_shift"
 # blocks cost more in the matmul than they save in calls (n=8, L=50:
 # 5.5-5.8 ms at width 4, 5.8-6.4 ms at 5, 16-18 ms at 6).
 _BLOCK_QUBITS = 4
+
+# The adjoint sweep keeps at most this many bytes of rows (but always one
+# layer's) between its stacked density calls.  Timed at 256 KiB-1 MiB on a
+# 2-core x86 VM, min of 25 rounds: the n=8, L=50 VJP took 1.4-1.5 ms up to
+# 512 KiB and 2.2 ms from 768 KiB on; n=11, L=50 stayed at 5.0-6.5 ms.
+_SWEEP_BYTES = 1 << 19
 
 
 def num_qubits_for(num_nodes: int) -> int:
@@ -262,11 +270,21 @@ def _run(config: AnsatzConfig, blocks: list) -> np.ndarray:
     return state[0]
 
 
+@lru_cache(maxsize=1)
+def _circuit(config: AnsatzConfig, key: bytes) -> tuple:
+    """Read-only rotations and Kronecker blocks of the float64 parameters ``key``;
+    a training step asks for them twice, so the last build is kept."""
+    rots = _rotations(np.frombuffer(key).reshape(config.num_layers, config.num_qubits, 3))
+    blocks = tuple(_blocks(rots))
+    for array in (rots, *blocks):
+        array.setflags(write=False)
+    return rots, blocks
+
+
 def run_circuit(config: AnsatzConfig, params) -> np.ndarray:
     """Statevector prepared by the ansatz: complex array of length 2^n."""
     params = _check_params(config, params)
-    angles = params.reshape(config.num_layers, config.num_qubits, 3)
-    return _run(config, _blocks(_rotations(angles)))
+    return _run(config, _circuit(config, params.tobytes())[1])
 
 
 def probabilities(config: AnsatzConfig, params) -> np.ndarray:
@@ -315,33 +333,43 @@ def _vjp(config: AnsatzConfig, params: np.ndarray, weights: np.ndarray,
 
     One reverse sweep from the final state psi (``state``, or simulated here
     when it is None) carries psi itself as row 0 and the adjoints
-    lambda_k = weights[k] * psi as rows 1..K.  Once a layer's ring is undone,
-    each rotation block's cross density rho[A, B] = sum conj(lambda_A) psi_B
-    is summed down to one 2x2 transition matrix T per qubit; T gives the
-    qubit's three angle derivatives as 2 Re sum(G * T), G being
+    lambda_k = weights[k] * psi as rows 1..K.  It keeps the rows met before
+    each rotation block, ``_SWEEP_BYTES`` of layers at a time; one stacked
+    matmul per block then forms their cross densities rho[A, B] = sum
+    conj(lambda_A) psi_B, each summed to one 2x2 transition matrix T per qubit.
+    T gives the qubit's three angle derivatives as 2 Re sum(G * T), G being
     d(Rot)/d(angle) Rot^dagger.  Undoing the layer's other rotations first
     leaves T unchanged: they act on other qubits.
     """
-    rots = _rotations(params.reshape(config.num_layers, config.num_qubits, 3))
-    blocks = _blocks(rots)
+    rots, blocks = _circuit(config, params.tobytes())
     psi = _run(config, blocks) if state is None else state
     k = weights.shape[0]
     rows = np.vstack([psi, weights * psi])
-    adjoints = [block.conj().swapaxes(-1, -2) for block in blocks]
+    conjugates = [block.conj() for block in blocks]     # transposed adjoints
+    widths = [block.shape[-1].bit_length() - 1 for block in blocks]
+    chunk = max(1, _SWEEP_BYTES // (len(blocks) * rows.nbytes))
+    points = np.empty((min(chunk, config.num_layers), len(blocks)) + rows.shape,
+                      dtype=np.complex128)
     transitions = np.empty((config.num_layers, config.num_qubits, k, 2, 2),
                            dtype=np.complex128)
     rings = _rings(config)
-    for layer in reversed(range(config.num_layers)):
-        rows = rows[:, rings[layer][1]]
+    for top in range(config.num_layers, 0, -chunk):
+        layers = range(top - 1, max(top - chunk, 0) - 1, -1)
+        for i, layer in enumerate(layers):
+            np.take(rows, rings[layer][1], axis=1, out=points[i, 0], mode="clip")
+            for b, conjugate in enumerate(conjugates):
+                out = points[i, b + 1] if b + 1 < len(blocks) else rows
+                split = points[i, b].reshape(k + 1, conjugate.shape[-1], -1)
+                np.matmul(split.swapaxes(1, 2), conjugate[layer],
+                          out=out.reshape(split.shape[0], -1, split.shape[1]))
         first = 0
-        for adjoint in adjoints:
-            dim = adjoint.shape[-1]
-            width = dim.bit_length() - 1
-            split = rows.reshape(k + 1, dim, -1)
-            rho = split[1:].conj() @ split[0].T
-            marginals = rho.reshape(k, -1)[:, _marginal_index(width)].sum(axis=-1)
-            transitions[layer, first:first + width] = marginals.swapaxes(0, 1)
-            rows = _rotate_leading(adjoint[layer], rows)
+        for b, width in enumerate(widths):
+            split = points[:len(layers), b].reshape(len(layers), k + 1, 1 << width, -1)
+            rho = split[:, 1:].conj() @ split[:, :1].swapaxes(-1, -2)
+            # np.take keeps the gathered sum contiguous, so it rounds as one row's.
+            marginals = np.take(rho.reshape(len(layers), k, -1),
+                                _marginal_index(width), axis=-1).sum(axis=-1)
+            transitions[layers, first:first + width] = marginals.swapaxes(1, 2)
             first += width
     grad = np.einsum("lqsab,lqkab->klqs", _generators(rots, params), transitions)
     return 2.0 * grad.real.reshape(k, -1)
@@ -381,8 +409,7 @@ def _shifted_states(config: AnsatzConfig, params: np.ndarray) -> np.ndarray:
     """
     n = config.num_qubits
     angles = params.reshape(config.num_layers, n, 3)
-    rots = _rotations(angles)
-    blocks = _blocks(rots)
+    rots, blocks = _circuit(config, params.tobytes())
     per_layer = 6 * n
     # Row r of a layer shifts angle (r // 6, slot[r]): + for even r, - for odd.
     row = np.arange(per_layer)

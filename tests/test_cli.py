@@ -142,7 +142,9 @@ class TestSolve:
 
     def test_non_finite_record_not_written(self, k4_file, tmp_path, capsys,
                                            monkeypatch):
-        monkeypatch.setattr(core, "cost", lambda *args: float("nan"))
+        real = core._cost_terms
+        monkeypatch.setattr(core, "_cost_terms",
+                            lambda *args: (float("nan"), real(*args)[1]))
         out = tmp_path / "x.json"
         code = main(["solve", "--graph", k4_file, "--layers", "1",
                      "--step-size", "0.5", "--iters", "2", "--out", str(out)])

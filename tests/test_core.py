@@ -247,6 +247,26 @@ class TestTrain:
               OptimizerConfig(step_size=0.5, max_iterations=10, shots=64, seed=0))
         assert len(runs) == 10
 
+    @pytest.mark.parametrize("mode,shots,per_step", [
+        ("analytic", None, 1), ("analytic", 32, 1),
+        (PARAMETER_SHIFT, None, 2), (PARAMETER_SHIFT, 32, 2)],
+        ids=["analytic", "analytic-shots", "shift", "shift-shots"])
+    def test_rotations_built_once_per_step(self, k4, monkeypatch, mode, shots,
+                                           per_step):
+        # Once for the circuit, which the gradient reuses; parameter shift
+        # also rotates its shifted angle triples once.
+        calls = []
+        real_rotations = simulator._rotations
+        monkeypatch.setattr(simulator, "_rotations",
+                            lambda *args: calls.append(1) or real_rotations(*args))
+        for num_layers in (1, 5):
+            simulator._circuit.cache_clear()
+            calls.clear()
+            train(k4, AnsatzConfig(2, num_layers), EncodingConfig(2, 4),
+                  OptimizerConfig(step_size=0.5, max_iterations=4, shots=shots,
+                                  gradient_mode=mode, seed=0))
+            assert len(calls) == 4 * per_step
+
     def test_counters_analytic_exact(self, k4):
         record = train(k4, AnsatzConfig(2, 1), EncodingConfig(2, 4),
                        OptimizerConfig(step_size=0.5, max_iterations=25, seed=0))

@@ -6,7 +6,7 @@ import time
 import numpy as np
 import pytest
 
-from qemc import core
+from qemc import core, harness
 from qemc.core import EncodingConfig, OptimizerConfig, train
 from qemc.errors import ConfigError, InvalidCount, RuntimeFailure, ShapeMismatch
 from qemc.graphs import Graph, complete_bipartite_graph, generate_regular
@@ -107,6 +107,18 @@ class TestGridSearch:
         serial = grid_search(k4, grid, EncodingConfig(2, 4), seed=2, jobs=1)
         parallel = grid_search(k4, grid, EncodingConfig(2, 4), seed=2, jobs=2)
         assert np.array_equal(serial.cuts, parallel.cuts)
+
+    def test_default_jobs_count_usable_cpus(self, k4, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("started a pool on one usable CPU")
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", no_pool)
+        grid = GridSpec(layer_values=(1,), step_values=(0.3, 0.9),
+                        trials_per_cell=2, iteration_budget=15)
+        default = grid_search(k4, grid, EncodingConfig(2, 4), seed=2)
+        serial = grid_search(k4, grid, EncodingConfig(2, 4), seed=2, jobs=1)
+        assert np.array_equal(default.cuts, serial.cuts)
 
     def test_min_layers_to_target(self, k4):
         grid = GridSpec(layer_values=(1,), step_values=(0.99,),
@@ -437,8 +449,10 @@ class TestTrialFailures:
 
     def test_dead_worker_raises_runtime_failure(self, k4, monkeypatch):
         _train_failing_on(monkeypatch, BAD_SEED, lambda: os._exit(3))
-        with pytest.raises(RuntimeFailure, match=r"^trial grid/.*BrokenProcessPool"):
+        with pytest.raises(RuntimeFailure, match=r"^trial grid/.*BrokenProcessPool") as info:
             grid_search(k4, GRID, EncodingConfig(2, 4), seed=0, jobs=2)
+        # The trial that killed its worker is among those named.
+        assert f"grid/2/0.9/1 (seed {BAD_SEED})" in str(info.value)
 
     def test_first_failure_stops_the_rest(self, k4, monkeypatch, tmp_path):
         calls = tmp_path / "calls"

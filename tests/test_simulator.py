@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -85,6 +87,35 @@ def per_circuit_shift_jacobian(config: AnsatzConfig, params, shots=None, seed=No
         shifted[i] -= np.pi
         jac[:, i] = (plus - evaluate(shifted)) / 2.0
     return jac
+
+
+def per_layer_vjp(config: AnsatzConfig, params, weights) -> np.ndarray:
+    """Reference adjoint sweep that forms each layer's cross densities and
+    marginals block by block as it goes, for weight rows ``weights``."""
+    params = np.asarray(params, dtype=float)
+    rots = simulator._rotations(params.reshape(config.num_layers, config.num_qubits, 3))
+    blocks = simulator._blocks(rots)
+    psi = simulator._run(config, blocks)
+    k = weights.shape[0]
+    rows = np.vstack([psi, weights * psi])
+    transitions = np.empty((config.num_layers, config.num_qubits, k, 2, 2),
+                           dtype=complex)
+    rings = simulator._rings(config)
+    for layer in reversed(range(config.num_layers)):
+        rows = rows[:, rings[layer][1]]
+        first = 0
+        for block in blocks:
+            dim = block.shape[-1]
+            width = dim.bit_length() - 1
+            split = rows.reshape(k + 1, dim, -1)
+            rho = split[1:].conj() @ split[0].T
+            marginals = rho.reshape(k, -1)[:, simulator._marginal_index(width)].sum(-1)
+            transitions[layer, first:first + width] = marginals.swapaxes(0, 1)
+            rows = simulator._rotate_leading(block[layer].conj().T, rows)
+            first += width
+    grad = np.einsum("lqsab,lqkab->klqs", simulator._generators(rots, params),
+                     transitions)
+    return 2.0 * grad.real.reshape(k, -1)
 
 
 class TestShapes:
@@ -392,6 +423,49 @@ class TestJacobian:
             given = probability_vjp(config, params, weights,
                                     state=run_circuit(config, params))
             assert np.array_equal(given, probability_vjp(config, params, weights))
+
+    @pytest.mark.parametrize("num_layers", [0, 1, 2, 5])
+    @pytest.mark.parametrize("num_qubits", range(1, 12))
+    def test_vjp_matches_per_layer_reference(self, num_qubits, num_layers):
+        # n = 5, 6, 7, 9, 10 and 11 end in a block narrower than 4 qubits.
+        config = AnsatzConfig(num_qubits, num_layers)
+        params = random_parameters(config, seed=num_qubits * 10 + num_layers)
+        weights = np.random.default_rng(num_qubits).normal(size=config.dim)
+        assert np.array_equal(probability_vjp(config, params, weights),
+                              per_layer_vjp(config, params, weights[np.newaxis])[0])
+
+    def test_flush_size_does_not_change_bits(self, monkeypatch):
+        cases = []
+        for n, layers in [(3, 6), (5, 4), (9, 3)]:
+            config = AnsatzConfig(n, layers)
+            params = random_parameters(config, seed=n)
+            weights = np.random.default_rng(n).normal(size=config.dim)
+            cases.append((config, params, weights,
+                          probability_vjp(config, params, weights),
+                          probability_jacobian(config, params)))
+        monkeypatch.setattr(simulator, "_SWEEP_BYTES", 1)    # one layer per flush
+        for config, params, weights, vjp, jac in cases:
+            assert np.array_equal(probability_vjp(config, params, weights), vjp)
+            assert np.array_equal(probability_jacobian(config, params), jac)
+
+    def test_analytic_jacobian_memory_bounded(self):
+        # The per-layer sweep peaked at 17.4 MiB here; buffering every layer's
+        # rows for the stacked density calls took 210 MiB.
+        config = AnsatzConfig(9, 10)
+        params = random_parameters(config, seed=1)
+        tracemalloc.start()
+        try:
+            probability_jacobian(config, params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 17.4 * 2 ** 20
+
+    def test_circuit_memo_is_read_only(self):
+        config = AnsatzConfig(5, 2)
+        params = random_parameters(config, seed=0)
+        rots, blocks = simulator._circuit(config, params.tobytes())
+        assert not any(a.flags.writeable for a in (rots, *blocks))
 
     def test_vjp_state_length_checked(self):
         with pytest.raises(ShapeMismatch):
