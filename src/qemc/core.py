@@ -31,7 +31,7 @@ from .errors import (
     ShapeMismatch,
     check_count,
 )
-from .graphs import Graph, Partition, cut_value
+from .graphs import Graph, Partition, _crossing_weight
 from .seeding import child_sequence
 from .simulator import ANALYTIC, PARAMETER_SHIFT, AnsatzConfig
 
@@ -201,28 +201,28 @@ def decode(probs, encoding: EncodingConfig) -> Partition:
     return Partition(blue.astype(np.uint8))
 
 
-def _cost_terms(probs, graph: Graph, encoding: EncodingConfig) -> tuple:
-    """``(cost, dC/dp)`` from one gather of each edge's endpoint probabilities."""
+def _cost_terms(probs, graph: Graph, inv_b: float) -> tuple:
+    """``(cost, dC/dp)`` for 1/B = ``inv_b``, from one gather of the edge endpoints'
+    probabilities; one ``np.bincount`` adds every ``u`` term, then every ``v``
+    term, to its endpoint."""
     probs = _check_probs(probs, graph.num_nodes)
-    pj = probs[graph.edge_u]
-    pk = probs[graph.edge_v]
-    inv_b = 1.0 / encoding.blue_count
+    ends = np.concatenate([graph.edge_u, graph.edge_v])
+    pj, pk = probs[ends].reshape(2, -1)
     diff = pj - pk
-    d = np.abs(diff)
-    s = pj + pk
-    value = float(np.sum(graph.edge_w * ((d - inv_b) ** 2 + (s - inv_b) ** 2)))
-    d_term = 2.0 * (d - inv_b) * np.sign(diff)
-    s_term = 2.0 * (s - inv_b)
-    grad = np.zeros(probs.size)
-    np.add.at(grad, graph.edge_u, graph.edge_w * (d_term + s_term))
-    np.add.at(grad, graph.edge_v, graph.edge_w * (-d_term + s_term))
-    return value, grad
+    d = np.abs(diff) - inv_b
+    s = pj + pk - inv_b
+    value = float((graph.edge_w * (d ** 2 + s ** 2)).sum())
+    d_term = 2.0 * d * np.sign(diff)
+    s_term = 2.0 * s
+    terms = np.concatenate([graph.edge_w * (d_term + s_term),
+                            graph.edge_w * (s_term - d_term)])
+    return value, np.bincount(ends, weights=terms, minlength=probs.size)
 
 
 def cost(probs, graph: Graph, encoding: EncodingConfig) -> float:
     """Edge-wise mean-squared-error cost; zero exactly when every edge pairs a
     probability-0 endpoint with a probability-1/B endpoint."""
-    return _cost_terms(probs, graph, encoding)[0]
+    return _cost_terms(probs, graph, 1.0 / encoding.blue_count)[0]
 
 
 def cost_gradient_wrt_probs(probs, graph: Graph,
@@ -233,7 +233,7 @@ def cost_gradient_wrt_probs(probs, graph: Graph,
     symmetric configurations get a vanishing difference term instead of an
     arbitrary sign.
     """
-    return _cost_terms(probs, graph, encoding)[1]
+    return _cost_terms(probs, graph, 1.0 / encoding.blue_count)[1]
 
 
 def cost_gradient_params(graph: Graph, ansatz: AnsatzConfig,
@@ -270,8 +270,16 @@ def train(graph: Graph, ansatz: AnsatzConfig, encoding: EncodingConfig,
 
     params = simulator.random_parameters(ansatz, optimizer.seed)
     num_params = ansatz.num_parameters
-    gates_per_run = simulator.gate_count(ansatz)
-    counters = RunCounters()
+    num_nodes, threshold = graph.num_nodes, encoding.threshold
+    inv_b = 1.0 / encoding.blue_count
+    analytic = optimizer.gradient_mode == ANALYTIC
+    # Every iteration executes the circuit once, plus 2P shifted copies for
+    # parameter shift, each sampled with the shot budget if there is one.
+    executions = optimizer.max_iterations * (1 if analytic else 1 + 2 * num_params)
+    counters = RunCounters(
+        circuit_executions=executions,
+        shots_total=0 if optimizer.shots is None else executions * optimizer.shots,
+        gate_applications=executions * simulator.gate_count(ansatz))
 
     costs = np.empty(optimizer.max_iterations)
     cuts = np.empty(optimizer.max_iterations)
@@ -287,24 +295,18 @@ def train(graph: Graph, ansatz: AnsatzConfig, encoding: EncodingConfig,
         if optimizer.shots is not None:
             probs = simulator.sample_histogram(
                 probs, optimizer.shots, seed=child_sequence(optimizer.seed, "shots", it))
-            counters.shots_total += optimizer.shots
-        counters.circuit_executions += 1
-        counters.gate_applications += gates_per_run
 
-        costs[it - 1], weights = _cost_terms(probs, graph, encoding)
-        if optimizer.gradient_mode == ANALYTIC:
+        costs[it - 1], weights = _cost_terms(probs, graph, inv_b)
+        if analytic:
             grad = simulator.probability_vjp(ansatz, params, weights, state=state)
         else:
             jac = simulator.probability_jacobian(
                 ansatz, params, PARAMETER_SHIFT, shots=optimizer.shots,
                 seed=child_sequence(optimizer.seed, "shift", it))
             grad = jac.T @ weights
-            counters.circuit_executions += 2 * num_params
-            counters.gate_applications += 2 * num_params * gates_per_run
-            if optimizer.shots is not None:
-                counters.shots_total += 2 * num_params * optimizer.shots
 
-        cut = cut_value(graph, decode(probs, encoding))
+        # The cut of decode(probs, encoding), without building the Partition.
+        cut = _crossing_weight(graph, probs[:num_nodes] > threshold)
         cuts[it - 1] = cut
         best = max(best, cut)
         best_cuts[it - 1] = best

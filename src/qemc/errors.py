@@ -50,7 +50,7 @@ class InvalidBlueCount(ConfigError):
 
 class InvalidCount(ConfigError):
     """A count is not an integer or is below its minimum, or a list of values
-    is empty."""
+    is empty or repeats a value."""
 
 
 class ParseError(RuntimeFailure):

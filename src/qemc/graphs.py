@@ -280,8 +280,13 @@ def cut_value(graph: Graph, partition: Partition) -> float:
     if partition.num_nodes != graph.num_nodes:
         raise SizeMismatch(
             f"partition has {partition.num_nodes} nodes, graph has {graph.num_nodes}")
-    c = partition.colors
-    crossing = c[graph.edge_u] != c[graph.edge_v]
+    return _crossing_weight(graph, partition.colors)
+
+
+def _crossing_weight(graph: Graph, colors: np.ndarray) -> float:
+    """Total weight of the edges whose endpoints differ in ``colors``, a length-N
+    array of node colors or blue flags."""
+    crossing = colors[graph.edge_u] != colors[graph.edge_v]
     return float(graph.edge_w[crossing].sum())
 
 

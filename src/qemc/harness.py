@@ -140,6 +140,15 @@ def _trial(graph: Graph, settings: QemcSettings, seed: int):
     return graph, ansatz, encoding, optimizer
 
 
+def _distinct(name: str, values) -> tuple:
+    """``values`` as a tuple, each at most once: a repeated value would rerun the
+    same trials under the same tag paths and seeds and count them twice."""
+    values = tuple(values)
+    if len(set(values)) != len(values):
+        raise InvalidCount(f"{name} must not repeat a value, got {list(values)}")
+    return values
+
+
 def _plan(triples, master_seed):
     """The ``(tags, seed, args)`` items of ``(tags, graph, settings)`` triples:
     the only place a QEMC trial's seed is derived from its tag path."""
@@ -163,8 +172,8 @@ class GridSpec:
     iteration_budget: int
 
     def __post_init__(self):
-        object.__setattr__(self, "layer_values", tuple(self.layer_values))
-        object.__setattr__(self, "step_values", tuple(self.step_values))
+        for name in ("layer_values", "step_values"):
+            object.__setattr__(self, name, _distinct(name, getattr(self, name)))
         if not self.layer_values or not self.step_values:
             raise InvalidCount("layer_values and step_values must be non-empty")
         check_count("trials_per_cell", self.trials_per_cell)
@@ -308,6 +317,8 @@ def scaling_study(graph_family, targets, resource_axis: str,
     if resource_axis == "iterations" and axis_values is not None:
         raise ConfigError("the iterations axis takes no axis_values: one set of "
                           "settings.iterations runs gives every smaller budget")
+    if axis_values is not None:
+        axis_values = _distinct("axis_values", axis_values)
 
     plans = [_scaling_plan(graph, index, resource_axis, axis_values, settings, seed)
              for index, graph in enumerate(graph_family)]

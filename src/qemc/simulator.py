@@ -20,17 +20,22 @@ The simulation works layer by layer.  The Hadamard layer on |0...0> is the
 uniform start state 2^(-n/2); all rotation matrices are built at once from
 the parameter array, and each layer's rotations of up to four consecutive
 qubits are fused into one Kronecker block (a 16x16 matrix), so a layer costs
-one matmul per block: 1 for n <= 4, 2 for n = 8, 3 for n = 11.  Each
-layer's CNOT ring is composed into one index permutation (and its inverse),
-cached per ``AnsatzConfig``.  One reverse sweep, the adjoint method of
-Jones & Gacon (arXiv:2009.02823), serves both the vector-Jacobian product
-and the analytic Jacobian, which runs it with the identity as the weight
-rows.  The sweep only undoes the circuit and keeps its rows before each
-block; for a chunk of layers at a time, bounded in bytes, a few stacked
-calls per block form the cross densities between adjoints and state and sum
-them to each qubit's 2x2 transition matrix.  ``probability_vjp`` accepts the
-statevector as ``state=``, and the last parameters' rotations and blocks are
-kept, so a training step simulates and builds its circuit once.
+one matmul per block: 1 for n <= 4, 2 for n = 8, 3 for n = 11.  What the
+sweeps need from the ``AnsatzConfig`` alone is built once per config and read
+with one lookup: each layer's CNOT ring composed into one index permutation
+and its inverse, the block widths with their marginal index tables, and the
+bytes a row fills per layer, from which the adjoint sweep sizes its chunks.
+A training step therefore rebuilds only what depends on the parameters.
+
+One reverse sweep, the adjoint method of Jones & Gacon (arXiv:2009.02823),
+serves both the vector-Jacobian product and the analytic Jacobian, which runs
+it with the identity as the weight rows.  The sweep only undoes the circuit
+and keeps its rows before each block; for a chunk of layers at a time,
+bounded in bytes, a few stacked calls per block form the cross densities
+between adjoints and state and sum them to each qubit's 2x2 transition
+matrix.  ``probability_vjp`` accepts the statevector as ``state=``, and the
+last parameters' rotations and blocks are kept, so a training step simulates
+and builds its circuit once.
 
 Distributions are plain float64 arrays of length 2^n: ``probabilities``
 returns |amplitude|^2, and ``sample_histogram`` turns any such array into
@@ -55,6 +60,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -88,6 +94,10 @@ _BLOCK_QUBITS = 4
 # 2-core x86 VM, min of 25 rounds: the n=8, L=50 VJP took 1.4-1.5 ms up to
 # 512 KiB and 2.2 ms from 768 KiB on; n=11, L=50 stayed at 5.0-6.5 ms.
 _SWEEP_BYTES = 1 << 19
+
+# -iZ/2, the generator of the phi and omega rotations, and its diagonal.
+_HALF_IZ = np.array([-0.5j, 0.5j])
+_HALF_IZ_MATRIX = np.diag(_HALF_IZ)
 
 
 def num_qubits_for(num_nodes: int) -> int:
@@ -148,7 +158,6 @@ def _cnot_permutation(num_qubits: int, control: int, target: int) -> np.ndarray:
     return np.where(idx & control_bit, idx ^ target_bit, idx)
 
 
-@lru_cache(maxsize=128)
 def _rings(config: AnsatzConfig) -> tuple:
     """Per layer, its CNOT ring as one index permutation and that permutation's
     inverse: ``state[perm]`` applies the ring, ``state[inverse]`` undoes it."""
@@ -168,10 +177,36 @@ def _rings(config: AnsatzConfig) -> tuple:
     return tuple(rings)
 
 
+class _Layout(NamedTuple):
+    """What every sweep over one ``AnsatzConfig`` reads, whatever the parameters."""
+
+    perms: tuple        # per layer, the CNOT ring as one index permutation
+    inverses: tuple     # per layer, that permutation's inverse
+    widths: tuple       # qubits per Kronecker block, in qubit order
+    marginals: tuple    # per block, its ``_marginal_index`` table
+    row_bytes: int      # bytes one state row fills at the blocks of one layer
+
+
+@lru_cache(maxsize=128)
+def _layout(config: AnsatzConfig) -> _Layout:
+    """The config's ``_Layout``, built on first use.  The sweep's chunk size in
+    layers also depends on its row count and on ``_SWEEP_BYTES``, so it is
+    ``_SWEEP_BYTES // (rows * row_bytes)``, taken per call."""
+    n = config.num_qubits
+    widths = tuple(min(_BLOCK_QUBITS, n - first) for first in range(0, n, _BLOCK_QUBITS))
+    rings = _rings(config)
+    return _Layout(perms=tuple(perm for perm, _ in rings),
+                   inverses=tuple(inverse for _, inverse in rings),
+                   widths=widths,
+                   marginals=tuple(_marginal_index(width) for width in widths),
+                   row_bytes=len(widths) * config.dim * np.dtype(np.complex128).itemsize)
+
+
 def _rotations(angles: np.ndarray) -> np.ndarray:
     """Rot(phi, theta, omega) for angles of shape (..., 3): shape (..., 2, 2)."""
     phi, theta, omega = angles[..., 0], angles[..., 1], angles[..., 2]
-    c, s = np.cos(theta / 2.0), np.sin(theta / 2.0)
+    half = theta / 2.0
+    c, s = np.cos(half), np.sin(half)
     plus = np.exp(-0.5j * (phi + omega))
     minus = np.exp(-0.5j * (phi - omega))
     rots = np.empty(angles.shape[:-1] + (2, 2), dtype=np.complex128)
@@ -187,12 +222,11 @@ def _generators(rots: np.ndarray, params: np.ndarray) -> np.ndarray:
     RZ(omega) (-iY/2) RZ(omega)^dagger and -iZ/2.
     """
     omega = params.reshape(rots.shape[:2] + (3,))[..., 2]
-    half_iz = np.array([-0.5j, 0.5j])  # diagonal of -iZ/2
     gens = np.zeros(rots.shape[:2] + (3, 2, 2), dtype=np.complex128)
-    gens[..., 0, :, :] = (rots * half_iz) @ rots.conj().swapaxes(-1, -2)
+    gens[..., 0, :, :] = (rots * _HALF_IZ) @ rots.conj().swapaxes(-1, -2)
     gens[..., 1, 0, 1] = -0.5 * np.exp(-1j * omega)
     gens[..., 1, 1, 0] = 0.5 * np.exp(1j * omega)
-    gens[..., 2, :, :] = np.diag(half_iz)
+    gens[..., 2, :, :] = _HALF_IZ_MATRIX
     return gens
 
 
@@ -218,7 +252,6 @@ def _blocks(rots: np.ndarray) -> list:
     return blocks
 
 
-@lru_cache(maxsize=_BLOCK_QUBITS)
 def _marginal_index(width: int) -> np.ndarray:
     """Flat indices into a 2^b x 2^b matrix that sum it to each qubit's 2x2 block.
 
@@ -263,10 +296,10 @@ def _run(config: AnsatzConfig, blocks: list) -> np.ndarray:
     # The Hadamard layer on |0...0> is the uniform start state.
     state = np.full((1, config.dim), 2.0 ** (-config.num_qubits / 2.0),
                     dtype=np.complex128)
-    for layer, (perm, _) in enumerate(_rings(config)):
+    for layer, perm in enumerate(_layout(config).perms):
         for block in blocks:
             state = _rotate_leading(block[layer], state)
-        state = state[:, perm]
+        state = state.take(perm, axis=1, mode="clip")
     return state[0]
 
 
@@ -342,34 +375,37 @@ def _vjp(config: AnsatzConfig, params: np.ndarray, weights: np.ndarray,
     leaves T unchanged: they act on other qubits.
     """
     rots, blocks = _circuit(config, params.tobytes())
+    _, inverses, widths, marginal_index, row_bytes = _layout(config)
     psi = _run(config, blocks) if state is None else state
     k = weights.shape[0]
-    rows = np.vstack([psi, weights * psi])
+    rows = np.empty((k + 1, config.dim), dtype=np.complex128)
+    rows[0] = psi
+    np.multiply(weights, psi, out=rows[1:])
     conjugates = [block.conj() for block in blocks]     # transposed adjoints
-    widths = [block.shape[-1].bit_length() - 1 for block in blocks]
-    chunk = max(1, _SWEEP_BYTES // (len(blocks) * rows.nbytes))
+    chunk = max(1, _SWEEP_BYTES // ((k + 1) * row_bytes))
     points = np.empty((min(chunk, config.num_layers), len(blocks)) + rows.shape,
                       dtype=np.complex128)
     transitions = np.empty((config.num_layers, config.num_qubits, k, 2, 2),
                            dtype=np.complex128)
-    rings = _rings(config)
     for top in range(config.num_layers, 0, -chunk):
-        layers = range(top - 1, max(top - chunk, 0) - 1, -1)
-        for i, layer in enumerate(layers):
-            np.take(rows, rings[layer][1], axis=1, out=points[i, 0], mode="clip")
+        bottom = max(top - chunk, 0)
+        # points[i] holds layer top - 1 - i: the sweep meets the layers downwards.
+        for i, layer in enumerate(range(top - 1, bottom - 1, -1)):
+            rows.take(inverses[layer], axis=1, out=points[i, 0], mode="clip")
             for b, conjugate in enumerate(conjugates):
                 out = points[i, b + 1] if b + 1 < len(blocks) else rows
                 split = points[i, b].reshape(k + 1, conjugate.shape[-1], -1)
                 np.matmul(split.swapaxes(1, 2), conjugate[layer],
                           out=out.reshape(split.shape[0], -1, split.shape[1]))
+        count = top - bottom
         first = 0
         for b, width in enumerate(widths):
-            split = points[:len(layers), b].reshape(len(layers), k + 1, 1 << width, -1)
+            split = points[:count, b].reshape(count, k + 1, 1 << width, -1)
             rho = split[:, 1:].conj() @ split[:, :1].swapaxes(-1, -2)
-            # np.take keeps the gathered sum contiguous, so it rounds as one row's.
-            marginals = np.take(rho.reshape(len(layers), k, -1),
-                                _marginal_index(width), axis=-1).sum(axis=-1)
-            transitions[layers, first:first + width] = marginals.swapaxes(1, 2)
+            # take keeps the gathered sum contiguous, so it rounds as one row's.
+            marginals = rho.reshape(count, k, -1).take(
+                marginal_index[b], axis=-1).sum(axis=-1)
+            transitions[bottom:top, first:first + width] = marginals[::-1].swapaxes(1, 2)
             first += width
     grad = np.einsum("lqsab,lqkab->klqs", _generators(rots, params), transitions)
     return 2.0 * grad.real.reshape(k, -1)
@@ -422,7 +458,7 @@ def _shifted_states(config: AnsatzConfig, params: np.ndarray) -> np.ndarray:
     rows = np.empty((1 + per_layer * config.num_layers, config.dim),
                     dtype=np.complex128)
     rows[0] = 2.0 ** (-n / 2.0)
-    for layer, (perm, _) in enumerate(_rings(config)):
+    for layer, perm in enumerate(_layout(config).perms):
         done = 1 + per_layer * layer
         started = rows[:1]
         for block in _blocks(shifted_rots[layer]):
@@ -431,8 +467,8 @@ def _shifted_states(config: AnsatzConfig, params: np.ndarray) -> np.ndarray:
         for block in blocks:
             active = _rotate_leading(block[layer], active)
         # perm is a permutation, so "clip" clips nothing; it skips buffering out.
-        np.take(active, perm, axis=1, out=rows[:done], mode="clip")
-        np.take(started, perm, axis=1, out=rows[done:done + per_layer], mode="clip")
+        active.take(perm, axis=1, out=rows[:done], mode="clip")
+        started.take(perm, axis=1, out=rows[done:done + per_layer], mode="clip")
     return rows
 
 

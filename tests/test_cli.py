@@ -284,6 +284,18 @@ class TestGrid:
         assert code == 1
         assert f"qemc: error: {option}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("option,value,name", [("--layers", "1,1", "layer_values"),
+                                                   ("--steps", "0.5,0.9,0.5", "step_values")])
+    def test_repeated_value_exits_1_before_training(self, k4_file, tmp_path, capsys,
+                                                    no_training, option, value, name):
+        args = {"--layers": "1", "--steps": "0.5", option: value}
+        out = tmp_path / "grid.csv"
+        code = main(["grid", "--graph", k4_file, "--layers", args["--layers"],
+                     "--steps", args["--steps"], "--trials", "1", "--iters", "2",
+                     "--jobs", "1", "--out", str(out)])
+        assert code == 1
+        assert f"qemc: error: {name} must not repeat a value" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_zero_trials_exits_1(self, k4_file, tmp_path, capsys):
         code = main(["grid", "--graph", k4_file, "--layers", "1", "--steps", "0.5",
@@ -314,6 +326,16 @@ class TestScaling:
         data = [l for l in out.read_text().splitlines() if not l.startswith("#")]
         assert data[0] == "num_nodes,axis,minimal_value,reached"
         assert data[1].startswith("4,layers,1")
+
+    def test_repeated_value_exits_1_before_training(self, k4_file, tmp_path, capsys,
+                                                    no_training):
+        out = tmp_path / "scaling.csv"
+        code = main(["scaling", "--graph", k4_file, "--target", "3",
+                     "--axis", "layers", "--values", "2,2", "--jobs", "1",
+                     "--out", str(out)])
+        assert code == 1
+        assert "qemc: error: axis_values must not repeat" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_zero_trials_exits_1(self, k4_file, tmp_path, capsys):
         out = tmp_path / "scaling.csv"

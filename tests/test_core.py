@@ -142,7 +142,40 @@ class TestCost:
         assert cut_value(k33, part) == k33.total_weight
 
 
+def add_at_gradient(probs, graph, blue_count):
+    """Reference dC/dp: zeros, then one ``np.add.at`` pass over the ``u``
+    endpoints' terms and one over the ``v`` endpoints' terms."""
+    pj, pk = probs[graph.edge_u], probs[graph.edge_v]
+    inv_b = 1.0 / blue_count
+    diff = pj - pk
+    d_term = 2.0 * (np.abs(diff) - inv_b) * np.sign(diff)
+    s_term = 2.0 * (pj + pk - inv_b)
+    grad = np.zeros(probs.size)
+    np.add.at(grad, graph.edge_u, graph.edge_w * (d_term + s_term))
+    np.add.at(grad, graph.edge_v, graph.edge_w * (-d_term + s_term))
+    return grad
+
+
 class TestCostGradient:
+    @pytest.mark.parametrize("num_nodes,num_edges,dim", [
+        (2, 1, 2), (5, 7, 8), (8, 20, 8), (12, 40, 16), (6, 0, 8)],
+        ids=["one-edge", "padded-5", "dense-8", "padded-12", "edgeless"])
+    def test_bincount_matches_add_at_bit_for_bit(self, num_nodes, num_edges, dim):
+        rng = np.random.default_rng(num_nodes * 100 + num_edges)
+        pairs = sorted({tuple(sorted(rng.choice(num_nodes, 2, replace=False)))
+                        for _ in range(num_edges)})
+        order = rng.permutation(len(pairs))     # edges in no particular order
+        weights = rng.normal(size=len(pairs))
+        weights[::3] = 0.0
+        graph = Graph.from_edges(num_nodes, [(*pairs[i], weights[i]) for i in order])
+        if graph.num_edges > 2:     # some node is a u endpoint and a v endpoint
+            assert np.intersect1d(graph.edge_u, graph.edge_v).size
+        for blue_count in sorted({1, num_nodes // 2}):
+            probs = rng.dirichlet(np.ones(dim))
+            probs[1] = probs[0]     # a tie takes the sign(0) = 0 branch
+            got = cost_gradient_wrt_probs(probs, graph, EncodingConfig(blue_count, num_nodes))
+            assert got.tobytes() == add_at_gradient(probs, graph, blue_count).tobytes()
+
     def test_uniform_histogram_formula(self, k4):
         # With equal probabilities the difference terms vanish (sign(0) = 0).
         enc = EncodingConfig(2, 4)

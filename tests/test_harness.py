@@ -179,6 +179,17 @@ class TestGridSearch:
             GridSpec(layer_values=(1,), step_values=(0.5,), trials_per_cell=0,
                      iteration_budget=5)
 
+    @pytest.mark.parametrize("layers,steps,name", [
+        ((1, 1), (0.5,), "layer_values"), ((1, 2), (0.5, 0.9, 0.5), "step_values"),
+        ((2, 1, 2), (0.5, 0.50), "layer_values")])
+    def test_repeated_value_rejected_before_training(self, k4, no_training, layers,
+                                                     steps, name):
+        # A repeated value would run the same tag paths and seeds again, and
+        # cell_mean and the CSV would count those trials twice.
+        with pytest.raises(InvalidCount, match=f"^{name} must not repeat a value"):
+            grid_search(k4, GridSpec(layers, steps, 1, 2), EncodingConfig(2, 4),
+                        seed=0, jobs=1)
+
     def test_deeper_circuits_prefer_smaller_steps(self):
         # Trend on a 22-node cubic instance: the best step size per layer
         # count never grows with depth (ties allowed).  Deterministic seeds,
@@ -325,6 +336,12 @@ class TestScalingStudy:
         settings = QemcSettings(layers=1, step_size=0.5, iterations=5)
         with pytest.raises(ConfigError, match="axis_values"):
             scaling_study([k4], [1.0], "iterations", settings, axis_values=[0])
+
+    @pytest.mark.parametrize("axis,values", [("layers", [2, 2]), ("shots", [8, 16, 8])])
+    def test_repeated_rung_rejected_before_training(self, k4, no_training, axis, values):
+        settings = QemcSettings(layers=1, step_size=0.5, iterations=5, trials=1)
+        with pytest.raises(InvalidCount, match="^axis_values must not repeat a value"):
+            scaling_study([k4], [3.0], axis, settings, axis_values=values, jobs=1)
 
     def test_zero_layer_rung_rejected_before_training(self, k4, no_training):
         settings = QemcSettings(layers=1, step_size=0.5, iterations=5)
