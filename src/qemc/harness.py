@@ -141,9 +141,12 @@ def _trial(graph: Graph, settings: QemcSettings, seed: int):
 
 
 def _distinct(name: str, values) -> tuple:
-    """``values`` as a tuple, each at most once: a repeated value would rerun the
-    same trials under the same tag paths and seeds and count them twice."""
+    """``values`` as a non-empty tuple, each value at most once: a repeated value
+    would rerun the same trials under the same tag paths and seeds and count
+    them twice."""
     values = tuple(values)
+    if not values:
+        raise InvalidCount(f"{name} must be non-empty")
     if len(set(values)) != len(values):
         raise InvalidCount(f"{name} must not repeat a value, got {list(values)}")
     return values
@@ -174,8 +177,6 @@ class GridSpec:
     def __post_init__(self):
         for name in ("layer_values", "step_values"):
             object.__setattr__(self, name, _distinct(name, getattr(self, name)))
-        if not self.layer_values or not self.step_values:
-            raise InvalidCount("layer_values and step_values must be non-empty")
         check_count("trials_per_cell", self.trials_per_cell)
 
 

@@ -337,10 +337,23 @@ class TestScalingStudy:
         with pytest.raises(ConfigError, match="axis_values"):
             scaling_study([k4], [1.0], "iterations", settings, axis_values=[0])
 
-    @pytest.mark.parametrize("axis,values", [("layers", [2, 2]), ("shots", [8, 16, 8])])
-    def test_repeated_rung_rejected_before_training(self, k4, no_training, axis, values):
+    def test_one_shot_values_serve_every_graph(self, k4):
+        # The rungs are read once, not once per graph.
+        settings = QemcSettings(layers=1, step_size=0.99, iterations=60, trials=1)
+        rows = scaling_study([k4, k4], [3.0, 3.0], "layers", settings,
+                             axis_values=iter([1, 2]), seed=1, jobs=1)
+        assert rows[0] == rows[1]
+        assert rows[1].reached
+
+    @pytest.mark.parametrize("axis,values,problem", [
+        ("layers", [2, 2], "must not repeat a value"),
+        ("shots", [8, 16, 8], "must not repeat a value"),
+        ("layers", [], "must be non-empty")])
+    def test_bad_rung_list_rejected_before_training(self, k4, no_training, axis, values,
+                                                    problem):
+        # An empty list would report every target unreachable without training.
         settings = QemcSettings(layers=1, step_size=0.5, iterations=5, trials=1)
-        with pytest.raises(InvalidCount, match="^axis_values must not repeat a value"):
+        with pytest.raises(InvalidCount, match=f"^axis_values {problem}"):
             scaling_study([k4], [3.0], axis, settings, axis_values=values, jobs=1)
 
     def test_zero_layer_rung_rejected_before_training(self, k4, no_training):
