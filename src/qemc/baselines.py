@@ -99,10 +99,7 @@ def gw_solve(graph: Graph, rank: int | None = None, max_iterations: int = 5000,
     as-is with ``converged=False`` rather than raised.
     """
     check_count("max_iterations", max_iterations, 0)
-    if rank is None:
-        rank = default_rank(graph.num_nodes)
-    if rank < 2:
-        raise ConfigError(f"rank must be at least 2, got {rank}")
+    rank = default_rank(graph.num_nodes) if rank is None else check_count("rank", rank, 2)
     weight_matrix = graph.adjacency_matrix()
     rng = child_rng(seed, "gw_solve")
     vectors = _normalize_rows(rng.normal(size=(graph.num_nodes, rank)))

@@ -240,9 +240,9 @@ def cost_gradient_params(graph: Graph, ansatz: AnsatzConfig,
                          encoding: EncodingConfig, params) -> np.ndarray:
     """Analytic chain-rule gradient dC/dtheta = (dC/dp) . (dp/dtheta) at the
     exact distribution of ``params``, simulating the circuit once."""
-    state = simulator.run_circuit(ansatz, params)
-    weights = cost_gradient_wrt_probs(np.abs(state) ** 2, graph, encoding)
-    return simulator.probability_vjp(ansatz, params, weights, state=state)
+    weights = cost_gradient_wrt_probs(simulator.probabilities(ansatz, params),
+                                      graph, encoding)
+    return simulator.probability_vjp(ansatz, params, weights)
 
 
 # -- training ------------------------------------------------------------------------
@@ -254,10 +254,11 @@ def train(graph: Graph, ansatz: AnsatzConfig, encoding: EncodingConfig,
 
     Each iteration evaluates the histogram at the current angles (exact or an
     S-shot sample), records its cost and decoded cut, and takes one Adam step
-    from the chain-rule gradient.  The statevector simulated for the
-    histogram also seeds the analytic gradient, so each iteration simulates
-    the circuit once (plus, for parameter shift, one batched sweep over the
-    2P shifted circuits).  Iteration indices count Adam steps starting at 1;
+    from the chain-rule gradient.  Only distributions pass through here: the
+    simulator keeps the state it simulated for the histogram and starts the
+    analytic gradient from it, so each iteration simulates the circuit once
+    (plus, for parameter shift, one batched sweep over the 2P shifted
+    circuits).  Iteration indices count Adam steps starting at 1;
     the pre-initialization state is not recorded.  Deterministic for a fixed
     seed.
     """
@@ -290,15 +291,14 @@ def train(graph: Graph, ansatz: AnsatzConfig, encoding: EncodingConfig,
     best = -np.inf
 
     for it in range(1, optimizer.max_iterations + 1):
-        state = simulator.run_circuit(ansatz, params)
-        probs = np.abs(state) ** 2
+        probs = simulator.probabilities(ansatz, params)
         if optimizer.shots is not None:
             probs = simulator.sample_histogram(
                 probs, optimizer.shots, seed=child_sequence(optimizer.seed, "shots", it))
 
         costs[it - 1], weights = _cost_terms(probs, graph, inv_b)
         if analytic:
-            grad = simulator.probability_vjp(ansatz, params, weights, state=state)
+            grad = simulator.probability_vjp(ansatz, params, weights)
         else:
             jac = simulator.probability_jacobian(
                 ansatz, params, PARAMETER_SHIFT, shots=optimizer.shots,

@@ -71,6 +71,8 @@ class Graph:
         w = np.asarray(self.edge_w, dtype=np.float64)
         if not (u.shape == v.shape == w.shape):
             raise ConfigError("edge arrays must have equal length")
+        if not np.all(np.isfinite(w)):
+            raise ConfigError("edge weights must be finite")
         if u.size:
             if u.min() < 0 or v.max() >= self.num_nodes:
                 raise ConfigError("edge endpoint out of range")

@@ -290,7 +290,7 @@ class ScalingRow:
 def default_shot_ladder(num_nodes: int) -> tuple[int, ...]:
     """Shot budgets N, N^1.5, N^2, 2N^2, 3N^2 (deduplicated, ascending)."""
     n = num_nodes
-    ladder = [n, round(n ** 1.5), n * n, 2 * n * n, 3 * n * n]
+    ladder = [n, round(n ** 1.5), n * n, 2 * n * n, core.default_shots(n)]
     return tuple(sorted(set(int(s) for s in ladder)))
 
 

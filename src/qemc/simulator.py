@@ -33,9 +33,12 @@ it with the identity as the weight rows.  The sweep only undoes the circuit
 and keeps its rows before each block; for a chunk of layers at a time,
 bounded in bytes, a few stacked calls per block form the cross densities
 between adjoints and state and sum them to each qubit's 2x2 transition
-matrix.  ``probability_vjp`` accepts the statevector as ``state=``, and the
-last parameters' rotations and blocks are kept, so a training step simulates
-and builds its circuit once.
+matrix.
+
+Callers pass parameters, never circuits or states.  One-entry memos keyed on
+the parameters' bytes keep the last rotations and blocks and, separately,
+the last final state, so a training step that asks for the distribution and
+then the VJP builds and simulates its circuit once.
 
 Distributions are plain float64 arrays of length 2^n: ``probabilities``
 returns |amplitude|^2, and ``sample_histogram`` turns any such array into
@@ -53,7 +56,7 @@ multinomial call, row by row in the order (0, +), (0, -), (1, +), ...; each
 row is an independent draw of ``shots`` samples from its own circuit.
 
 All functions are pure and safe to call concurrently; the only shared state
-is that read-only memo of the last circuit built.
+is those two read-only memos, and ``run_circuit`` returns a copy.
 """
 
 from __future__ import annotations
@@ -158,25 +161,6 @@ def _cnot_permutation(num_qubits: int, control: int, target: int) -> np.ndarray:
     return np.where(idx & control_bit, idx ^ target_bit, idx)
 
 
-def _rings(config: AnsatzConfig) -> tuple:
-    """Per layer, its CNOT ring as one index permutation and that permutation's
-    inverse: ``state[perm]`` applies the ring, ``state[inverse]`` undoes it."""
-    n = config.num_qubits
-    strides = config.entangler_strides
-    rings = []
-    for layer in range(config.num_layers):
-        perm = np.arange(config.dim, dtype=np.int64)
-        if n >= 2:
-            stride = strides[layer]
-            for q in range(n):
-                perm = perm[_cnot_permutation(n, q, (q + stride) % n)]
-        inverse = np.argsort(perm)
-        perm.setflags(write=False)
-        inverse.setflags(write=False)
-        rings.append((perm, inverse))
-    return tuple(rings)
-
-
 class _Layout(NamedTuple):
     """What every sweep over one ``AnsatzConfig`` reads, whatever the parameters."""
 
@@ -194,9 +178,19 @@ def _layout(config: AnsatzConfig) -> _Layout:
     ``_SWEEP_BYTES // (rows * row_bytes)``, taken per call."""
     n = config.num_qubits
     widths = tuple(min(_BLOCK_QUBITS, n - first) for first in range(0, n, _BLOCK_QUBITS))
-    rings = _rings(config)
-    return _Layout(perms=tuple(perm for perm, _ in rings),
-                   inverses=tuple(inverse for _, inverse in rings),
+    strides = config.entangler_strides
+    perms, inverses = [], []
+    for layer in range(config.num_layers):
+        perm = np.arange(config.dim, dtype=np.int64)
+        if n >= 2:
+            for q in range(n):
+                perm = perm[_cnot_permutation(n, q, (q + strides[layer]) % n)]
+        perms.append(perm)
+        inverses.append(np.argsort(perm))
+    for array in perms + inverses:
+        array.setflags(write=False)
+    return _Layout(perms=tuple(perms),
+                   inverses=tuple(inverses),
                    widths=widths,
                    marginals=tuple(_marginal_index(width) for width in widths),
                    row_bytes=len(widths) * config.dim * np.dtype(np.complex128).itemsize)
@@ -272,16 +266,19 @@ def _marginal_index(width: int) -> np.ndarray:
     return out
 
 
-def _rotate_leading(mat: np.ndarray, rows: np.ndarray) -> np.ndarray:
+def _rotate_leading(mat: np.ndarray, rows: np.ndarray, out=None) -> np.ndarray:
     """Apply ``mat`` to the leading log2(mat.shape[-1]) index bits of every row
-    and move those bits last.
+    and move those bits last, into the contiguous ``out`` if it is given.
 
     ``mat`` is one matrix for all rows, or a stack with one per row (one row
     broadcasts to the stack).  Calling this once per block, in qubit order,
     acts on every qubit and leaves the index layout as it was.
     """
-    split = rows.reshape(rows.shape[0], mat.shape[-1], -1)
-    return (split.swapaxes(1, 2) @ mat.swapaxes(-1, -2)).reshape(-1, rows.shape[1])
+    split = rows.reshape(rows.shape[0], mat.shape[-1], -1).swapaxes(1, 2)
+    if out is None:
+        return (split @ mat.swapaxes(-1, -2)).reshape(-1, rows.shape[1])
+    np.matmul(split, mat.swapaxes(-1, -2), out=out.reshape(len(out), -1, mat.shape[-1]))
+    return out
 
 
 def _check_params(config: AnsatzConfig, params) -> np.ndarray:
@@ -314,10 +311,19 @@ def _circuit(config: AnsatzConfig, key: bytes) -> tuple:
     return rots, blocks
 
 
+@lru_cache(maxsize=1)
+def _state(config: AnsatzConfig, key: bytes) -> np.ndarray:
+    """Read-only final state of the float64 parameters ``key``; an analytic
+    training step needs it for the distribution and again for the VJP."""
+    state = _run(config, _circuit(config, key)[1])
+    state.setflags(write=False)
+    return state
+
+
 def run_circuit(config: AnsatzConfig, params) -> np.ndarray:
     """Statevector prepared by the ansatz: complex array of length 2^n."""
     params = _check_params(config, params)
-    return _run(config, _circuit(config, params.tobytes())[1])
+    return _state(config, params.tobytes()).copy()
 
 
 def probabilities(config: AnsatzConfig, params) -> np.ndarray:
@@ -360,28 +366,27 @@ def sample_histogram(probs, shots: int, seed) -> np.ndarray:
 # -- differentiation ---------------------------------------------------------------
 
 
-def _vjp(config: AnsatzConfig, params: np.ndarray, weights: np.ndarray,
-         state: np.ndarray | None = None) -> np.ndarray:
+def _vjp(config: AnsatzConfig, params: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """g[k, i] = sum_j weights[k, j] * d p(j) / d params[i] for each weight row k.
 
-    One reverse sweep from the final state psi (``state``, or simulated here
-    when it is None) carries psi itself as row 0 and the adjoints
-    lambda_k = weights[k] * psi as rows 1..K.  It keeps the rows met before
-    each rotation block, ``_SWEEP_BYTES`` of layers at a time; one stacked
-    matmul per block then forms their cross densities rho[A, B] = sum
+    One reverse sweep from the final state psi carries psi itself as row 0 and
+    the adjoints lambda_k = weights[k] * psi as rows 1..K.  It keeps the rows
+    met before each rotation block, ``_SWEEP_BYTES`` of layers at a time; one
+    stacked matmul per block then forms their cross densities rho[A, B] = sum
     conj(lambda_A) psi_B, each summed to one 2x2 transition matrix T per qubit.
     T gives the qubit's three angle derivatives as 2 Re sum(G * T), G being
     d(Rot)/d(angle) Rot^dagger.  Undoing the layer's other rotations first
     leaves T unchanged: they act on other qubits.
     """
-    rots, blocks = _circuit(config, params.tobytes())
+    key = params.tobytes()
+    rots, blocks = _circuit(config, key)
     _, inverses, widths, marginal_index, row_bytes = _layout(config)
-    psi = _run(config, blocks) if state is None else state
+    psi = _state(config, key)
     k = weights.shape[0]
     rows = np.empty((k + 1, config.dim), dtype=np.complex128)
     rows[0] = psi
     np.multiply(weights, psi, out=rows[1:])
-    conjugates = [block.conj() for block in blocks]     # transposed adjoints
+    adjoints = [block.conj().swapaxes(-1, -2) for block in blocks]
     chunk = max(1, _SWEEP_BYTES // ((k + 1) * row_bytes))
     points = np.empty((min(chunk, config.num_layers), len(blocks)) + rows.shape,
                       dtype=np.complex128)
@@ -392,11 +397,9 @@ def _vjp(config: AnsatzConfig, params: np.ndarray, weights: np.ndarray,
         # points[i] holds layer top - 1 - i: the sweep meets the layers downwards.
         for i, layer in enumerate(range(top - 1, bottom - 1, -1)):
             rows.take(inverses[layer], axis=1, out=points[i, 0], mode="clip")
-            for b, conjugate in enumerate(conjugates):
+            for b, adjoint in enumerate(adjoints):
                 out = points[i, b + 1] if b + 1 < len(blocks) else rows
-                split = points[i, b].reshape(k + 1, conjugate.shape[-1], -1)
-                np.matmul(split.swapaxes(1, 2), conjugate[layer],
-                          out=out.reshape(split.shape[0], -1, split.shape[1]))
+                _rotate_leading(adjoint[layer], points[i, b], out=out)
         count = top - bottom
         first = 0
         for b, width in enumerate(widths):
@@ -411,26 +414,20 @@ def _vjp(config: AnsatzConfig, params: np.ndarray, weights: np.ndarray,
     return 2.0 * grad.real.reshape(k, -1)
 
 
-def probability_vjp(config: AnsatzConfig, params, weights, *,
-                    state=None) -> np.ndarray:
+def probability_vjp(config: AnsatzConfig, params, weights) -> np.ndarray:
     """Vector-Jacobian product  g[i] = sum_k weights[k] * d p(k) / d theta[i].
 
     One reverse sweep uncomputes the circuit layer by layer, so the cost is
     proportional to the gate count rather than gates x parameters.  This is
-    the workhorse behind analytic training gradients.  A caller that already
-    holds ``run_circuit(config, params)`` passes it as ``state`` to skip the
-    forward pass; the result is the same bit for bit.
+    the workhorse behind analytic training gradients.  Right after a
+    ``run_circuit`` or ``probabilities`` call at the same parameters, the
+    sweep starts from the state that call simulated.
     """
     params = _check_params(config, params)
     w = np.asarray(weights, dtype=np.float64).reshape(-1)
     if w.size != config.dim:
         raise ShapeMismatch(f"expected {config.dim} weights, got {w.size}")
-    if state is not None:
-        state = np.asarray(state, dtype=np.complex128)
-        if state.shape != (config.dim,):
-            raise ShapeMismatch(
-                f"expected a state of {config.dim} amplitudes, got shape {state.shape}")
-    return _vjp(config, params, w[np.newaxis], state)[0]
+    return _vjp(config, params, w[np.newaxis])[0]
 
 
 def _shifted_states(config: AnsatzConfig, params: np.ndarray) -> np.ndarray:

@@ -61,8 +61,12 @@ class TestGwSolve:
         assert np.isfinite(result.relaxation_value)
 
     def test_rank_validated(self, k4):
-        with pytest.raises(ConfigError, match="rank must be at least 2"):
+        with pytest.raises(ConfigError, match="rank must be >= 2"):
             gw_solve(k4, rank=1)
+        for rank in (2.5, "3"):
+            with pytest.raises(InvalidCount, match="rank must be an integer"):
+                gw_solve(k4, rank=rank)
+        assert gw_solve(k4, rank=np.int64(3), max_iterations=2).embedding.rank == 3
 
     def test_deterministic(self, k4):
         a = gw_solve(k4, seed=5)

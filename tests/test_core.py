@@ -267,6 +267,8 @@ class TestTrain:
         real_run = simulator._run
         monkeypatch.setattr(simulator, "_run",
                             lambda *args: runs.append(1) or real_run(*args))
+        simulator._circuit.cache_clear()
+        simulator._state.cache_clear()
         train(k4, AnsatzConfig(2, 2), EncodingConfig(2, 4),
               OptimizerConfig(step_size=0.5, max_iterations=10, seed=0))
         assert len(runs) == 10
@@ -276,6 +278,8 @@ class TestTrain:
         real_run = simulator._run
         monkeypatch.setattr(simulator, "_run",
                             lambda *args: runs.append(1) or real_run(*args))
+        simulator._circuit.cache_clear()
+        simulator._state.cache_clear()
         train(k4, AnsatzConfig(2, 1), EncodingConfig(2, 4),
               OptimizerConfig(step_size=0.5, max_iterations=10, shots=64, seed=0))
         assert len(runs) == 10

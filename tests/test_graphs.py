@@ -46,6 +46,13 @@ class TestGraphConstruction:
         with pytest.raises(ConfigError, match="out of range"):
             Graph.from_edges(2, [(0, 5)])
 
+    @pytest.mark.parametrize("weight", [np.nan, np.inf, -np.inf])
+    def test_non_finite_weight_rejected(self, weight):
+        with pytest.raises(ConfigError, match="edge weights must be finite"):
+            Graph(4, [0, 1], [1, 2], [1.0, weight])
+        with pytest.raises(ConfigError, match="edge weights must be finite"):
+            Graph.from_edges(4, [(0, 1, weight), (1, 2), (2, 3), (0, 3)])
+
     @pytest.mark.parametrize("build", [
         lambda: Graph(0, [], [], []),
         lambda: Graph(3, [0, 1], [1], [1.0]),

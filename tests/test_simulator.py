@@ -100,9 +100,9 @@ def per_layer_vjp(config: AnsatzConfig, params, weights) -> np.ndarray:
     rows = np.vstack([psi, weights * psi])
     transitions = np.empty((config.num_layers, config.num_qubits, k, 2, 2),
                            dtype=complex)
-    rings = simulator._rings(config)
+    inverses = simulator._layout(config).inverses
     for layer in reversed(range(config.num_layers)):
-        rows = rows[:, rings[layer][1]]
+        rows = rows[:, inverses[layer]]
         first = 0
         for block in blocks:
             dim = block.shape[-1]
@@ -415,14 +415,16 @@ class TestJacobian:
             shifted = probability_jacobian(config, params, PARAMETER_SHIFT).T @ weights
             assert np.abs(direct - shifted).max() < 1e-9
 
-    def test_vjp_with_state_is_bit_identical(self):
+    def test_vjp_from_cold_memos_is_bit_identical(self):
         for n, layers in [(3, 2), (6, 2)]:
             config = AnsatzConfig(n, layers)
             params = random_parameters(config, seed=n)
             weights = np.random.default_rng(n).normal(size=config.dim)
-            given = probability_vjp(config, params, weights,
-                                    state=run_circuit(config, params))
-            assert np.array_equal(given, probability_vjp(config, params, weights))
+            simulator._circuit.cache_clear()
+            simulator._state.cache_clear()
+            cold = probability_vjp(config, params, weights)
+            run_circuit(config, params)
+            assert np.array_equal(cold, probability_vjp(config, params, weights))
 
     @pytest.mark.parametrize("num_layers", [0, 1, 2, 5])
     @pytest.mark.parametrize("num_qubits", range(1, 12))
@@ -465,12 +467,20 @@ class TestJacobian:
         config = AnsatzConfig(5, 2)
         params = random_parameters(config, seed=0)
         rots, blocks = simulator._circuit(config, params.tobytes())
-        assert not any(a.flags.writeable for a in (rots, *blocks))
+        state = simulator._state(config, params.tobytes())
+        assert not any(a.flags.writeable for a in (rots, *blocks, state))
 
-    def test_vjp_state_length_checked(self):
-        with pytest.raises(ShapeMismatch):
-            probability_vjp(AnsatzConfig(2, 1), np.zeros(6), np.ones(4),
-                            state=np.ones(8, dtype=complex))
+    def test_run_circuit_result_is_a_writable_copy(self):
+        config = AnsatzConfig(3, 2)
+        params = random_parameters(config, seed=2)
+        weights = np.random.default_rng(2).normal(size=config.dim)
+        state = run_circuit(config, params)
+        expected = (state.copy(), probabilities(config, params),
+                    probability_vjp(config, params, weights))
+        state[:] = 0.0
+        assert np.array_equal(run_circuit(config, params), expected[0])
+        assert np.array_equal(probabilities(config, params), expected[1])
+        assert np.array_equal(probability_vjp(config, params, weights), expected[2])
 
     def test_vjp_weight_length_checked(self):
         with pytest.raises(ShapeMismatch):
