@@ -4,8 +4,10 @@ The semidefinite relaxation  max sum_e w_e (1 - <v_u, v_v>) / 2  over unit
 vectors is solved in factorized form: one unit-norm row per node, rank
 ceil(sqrt(2N)) + 1 by default, which is generically high enough for the
 factorized landscape to have no spurious local optima.  Projected gradient
-ascent with a backtracking line search never decreases the objective;
-randomized hyperplane rounding then extracts cuts from the embedding.
+ascent with a backtracking line search never decreases the objective.  Each
+line-search probe makes one product W V (W the weighted adjacency matrix): it
+gives the objective sum(w)/2 - <V, W V>/4, and once accepted it is -2x the next
+euclidean gradient.  Hyperplane rounding then extracts cuts from the embedding.
 
 The uniform random-partition baseline and the exhaustive oracle are exposed
 here as well, so every reference method lives in one namespace.
@@ -14,11 +16,11 @@ here as well, so every reference method lives in one namespace.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import ceil, sqrt
+from math import ceil, isfinite, sqrt
 
 import numpy as np
 
-from .errors import ConfigError, SizeMismatch, check_count
+from .errors import ConfigError, RuntimeFailure, SizeMismatch, check_count
 from .graphs import Graph, Partition, cut_value, exhaustive_maxcut, random_star_partition
 from .seeding import child_rng, derive_seed
 
@@ -75,43 +77,42 @@ class GwSolveResult:
     iterations: int
 
 
-def _objective(graph, vectors):
-    # sum over edges of w_e * (1 - <v_u, v_v>) / 2, evaluated edge-wise
-    inner = np.einsum("ij,ij->i", vectors[graph.edge_u], vectors[graph.edge_v])
-    return 0.5 * float(graph.edge_w @ (1.0 - inner))
-
-
-def _project_rows(grad, vectors):
-    radial = np.sum(grad * vectors, axis=1, keepdims=True)
-    return grad - radial * vectors
-
-
 def _normalize_rows(vectors):
-    return vectors / np.linalg.norm(vectors, axis=1, keepdims=True)
+    vectors /= np.sqrt(np.einsum("ij,ij->i", vectors, vectors))[:, None]
+    return vectors
 
 
+def _require_finite(value, what, iteration):
+    if not isfinite(value):
+        raise RuntimeFailure(f"gw_solve: the {what} is not finite at iteration {iteration}")
+
+
+@np.errstate(all="ignore")  # overflow surfaces as a non-finite objective or gradient
 def gw_solve(graph: Graph, rank: int | None = None, max_iterations: int = 5000,
              seed=0) -> GwSolveResult:
     """Maximize the relaxation by Riemannian gradient ascent on unit rows.
 
     Stops when the projected gradient's Frobenius norm drops below 1e-6 or
     after ``max_iterations``; a run that hits the iteration cap is returned
-    as-is with ``converged=False`` rather than raised.
+    as-is with ``converged=False`` rather than raised.  A non-finite objective
+    or gradient raises ``RuntimeFailure`` naming the iterate (0 is the start).
     """
     check_count("max_iterations", max_iterations, 0)
     rank = default_rank(graph.num_nodes) if rank is None else check_count("rank", rank, 2)
     weight_matrix = graph.adjacency_matrix()
+    half_weight = 0.5 * float(graph.edge_w.sum())
     rng = child_rng(seed, "gw_solve")
     vectors = _normalize_rows(rng.normal(size=(graph.num_nodes, rank)))
-
-    value = _objective(graph, vectors)
-    converged = False
-    iterations = 0
+    product = weight_matrix @ vectors
+    value = half_weight - 0.25 * float(np.vdot(vectors, product))
+    _require_finite(value, "objective", 0)
+    converged, iterations = False, 0
     prev_vectors = prev_grad = None
     for iterations in range(1, max_iterations + 1):
-        grad = -0.5 * (weight_matrix @ vectors)   # euclidean gradient of the objective
-        grad = _project_rows(grad, vectors)
-        grad_norm = float(np.linalg.norm(grad))
+        grad = -0.5 * product
+        grad -= np.einsum("ij,ij->i", grad, vectors)[:, None] * vectors
+        grad_norm = sqrt(float(np.vdot(grad, grad)))
+        _require_finite(grad_norm, "gradient norm", iterations - 1)
         if grad_norm < _TOLERANCE:
             converged = True
             iterations -= 1
@@ -121,23 +122,22 @@ def gw_solve(graph: Graph, rank: int | None = None, max_iterations: int = 5000,
         step = 1.0
         if prev_grad is not None:
             dg = grad - prev_grad
-            denom = float(np.sum(dg * dg))
+            denom = float(np.vdot(dg, dg))
             if denom > 0.0:
-                step = abs(float(np.sum((vectors - prev_vectors) * dg))) / denom
+                step = abs(float(np.vdot(vectors - prev_vectors, dg))) / denom
                 step = min(max(step, 1e-9), 1e6)
         prev_vectors, prev_grad = vectors, grad
-        accepted = False
         while step > 1e-14:
             candidate = _normalize_rows(vectors + step * grad)
-            cand_value = _objective(graph, candidate)
+            cand_product = weight_matrix @ candidate
+            cand_value = half_weight - 0.25 * float(np.vdot(candidate, cand_product))
             if cand_value >= value - 1e-12:
-                accepted = True
                 break
             step *= 0.5
-        if not accepted:
-            break  # line search stalled; keep the best iterate, flag below
-        vectors = candidate
-        value = cand_value
+        else:
+            break  # line search stalled; keep the best iterate, unconverged
+        vectors, product, value = candidate, cand_product, cand_value
+    _require_finite(value, "objective", iterations)
     return GwSolveResult(Embedding(vectors), value, converged, iterations)
 
 

@@ -18,6 +18,7 @@ from .errors import (
     InvalidBlueCount,
     InvalidDegree,
     ParseError,
+    RuntimeFailure,
     SelfLoop,
     SizeMismatch,
     TooLarge,
@@ -292,6 +293,7 @@ def _crossing_weight(graph: Graph, colors: np.ndarray) -> float:
     return float(graph.edge_w[crossing].sum())
 
 
+@np.errstate(over="ignore", invalid="ignore")  # exhaustive_maxcut checks the best cut
 def _chunk_cuts(graph, masks):
     """Cut value for each enumeration mask (bit i-1 of the mask colors node i;
     node 0 is fixed white)."""
@@ -309,6 +311,7 @@ def exhaustive_maxcut(graph: Graph, *, node_cap: int = EXHAUSTIVE_NODE_CAP):
     Node 0 is fixed white, which halves the search space by the global
     color-flip symmetry.  Returns ``(cut_star, partition)`` where the
     partition is the first optimum in enumeration order (deterministic).
+    Raises ``RuntimeFailure`` if the weights overflow the best cut.
     """
     n = graph.num_nodes
     if n > node_cap:
@@ -320,7 +323,9 @@ def exhaustive_maxcut(graph: Graph, *, node_cap: int = EXHAUSTIVE_NODE_CAP):
     for start in range(0, total, chunk):
         masks = np.arange(start, min(start + chunk, total), dtype=np.int64)
         cuts = _chunk_cuts(graph, masks)
-        i = int(np.argmax(cuts))
+        i = int(np.argmax(cuts))    # a NaN cut, if any, is picked here
+        if not np.isfinite(cuts[i]):
+            raise RuntimeFailure(f"exhaustive_maxcut: the best cut is not finite ({cuts[i]})")
         if cuts[i] > best_cut:
             best_cut = float(cuts[i])
             best_mask = int(masks[i])

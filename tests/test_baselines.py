@@ -9,7 +9,7 @@ from qemc.baselines import (
     gw_solve,
     random_star_cuts,
 )
-from qemc.errors import ConfigError, InvalidCount, SizeMismatch
+from qemc.errors import ConfigError, InvalidCount, RuntimeFailure, SizeMismatch
 from qemc.graphs import (
     Graph,
     complete_bipartite_graph,
@@ -18,6 +18,7 @@ from qemc.graphs import (
     exhaustive_maxcut,
     generate_regular,
 )
+from qemc.seeding import derive_seed
 
 
 class TestEmbedding:
@@ -67,6 +68,41 @@ class TestGwSolve:
             with pytest.raises(InvalidCount, match="rank must be an integer"):
                 gw_solve(k4, rank=rank)
         assert gw_solve(k4, rank=np.int64(3), max_iterations=2).embedding.rank == 3
+
+    @pytest.mark.parametrize("max_iterations", [0, 2, 5000])
+    def test_relaxation_value_is_the_edgewise_objective(self, max_iterations):
+        rng = np.random.default_rng(max_iterations)
+        for sign in ("positive", "mixed"):
+            for _ in range(5):
+                n = int(rng.integers(3, 12))
+                edges = [(u, v, float(rng.uniform(0.1, 2.0)) if sign == "positive"
+                          else float(rng.choice([-1.5, 0.0, 0.7, 2.0])))
+                         for u in range(n) for v in range(u + 1, n) if rng.random() < 0.5]
+                g = Graph.from_edges(n, edges or [(0, 1, 1.0)])
+                result = gw_solve(g, max_iterations=max_iterations,
+                                  seed=int(rng.integers(1 << 30)))
+                vec = result.embedding.vectors
+                inner = np.sum(vec[g.edge_u] * vec[g.edge_v], axis=1)
+                expected = 0.5 * float(np.sum(g.edge_w * (1.0 - inner)))
+                assert result.relaxation_value == pytest.approx(expected, rel=1e-9,
+                                                                abs=1e-12)
+                assert result.iterations <= max_iterations
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("max_iterations", [0, 5000])
+    def test_overflowing_objective_is_a_runtime_failure(self, max_iterations):
+        g = Graph.from_edges(3, [(0, 1, 1e308), (1, 2, 1e308), (0, 2, 1e308)])
+        with pytest.raises(RuntimeFailure, match="objective is not finite at iteration 0"):
+            gw_solve(g, max_iterations=max_iterations)
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_gradient_is_a_runtime_failure(self):
+        # the objective is finite, but the squared gradient norm overflows
+        g = Graph.from_edges(4, [(0, 1, 1e200), (1, 2, 1e200), (0, 2, -1e200),
+                                 (2, 3, 1e200)])
+        with pytest.raises(RuntimeFailure,
+                           match="gradient norm is not finite at iteration 0"):
+            gw_solve(g)
 
     def test_deterministic(self, k4):
         a = gw_solve(k4, seed=5)
@@ -140,13 +176,14 @@ class TestGwTrials:
         assert max(cuts) == 4.0
         assert len(cuts) == 10
 
-    def test_single_trial_equals_composition(self, k4):
-        from qemc.seeding import derive_seed
-        cuts = gw(k4, trials=1, seed=3)
-        solved = gw_solve(k4, seed=derive_seed(3, "gw", 0, "solve"))
-        best, _ = gw_round(solved.embedding, k4, num_hyperplanes=100,
-                           seed=derive_seed(3, "gw", 0, "round"))
-        assert cuts == [best]
+    def test_every_trial_equals_composition(self):
+        g = generate_regular(12, 3, seed=5)
+        cuts = gw(g, trials=3, seed=3, num_hyperplanes=2)
+        for k in range(3):
+            solved = gw_solve(g, seed=derive_seed(3, "gw", k, "solve"))
+            best, _ = gw_round(solved.embedding, g, num_hyperplanes=2,
+                               seed=derive_seed(3, "gw", k, "round"))
+            assert cuts[k] == best
 
     def test_regular_16_beats_approximation_bound(self):
         g = generate_regular(16, 3, seed=7)

@@ -263,6 +263,28 @@ class TestGw:
         assert not out.exists()
 
 
+class TestOverflowingWeights:
+    @pytest.fixture
+    def big_triangle(self, tmp_path):
+        path = tmp_path / "big.txt"
+        path.write_text("0 1 1e308\n1 2 1e308\n0 2 1e308\n")
+        return str(path)
+
+    @pytest.mark.filterwarnings("error")
+    def test_gw_exits_2_without_output(self, big_triangle, tmp_path, capsys):
+        out = tmp_path / "gw.csv"
+        assert main(["gw", "--graph", big_triangle, "--out", str(out)]) == 2
+        assert "objective is not finite at iteration 0" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("error")
+    def test_exhaustive_exits_2(self, big_triangle, capsys):
+        assert main(["exhaustive", "--graph", big_triangle]) == 2
+        captured = capsys.readouterr()
+        assert "best cut is not finite" in captured.err
+        assert "optimal cut" not in captured.out
+
+
 class TestGrid:
     def test_nine_cells(self, k4_file, tmp_path, capsys):
         out = tmp_path / "grid.csv"

@@ -8,6 +8,7 @@ from qemc.errors import (
     InvalidCount,
     InvalidDegree,
     ParseError,
+    RuntimeFailure,
     SelfLoop,
     SizeMismatch,
     TooLarge,
@@ -194,6 +195,21 @@ class TestExhaustiveMaxcut:
             g = complete_bipartite_graph(left, right)
             cut_star, _ = exhaustive_maxcut(g)
             assert cut_star == g.total_weight
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("weights", [(1e308, 1e308, 1e308),
+                                         (1e308, -1e308, 1e308, -1e308, 1e308, -1e308)])
+    def test_overflowing_optimum_is_a_runtime_failure(self, weights):
+        pairs = [(0, 1), (1, 2), (0, 2), (2, 3), (1, 3), (0, 3)][:len(weights)]
+        g = Graph.from_edges(4 if len(weights) > 3 else 3,
+                             [(u, v, w) for (u, v), w in zip(pairs, weights)])
+        with pytest.raises(RuntimeFailure, match="best cut is not finite"):
+            exhaustive_maxcut(g)
+
+    @pytest.mark.filterwarnings("error")
+    def test_large_finite_optimum(self):
+        g = Graph.from_edges(3, [(0, 1, 5e307), (1, 2, 5e307), (0, 2, 5e307)])
+        assert exhaustive_maxcut(g)[0] == 1e308
 
     def test_weighted(self):
         g = Graph.from_edges(3, [(0, 1, 2.0), (1, 2, 3.0), (0, 2, 4.0)])
