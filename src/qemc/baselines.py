@@ -100,7 +100,7 @@ def gw_solve(graph: Graph, rank: int | None = None, max_iterations: int = 5000,
     check_count("max_iterations", max_iterations, 0)
     rank = default_rank(graph.num_nodes) if rank is None else check_count("rank", rank, 2)
     weight_matrix = graph.adjacency_matrix()
-    half_weight = 0.5 * float(graph.edge_w.sum())
+    half_weight = 0.5 * graph.total_weight
     rng = child_rng(seed, "gw_solve")
     vectors = _normalize_rows(rng.normal(size=(graph.num_nodes, rank)))
     product = weight_matrix @ vectors
