@@ -323,7 +323,7 @@ def exhaustive_maxcut(graph: Graph, *, node_cap: int = EXHAUSTIVE_NODE_CAP):
     for start in range(0, total, chunk):
         masks = np.arange(start, min(start + chunk, total), dtype=np.int64)
         cuts = _chunk_cuts(graph, masks)
-        i = int(np.argmax(cuts))    # a NaN cut, if any, is picked here
+        i = int(np.argmax(cuts))
         if not np.isfinite(cuts[i]):
             raise RuntimeFailure(f"exhaustive_maxcut: the best cut is not finite ({cuts[i]})")
         if cuts[i] > best_cut:

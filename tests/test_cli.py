@@ -263,6 +263,7 @@ class TestGw:
         assert not out.exists()
 
 
+@pytest.mark.filterwarnings("error")
 class TestOverflowingWeights:
     @pytest.fixture
     def big_triangle(self, tmp_path):
@@ -270,14 +271,12 @@ class TestOverflowingWeights:
         path.write_text("0 1 1e308\n1 2 1e308\n0 2 1e308\n")
         return str(path)
 
-    @pytest.mark.filterwarnings("error")
     def test_gw_exits_2_without_output(self, big_triangle, tmp_path, capsys):
         out = tmp_path / "gw.csv"
         assert main(["gw", "--graph", big_triangle, "--out", str(out)]) == 2
         assert "objective is not finite at iteration 0" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.filterwarnings("error")
     def test_exhaustive_exits_2(self, big_triangle, capsys):
         assert main(["exhaustive", "--graph", big_triangle]) == 2
         captured = capsys.readouterr()
