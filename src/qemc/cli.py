@@ -7,8 +7,8 @@ checked before any work starts, so a missing or unwritable directory exits 1
 at once rather than after a long run.  Every output file embeds the fully
 resolved configuration and the tool version, so re-running it reproduces the
 output.
-The environment variable QEMC_SEED supplies a master seed when ``--seed`` is
-omitted.
+The environment variable QEMC_SEED supplies a master seed when a seeded
+subcommand runs without ``--seed``; it is read only then.
 """
 
 from __future__ import annotations
@@ -259,7 +259,7 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="qemc", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"qemc {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    seed_kwargs = dict(type=int, default=_default_seed(),
+    seed_kwargs = dict(type=int, default=None,
                        help="master seed (default: QEMC_SEED env var or 0)")
 
     p = sub.add_parser("generate", help="write a random regular graph edge list")
@@ -364,6 +364,8 @@ def _build_parser() -> _Parser:
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
+        if getattr(args, "seed", 0) is None:    # a seeded subcommand without --seed
+            args.seed = _default_seed()
         for path in (getattr(args, "out", None), getattr(args, "svg", None)):
             if path is not None:
                 _check_output(path)

@@ -19,6 +19,7 @@ a plain float64 array of length 2^n, as ``simulator.probabilities`` and
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +29,7 @@ from .errors import (
     DegenerateDenominator,
     HistogramTooShort,
     InvalidBlueCount,
+    RuntimeFailure,
     ShapeMismatch,
     check_count,
 )
@@ -248,6 +250,7 @@ def cost_gradient_params(graph: Graph, ansatz: AnsatzConfig,
 # -- training ------------------------------------------------------------------------
 
 
+@np.errstate(all="ignore")  # train checks each iteration's cost, cut and Adam state
 def train(graph: Graph, ansatz: AnsatzConfig, encoding: EncodingConfig,
           optimizer: OptimizerConfig) -> RunRecord:
     """Optimize the circuit angles with Adam and record the per-iteration history.
@@ -260,7 +263,8 @@ def train(graph: Graph, ansatz: AnsatzConfig, encoding: EncodingConfig,
     (plus, for parameter shift, one batched sweep over the 2P shifted
     circuits).  Iteration indices count Adam steps starting at 1;
     the pre-initialization state is not recorded.  Deterministic for a fixed
-    seed.
+    seed.  Raises :class:`RuntimeFailure` naming the iteration at which the
+    cost, the cut, Adam's second moment or the angles stop being finite.
     """
     if ansatz.num_qubits != simulator.num_qubits_for(graph.num_nodes):
         raise ShapeMismatch(
@@ -316,6 +320,10 @@ def train(graph: Graph, ansatz: AnsatzConfig, encoding: EncodingConfig,
         m_hat = m / (1.0 - _BETA1 ** it)
         v_hat = v / (1.0 - _BETA2 ** it)
         params = params - optimizer.step_size * m_hat / (np.sqrt(v_hat) + _EPSILON)
+        # v @ params is non-finite if any entry of v or params is (0 * inf is NaN).
+        if not math.isfinite(costs[it - 1] + cut + v @ params):
+            raise RuntimeFailure(f"train: the cost, cut or Adam state is not finite "
+                                 f"at iteration {it}")
 
     return RunRecord(
         costs=costs, cuts=cuts, best_cuts=best_cuts, final_params=params,

@@ -9,9 +9,10 @@ worker count (default: available cores) and never changes results.
 Every experiment arm is a checked :class:`QemcSettings`, and every trial, in
 each experiment here and in ``qemc solve``, is built by ``_trial``: the one
 place where the qubit count, the default blue count and the default gradient
-mode are resolved.  An experiment lists all its trials as ``(tags, seed, args)``
-items before any trial runs; a failing trial raises :class:`RuntimeFailure`
-naming its tag path and seed, which replay it alone.
+mode are resolved.  An experiment lists its arms as ``(tags, graph, settings)``
+and ``_plan`` expands them into one ``(tags, seed, args)`` item per trial
+before any trial runs; a failing trial raises :class:`RuntimeFailure` naming
+its tag path and seed, which replay it alone.
 """
 
 from __future__ import annotations
@@ -44,7 +45,6 @@ __all__ = [
     "scaling_study",
     "multi_instance_study",
     "resource_estimate",
-    "write_csv",
 ]
 
 
@@ -152,13 +152,15 @@ def _distinct(name: str, values) -> tuple:
     return values
 
 
-def _plan(triples, master_seed):
-    """The ``(tags, seed, args)`` items of ``(tags, graph, settings)`` triples:
-    the only place a QEMC trial's seed is derived from its tag path."""
+def _plan(arms, master_seed):
+    """The ``(tags, seed, args)`` items of ``(tags, graph, settings)`` arms, one
+    per trial, trials innermost, the trial index ending each tag path: the only
+    place a QEMC trial's seed is derived from its tag path."""
     items = []
-    for tags, graph, settings in triples:
-        seed = derive_seed(master_seed, *tags)
-        items.append((tags, seed, _trial(graph, settings, seed)))
+    for tags, graph, settings in arms:
+        for trial in range(settings.trials):
+            seed = derive_seed(master_seed, *tags, trial)
+            items.append(((*tags, trial), seed, _trial(graph, settings, seed)))
     return items
 
 
@@ -232,26 +234,17 @@ def grid_search(graph: Graph, grid: GridSpec, encoding: EncodingConfig, seed=0,
         raise ShapeMismatch("encoding and graph disagree on num_nodes")
     if target is not None and not np.isfinite(target):
         raise ConfigError(f"target must be finite, got {target}")
-    triples = []
-    for layers in grid.layer_values:
-        for step in grid.step_values:
-            cell = QemcSettings(layers=layers, step_size=step, iterations=grid.iteration_budget,
-                                shots=shots, blue_count=encoding.blue_count,
-                                trials=grid.trials_per_cell)
-            triples += [(("grid", layers, step, trial), graph, cell)
-                        for trial in range(cell.trials)]
-    records = _map_jobs(_run_train, _plan(triples, seed), jobs)
+    arms = [(("grid", layers, step), graph,
+             QemcSettings(layers=layers, step_size=step, iterations=grid.iteration_budget,
+                          shots=shots, blue_count=encoding.blue_count,
+                          trials=grid.trials_per_cell))
+            for layers in grid.layer_values for step in grid.step_values]
+    records = _map_jobs(_run_train, _plan(arms, seed), jobs)
     cuts = np.array([r.final_best_cut for r in records]).reshape(
         len(grid.layer_values), len(grid.step_values), grid.trials_per_cell)
-
-    min_layers = None
-    if target is not None:
-        means = cuts.mean(axis=2)
-        for i, layers in enumerate(sorted(grid.layer_values)):
-            row = means[grid.layer_values.index(layers)]
-            if row.max() >= target:
-                min_layers = layers
-                break
+    min_layers = None if target is None else min(
+        (layers for layers, row in zip(grid.layer_values, cuts.mean(axis=2))
+         if row.max() >= target), default=None)
     return GridResult(spec=grid, cuts=cuts, target=target,
                       min_layers_to_target=min_layers)
 
@@ -268,10 +261,9 @@ def scan_blue_sizes(graph: Graph, settings: QemcSettings, seed=0) -> RunRecord:
     ``record.encoding.blue_count``.
     """
     # B = 1 is always tried, so a graph too small to encode fails in _trial.
-    items = _plan(((("scan_blue", blue, trial), graph,
+    items = _plan(((("scan_blue", blue), graph,
                     dataclasses.replace(settings, blue_count=blue))
-                   for blue in range(1, max(1, graph.num_nodes // 2) + 1)
-                   for trial in range(settings.trials)), seed)
+                   for blue in range(1, max(1, graph.num_nodes // 2) + 1)), seed)
     records = _map_jobs(_run_train, items, None)
     return max(records, key=lambda r: r.final_best_cut)
 
@@ -329,16 +321,15 @@ def scaling_study(graph_family, targets, resource_axis: str,
 
 def _scaling_plan(graph, graph_index, axis, values, settings, seed):
     """``(value, items)`` rungs in ascending order; the iterations axis has one."""
+    tags = ("scaling", axis, graph_index)
     if axis == "iterations":
-        rungs = [(None, settings, ("scaling", axis, graph_index))]
-    else:
-        if values is None:
-            values = (DEFAULT_LAYER_LADDER if axis == "layers"
-                      else default_shot_ladder(graph.num_nodes))
-        rungs = [(value, dataclasses.replace(settings, **{axis: value}),
-                  ("scaling", axis, graph_index, value)) for value in sorted(values)]
-    return [(value, _plan([(tags + (trial,), graph, rung) for trial in range(rung.trials)], seed))
-            for value, rung, tags in rungs]
+        return [(None, _plan([(tags, graph, settings)], seed))]
+    if values is None:
+        values = (DEFAULT_LAYER_LADDER if axis == "layers"
+                  else default_shot_ladder(graph.num_nodes))
+    return [(value, _plan([((*tags, value), graph,
+                            dataclasses.replace(settings, **{axis: value}))], seed))
+            for value in sorted(values)]
 
 
 def _scan_axis(num_nodes, axis, rungs, target, jobs):
@@ -404,9 +395,8 @@ def multi_instance_study(num_instances: int, num_nodes: int, degree: int,
                                   derive_seed(seed, "study", "instance", i))
                  for i in range(num_instances)]
 
-    items = _plan(((("study", "qemc", i, trial), graph, settings)
-                   for i, graph in enumerate(instances)
-                   for trial in range(settings.trials)), seed)
+    items = _plan(((("study", "qemc", i), graph, settings)
+                   for i, graph in enumerate(instances)), seed)
     gw_items = [(("study", "gw", i), derive_seed(seed, "study", "gw", i),
                  (graph, gw_trials, gw_hyperplanes))
                 for i, graph in enumerate(instances)]

@@ -72,6 +72,8 @@ from .seeding import child_sequence
 
 __all__ = [
     "AnsatzConfig",
+    "ANALYTIC",
+    "PARAMETER_SHIFT",
     "num_qubits_for",
     "random_parameters",
     "gate_count",

@@ -283,6 +283,52 @@ class TestOverflowingWeights:
         assert "best cut is not finite" in captured.err
         assert "optimal cut" not in captured.out
 
+    @pytest.mark.parametrize("command, trial", [("solve", None),
+                                                ("grid", "grid/1/0.5/0"),
+                                                ("scaling", "scaling/layers/0/1/0")])
+    def test_training_exits_2_without_output(self, big_triangle, tmp_path, capsys,
+                                             command, trial):
+        out = tmp_path / "r.out"
+        assert main(_command(command, big_triangle, str(out))) == 2
+        err = capsys.readouterr().err
+        assert "not finite at iteration 1" in err
+        assert trial is None or f"trial {trial} (seed " in err
+        assert not out.exists()
+
+    def test_overflowing_step_exits_2_without_output(self, k4_file, tmp_path, capsys):
+        out = tmp_path / "over.csv"
+        code = main(["grid", "--graph", k4_file, "--layers", "1", "--steps", "1e308",
+                     "--trials", "1", "--iters", "3", "--jobs", "1", "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "trial grid/1/1e+308/0 (seed " in err
+        assert "not finite at iteration 2" in err
+        assert not out.exists()
+
+
+class TestUnusedBadEnvSeed:
+    """QEMC_SEED is read only when a seeded subcommand runs without --seed."""
+
+    @pytest.fixture(autouse=True)
+    def bad_env_seed(self, monkeypatch):
+        monkeypatch.setenv("QEMC_SEED", "abc")
+
+    def test_version(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["--version"])
+        assert info.value.code == 0
+        assert capsys.readouterr().out.startswith("qemc ")
+
+    def test_unseeded_subcommand(self, k4_file, capsys):
+        assert main(["exhaustive", "--graph", k4_file]) == 0
+        assert "optimal cut: 4" in capsys.readouterr().out
+
+    def test_explicit_seed(self, k4_file, tmp_path):
+        out = tmp_path / "gw.csv"
+        assert main(["gw", "--graph", k4_file, "--trials", "1", "--seed", "3",
+                     "--out", str(out)]) == 0
+        assert _config(out)["seed"] == 3
+
 
 class TestGrid:
     def test_nine_cells(self, k4_file, tmp_path, capsys):

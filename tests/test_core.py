@@ -17,11 +17,13 @@ from qemc.errors import (
     DegenerateDenominator,
     HistogramTooShort,
     InvalidBlueCount,
+    RuntimeFailure,
     ShapeMismatch,
 )
 from qemc import simulator
 from qemc.graphs import Graph, cut_value
 from qemc.simulator import (
+    ANALYTIC,
     PARAMETER_SHIFT,
     AnsatzConfig,
     probabilities,
@@ -341,6 +343,38 @@ class TestTrain:
         assert set(payload["iterations"][0]) == {"cost", "cut", "best_cut"}
         assert set(payload["counters"]) == {"circuit_executions", "shots_total",
                                             "gate_applications"}
+
+
+@pytest.mark.filterwarnings("error")
+class TestNonFiniteTraining:
+    """Overflow ends ``train`` at the iteration it happens, with no warning."""
+
+    @staticmethod
+    def square(weight):
+        return Graph.from_edges(4, [(0, 1, weight), (1, 2, weight), (2, 3, weight),
+                                    (0, 3, weight)])
+
+    @pytest.mark.parametrize("mode", [ANALYTIC, PARAMETER_SHIFT])
+    @pytest.mark.parametrize("weight", [1e200, 1e308])
+    def test_overflowing_weights(self, weight, mode):
+        # 1e200: the cost is finite, but Adam's second moment overflows, so the
+        # angles would never move; 1e308: the cost and the cut overflow.
+        with pytest.raises(RuntimeFailure, match="not finite at iteration 1$"):
+            train(self.square(weight), AnsatzConfig(2, 1), EncodingConfig(2, 4),
+                  OptimizerConfig(step_size=0.5, max_iterations=5, gradient_mode=mode))
+
+    def test_overflowing_step(self, k4):
+        # The first step leaves the angles finite, near 1e308; the second
+        # overflows them.
+        with pytest.raises(RuntimeFailure, match="not finite at iteration 2$"):
+            train(k4, AnsatzConfig(2, 1), EncodingConfig(2, 4),
+                  OptimizerConfig(step_size=1e308, max_iterations=3))
+
+    def test_large_finite_weights_train(self):
+        record = train(self.square(1e100), AnsatzConfig(2, 1), EncodingConfig(2, 4),
+                       OptimizerConfig(step_size=0.5, max_iterations=5))
+        assert np.all(np.isfinite(record.costs))
+        assert record.final_best_cut <= 4e100
 
 
 class TestRatios:

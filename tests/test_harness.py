@@ -503,3 +503,70 @@ class TestTrialFailures:
         with pytest.raises(RuntimeFailure, match=r"^trial grid/1/0.5/0 "):
             grid_search(k4, grid, EncodingConfig(2, 4), seed=0, jobs=2)
         assert len(calls.read_text().splitlines()) < 20
+
+
+class TestPlan:
+    """Every experiment's trials come from ``_plan``: unique tag paths, seeds
+    derived from them, and each arm's trials innermost, the trial index last."""
+
+    MASTER = 5
+    SETTINGS = QemcSettings(layers=1, step_size=0.5, iterations=2, trials=2)
+
+    @pytest.fixture
+    def planned(self, monkeypatch):
+        """The ``(fn, items)`` of every ``_map_jobs`` call, run in process."""
+        calls = []
+        real = harness._map_jobs
+
+        def record(fn, items, jobs):
+            calls.append((fn, list(items)))
+            return real(fn, calls[-1][1], 1)
+
+        monkeypatch.setattr(harness, "_map_jobs", record)
+        return calls
+
+    def arms(self, calls):
+        """The QEMC arms' tag paths, after checking the plan's invariants."""
+        items = [item for _, batch in calls for item in batch]
+        paths = [tags for tags, _, _ in items]
+        assert len(set(paths)) == len(paths)
+        for tags, seed, _ in items:
+            assert seed == derive_seed(self.MASTER, *tags)
+        qemc = [item for fn, batch in calls if fn is harness._run_train for item in batch]
+        trials = self.SETTINGS.trials
+        arms = [tags[:-1] for tags, _, _ in qemc[::trials]]
+        assert [tags for tags, _, _ in qemc] == [(*arm, t) for arm in arms
+                                                for t in range(trials)]
+        assert all(args[3].seed == seed for _, seed, args in qemc)
+        return arms
+
+    def test_grid(self, k4, planned):
+        grid = GridSpec(layer_values=(2, 1), step_values=(0.5, 0.2),
+                        trials_per_cell=self.SETTINGS.trials, iteration_budget=2)
+        grid_search(k4, grid, EncodingConfig(2, 4), seed=self.MASTER)
+        assert self.arms(planned) == [("grid", 2, 0.5), ("grid", 2, 0.2),
+                                      ("grid", 1, 0.5), ("grid", 1, 0.2)]
+
+    def test_blue_size_scan(self, planned):
+        scan_blue_sizes(generate_regular(6, 3, seed=1), self.SETTINGS, seed=self.MASTER)
+        assert self.arms(planned) == [("scan_blue", 1), ("scan_blue", 2), ("scan_blue", 3)]
+
+    @pytest.mark.parametrize("axis", ["layers", "shots", "iterations"])
+    def test_scaling_ladder(self, k4, planned, axis):
+        graphs = [k4, generate_regular(6, 3, seed=1)]
+        values = {"layers": (2, 1), "shots": None, "iterations": None}[axis]
+        # Unreachable targets run every rung.
+        scaling_study(graphs, [1e9, 1e9], axis, self.SETTINGS, axis_values=values,
+                      seed=self.MASTER)
+        rungs = {"layers": lambda graph: [(1,), (2,)],
+                 "shots": lambda graph: [(s,) for s in default_shot_ladder(graph.num_nodes)],
+                 "iterations": lambda graph: [()]}[axis]
+        assert self.arms(planned) == [("scaling", axis, index, *rung)
+                                      for index, graph in enumerate(graphs)
+                                      for rung in rungs(graph)]
+
+    def test_two_instance_study(self, planned):
+        multi_instance_study(2, 6, 3, self.SETTINGS, gw_trials=1, seed=self.MASTER)
+        assert self.arms(planned) == [("study", "qemc", 0), ("study", "qemc", 1)]
+        assert [tags for tags, _, _ in planned[1][1]] == [("study", "gw", 0),
+                                                          ("study", "gw", 1)]
