@@ -238,13 +238,18 @@ def cost_gradient_wrt_probs(probs, graph: Graph,
     return _cost_terms(probs, graph, 1.0 / encoding.blue_count)[1]
 
 
+@np.errstate(all="ignore")  # the gradient is checked before it is returned
 def cost_gradient_params(graph: Graph, ansatz: AnsatzConfig,
                          encoding: EncodingConfig, params) -> np.ndarray:
     """Analytic chain-rule gradient dC/dtheta = (dC/dp) . (dp/dtheta) at the
-    exact distribution of ``params``, simulating the circuit once."""
+    exact distribution of ``params``, simulating the circuit once.  Raises
+    :class:`RuntimeFailure` when the gradient is not finite."""
     weights = cost_gradient_wrt_probs(simulator.probabilities(ansatz, params),
                                       graph, encoding)
-    return simulator.probability_vjp(ansatz, params, weights)
+    grad = simulator.probability_vjp(ansatz, params, weights)
+    if not np.isfinite(grad).all():
+        raise RuntimeFailure("cost_gradient_params: the gradient is not finite")
+    return grad
 
 
 # -- training ------------------------------------------------------------------------

@@ -2,9 +2,10 @@
 
 Every experiment funnels its randomness through one master seed; per-trial
 seeds are derived from (experiment, instance, trial) tag paths, so results are
-independent of scheduling and replayable from the master seed alone.  Trials,
-grid cells and instances are embarrassingly parallel; ``jobs`` bounds the
-worker count (default: available cores) and never changes results.
+independent of scheduling and replayable from the master seed alone.  QEMC
+trials are embarrassingly parallel; ``jobs`` bounds the worker count for them
+(default: available cores) and never changes results.  GW baselines run in the
+calling process, whose BLAS threads spread each solve's dense products.
 
 Every experiment arm is a checked :class:`QemcSettings`, and every trial, in
 each experiment here and in ``qemc solve``, is built by ``_trial``: the one
@@ -384,9 +385,12 @@ def multi_instance_study(num_instances: int, num_nodes: int, degree: int,
                          *, gw_hyperplanes: int = 1, jobs=None) -> StudyResult:
     """Generate instances, run QEMC and GW trials on each, aggregate statistics.
 
-    GW trials default to a single hyperplane rounding each, so that the max
-    and average GW levels stay distinct trial statistics; raise
-    ``gw_hyperplanes`` to stabilize individual trials instead.
+    ``jobs`` bounds the workers for the QEMC trials.  GW runs in the calling
+    process, one instance after another, because pool workers' BLAS threads
+    would contend for the same cores.  GW trials default to a single
+    hyperplane rounding each, so that the max and average GW levels stay
+    distinct trial statistics; raise ``gw_hyperplanes`` to stabilize
+    individual trials instead.
     """
     check_count("num_instances", num_instances)
     check_count("gw_trials", gw_trials)
@@ -403,7 +407,7 @@ def multi_instance_study(num_instances: int, num_nodes: int, degree: int,
     records = _map_jobs(_run_train, items, jobs)
     best_curves = np.array([r.best_cuts for r in records]).reshape(
         num_instances, settings.trials, settings.iterations)
-    gw_cuts = np.array(_map_jobs(_run_gw, gw_items, jobs))
+    gw_cuts = np.array(_map_jobs(_run_gw, gw_items, 1))
 
     return StudyResult(
         num_nodes=num_nodes, degree=degree, num_instances=num_instances,

@@ -1,0 +1,107 @@
+"""Golden seeded runs: short runs of every experiment, pinned in ``golden_runs.json``.
+
+The README promises that results replay from the master seed alone.  This
+corpus pins that promise across versions: ``test_golden.py`` reruns it and
+compares cuts, best cuts and the seed of every planned trial exactly, and
+costs and GW relaxation values to 1e-9 relative.  Runs stay at 30 iterations
+and at most 5 layers, where a float reassociation moves costs by about 1e-12
+and no cut, so only a change of seeds, tag paths or trial order fails.
+
+When a change alters seeded results on purpose, regenerate the file with
+
+    PYTHONPATH=src python tests/golden.py
+
+and say why in CHANGES.md.
+"""
+
+from __future__ import annotations
+
+import json
+from pathlib import Path
+
+from qemc import baselines, core, harness
+from qemc.core import EncodingConfig, OptimizerConfig
+from qemc.graphs import Graph, generate_regular
+from qemc.harness import GridSpec, QemcSettings
+from qemc.seeding import derive_seed
+from qemc.simulator import ANALYTIC, PARAMETER_SHIFT, AnsatzConfig
+
+GOLDEN = Path(__file__).with_name("golden_runs.json")
+MASTER = 2718
+ITERATIONS = 30
+
+# Integer weights, with a zero and a negative one, keep every cut a sum of
+# integers, exact in any summation order.
+WEIGHTED = Graph.from_edges(6, [(0, 1, 2), (1, 2, 3), (2, 3, 1), (3, 4, 0), (4, 5, 2),
+                                (0, 5, -1), (0, 3, 1), (1, 4, 2)])
+
+
+def _planned(run):
+    """``run()``'s result and the ``[tags, seed]`` of every trial it dispatched."""
+    plan = []
+    real = harness._map_jobs
+
+    def record(fn, items, jobs):
+        items = list(items)
+        plan.extend([list(tags), seed] for tags, seed, _ in items)
+        return real(fn, items, jobs)
+
+    harness._map_jobs = record
+    try:
+        return run(), plan
+    finally:
+        harness._map_jobs = real
+
+
+def _record(record) -> dict:
+    return {"seed": record.seed, "blue_count": record.encoding.blue_count,
+            "costs": record.costs.tolist(), "cuts": record.cuts.tolist(),
+            "best_cuts": record.best_cuts.tolist()}
+
+
+def run_corpus() -> dict:
+    """Every golden run, as plain JSON values keyed by run name."""
+    runs = {}
+    g8 = generate_regular(8, 3, seed=1)
+    for mode in (ANALYTIC, PARAMETER_SHIFT):
+        for shots in (None, 64):
+            optimizer = OptimizerConfig(step_size=0.3, max_iterations=ITERATIONS,
+                                        shots=shots, gradient_mode=mode, seed=MASTER)
+            runs[f"train/{mode}/{shots or 'exact'}"] = _record(core.train(
+                WEIGHTED, AnsatzConfig(3, 2), EncodingConfig(3, 6), optimizer))
+
+    grid = GridSpec(layer_values=(2, 1), step_values=(0.5, 0.2), trials_per_cell=2,
+                    iteration_budget=ITERATIONS)
+    result, plan = _planned(lambda: harness.grid_search(
+        g8, grid, EncodingConfig(4, 8), seed=MASTER, target=9.0, jobs=1))
+    runs["grid_search"] = {"plan": plan, "cuts": result.cuts.tolist(),
+                           "min_layers_to_target": result.min_layers_to_target}
+
+    settings = QemcSettings(layers=2, step_size=0.4, iterations=ITERATIONS, trials=2)
+    record, plan = _planned(lambda: harness.scan_blue_sizes(WEIGHTED, settings, seed=MASTER))
+    runs["scan_blue_sizes"] = {"plan": plan, **_record(record)}
+
+    rows, plan = _planned(lambda: harness.scaling_study(
+        [g8], [9.0], "layers", settings, axis_values=(5,), seed=MASTER, jobs=1))
+    runs["scaling_study"] = {"plan": plan, "rows": [
+        [r.num_nodes, r.axis, r.minimal_value, r.reached] for r in rows]}
+
+    study, plan = _planned(lambda: harness.multi_instance_study(
+        2, 8, 3, settings, gw_trials=2, seed=MASTER, jobs=2))
+    runs["multi_instance_study"] = {
+        "plan": plan, "qemc_final_cuts": study.qemc_final_cuts.tolist(),
+        "gw_cuts": study.gw_cuts.tolist(), "max_qemc_curve": study.max_qemc_curve.tolist(),
+        "avg_qemc_curve": study.avg_qemc_curve.tolist()}
+
+    # gw's trial k solves from derive_seed(seed, "gw", k, "solve").
+    g12 = generate_regular(12, 3, seed=2)
+    solves = [baselines.gw_solve(g12, seed=derive_seed(MASTER, "gw", trial, "solve"))
+              for trial in range(3)]
+    runs["gw"] = {"cuts": baselines.gw(g12, trials=3, seed=MASTER, num_hyperplanes=5),
+                  "relaxation_values": [s.relaxation_value for s in solves]}
+    return runs
+
+
+if __name__ == "__main__":
+    GOLDEN.write_text(json.dumps(run_corpus(), indent=1) + "\n", encoding="utf-8")
+    print(f"wrote {GOLDEN}")

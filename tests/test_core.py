@@ -347,7 +347,8 @@ class TestTrain:
 
 @pytest.mark.filterwarnings("error")
 class TestNonFiniteTraining:
-    """Overflow ends ``train`` at the iteration it happens, with no warning."""
+    """Overflow ends ``train`` at the iteration it happens, and the public
+    gradient before it returns, with no warning."""
 
     @staticmethod
     def square(weight):
@@ -369,6 +370,12 @@ class TestNonFiniteTraining:
         with pytest.raises(RuntimeFailure, match="not finite at iteration 2$"):
             train(k4, AnsatzConfig(2, 1), EncodingConfig(2, 4),
                   OptimizerConfig(step_size=1e308, max_iterations=3))
+
+    def test_overflowing_gradient_params(self):
+        config = AnsatzConfig(2, 1)
+        with pytest.raises(RuntimeFailure, match="the gradient is not finite$"):
+            cost_gradient_params(self.square(1e308), config, EncodingConfig(2, 4),
+                                 random_parameters(config, seed=0))
 
     def test_large_finite_weights_train(self):
         record = train(self.square(1e100), AnsatzConfig(2, 1), EncodingConfig(2, 4),

@@ -6,7 +6,7 @@ import time
 import numpy as np
 import pytest
 
-from qemc import core, harness
+from qemc import baselines, core, harness
 from qemc.core import EncodingConfig, OptimizerConfig, train
 from qemc.errors import ConfigError, InvalidCount, RuntimeFailure, ShapeMismatch
 from qemc.graphs import Graph, complete_bipartite_graph, generate_regular
@@ -400,12 +400,31 @@ class TestMultiInstanceStudy:
         names = {r[1] for r in rows}
         assert names == {"max_qemc", "avg_qemc", "max_gw", "avg_gw"}
 
-    def test_deterministic_across_jobs(self):
+    def test_deterministic_across_jobs(self, monkeypatch, tmp_path):
+        """``jobs`` spreads only the QEMC trials: one pool, GW in this process."""
+        pools = []
+        gw_pids = tmp_path / "gw_pids"
+        real_gw = baselines.gw
+
+        class CountedPool(harness.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                pools.append(self)
+                super().__init__(*args, **kwargs)
+
+        def gw(*args, **kwargs):
+            with open(gw_pids, "a") as fh:    # a pool worker writes here too
+                fh.write(f"{os.getpid()}\n")
+            return real_gw(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", CountedPool)
+        monkeypatch.setattr(baselines, "gw", gw)
         settings = QemcSettings(layers=1, step_size=0.9, iterations=10, trials=2)
-        a = multi_instance_study(2, 8, 3, settings, gw_trials=2, seed=8, jobs=1)
         b = multi_instance_study(2, 8, 3, settings, gw_trials=2, seed=8, jobs=2)
-        assert np.array_equal(a.avg_qemc_curve, b.avg_qemc_curve)
-        assert np.array_equal(a.gw_cuts, b.gw_cuts)
+        assert len(pools) == 1
+        assert gw_pids.read_text().split() == [str(os.getpid())] * 2
+        a = multi_instance_study(2, 8, 3, settings, gw_trials=2, seed=8, jobs=1)
+        for field in dataclasses.fields(a):
+            assert np.array_equal(getattr(a, field.name), getattr(b, field.name)), field.name
 
 
 class TestResourceEstimate:
