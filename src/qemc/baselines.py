@@ -7,7 +7,10 @@ factorized landscape to have no spurious local optima.  Projected gradient
 ascent with a backtracking line search never decreases the objective.  Each
 line-search probe makes one product W V (W the weighted adjacency matrix): it
 gives the objective sum(w)/2 - <V, W V>/4, and once accepted it is -2x the next
-euclidean gradient.  Hyperplane rounding then extracts cuts from the embedding.
+euclidean gradient.  Hyperplane rounding sees the embedding only through
+X = V V^T (V r ~ N(0, X) for a Gaussian r), which every start reaches if the
+optimum is unique (not so for X's free cross-component block on a disconnected
+graph, or on some sparse 3-regular graphs), so one solve serves many roundings.
 
 The uniform random-partition baseline and the exhaustive oracle are exposed
 here as well, so every reference method lives in one namespace.
@@ -179,14 +182,11 @@ def random_star_cuts(graph: Graph, trials: int, seed=0,
 
 def gw(graph: Graph, trials: int = 10, seed=0, *,
        num_hyperplanes: int = 100) -> list[float]:
-    """Per-trial best GW cuts; each trial is a fresh random-init ``gw_solve``
-    at its default rank and iteration cap, then ``num_hyperplanes`` roundings."""
+    """Per-trial best GW cuts: trial k is the best of ``num_hyperplanes`` roundings
+    (seed tags "gw", k, "round") of one ``gw_solve`` (tags "gw", 0, "solve")."""
     check_count("trials", trials)
     check_count("num_hyperplanes", num_hyperplanes)
-    cuts = []
-    for trial in range(trials):
-        solved = gw_solve(graph, seed=derive_seed(seed, "gw", trial, "solve"))
-        best, _ = gw_round(solved.embedding, graph, num_hyperplanes=num_hyperplanes,
-                           seed=derive_seed(seed, "gw", trial, "round"))
-        cuts.append(best)
-    return cuts
+    embedding = gw_solve(graph, seed=derive_seed(seed, "gw", 0, "solve")).embedding
+    return [gw_round(embedding, graph, num_hyperplanes=num_hyperplanes,
+                     seed=derive_seed(seed, "gw", trial, "round"))[0]
+            for trial in range(trials)]

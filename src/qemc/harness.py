@@ -387,10 +387,10 @@ def multi_instance_study(num_instances: int, num_nodes: int, degree: int,
 
     ``jobs`` bounds the workers for the QEMC trials.  GW runs in the calling
     process, one instance after another, because pool workers' BLAS threads
-    would contend for the same cores.  GW trials default to a single
-    hyperplane rounding each, so that the max and average GW levels stay
-    distinct trial statistics; raise ``gw_hyperplanes`` to stabilize
-    individual trials instead.
+    would contend for the same cores.  Each instance's ``gw_trials`` are
+    independent roundings of one relaxation solve (``baselines.gw``).  A GW
+    trial is one hyperplane by default, so the max and average GW levels stay
+    distinct trial statistics; raise ``gw_hyperplanes`` to steady each.
     """
     check_count("num_instances", num_instances)
     check_count("gw_trials", gw_trials)

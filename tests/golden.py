@@ -93,7 +93,8 @@ def run_corpus() -> dict:
         "gw_cuts": study.gw_cuts.tolist(), "max_qemc_curve": study.max_qemc_curve.tolist(),
         "avg_qemc_curve": study.avg_qemc_curve.tolist()}
 
-    # gw's trial k solves from derive_seed(seed, "gw", k, "solve").
+    # gw solves once, from trial 0's seed derive_seed(seed, "gw", 0, "solve"); the
+    # relaxation values pin gw_solve from the first three trials' solve seeds.
     g12 = generate_regular(12, 3, seed=2)
     solves = [baselines.gw_solve(g12, seed=derive_seed(MASTER, "gw", trial, "solve"))
               for trial in range(3)]

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from qemc import baselines
 from qemc.baselines import (
     Embedding,
     default_rank,
@@ -177,13 +178,33 @@ class TestGwTrials:
         assert len(cuts) == 10
 
     def test_every_trial_equals_composition(self):
-        g = generate_regular(12, 3, seed=5)
-        cuts = gw(g, trials=3, seed=3, num_hyperplanes=2)
-        for k in range(3):
-            solved = gw_solve(g, seed=derive_seed(3, "gw", k, "solve"))
+        # One solve, from trial 0's seed; trial k is round k of that embedding.
+        g = generate_regular(32, 5, seed=5)
+        cuts = gw(g, trials=4, seed=3, num_hyperplanes=2)
+        solved = gw_solve(g, seed=derive_seed(3, "gw", 0, "solve"))
+        for k in range(4):
             best, _ = gw_round(solved.embedding, g, num_hyperplanes=2,
                                seed=derive_seed(3, "gw", k, "round"))
             assert cuts[k] == best
+
+    @pytest.mark.parametrize("trials", [1, 3, 10])
+    def test_one_solve_per_call(self, monkeypatch, trials):
+        calls = []
+
+        def counting_solve(*args, **kwargs):
+            calls.append(kwargs.get("seed"))
+            return gw_solve(*args, **kwargs)
+
+        monkeypatch.setattr(baselines, "gw_solve", counting_solve)
+        cuts = gw(generate_regular(12, 3, seed=5), trials=trials, seed=3)
+        assert len(cuts) == trials
+        assert calls == [derive_seed(3, "gw", 0, "solve")]
+
+    @pytest.mark.parametrize("k", [1, 2, 5])
+    def test_fewer_trials_are_a_prefix(self, k):
+        g = generate_regular(16, 3, seed=7)
+        assert gw(g, trials=6, seed=4, num_hyperplanes=1)[:k] == \
+            gw(g, trials=k, seed=4, num_hyperplanes=1)
 
     def test_regular_16_beats_approximation_bound(self):
         g = generate_regular(16, 3, seed=7)

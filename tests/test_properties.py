@@ -1,4 +1,5 @@
-"""Property tests: the edge-list round-trip and the decode/cost invariants.
+"""Property tests: the edge-list round-trip, the decode/cost invariants and
+the uniqueness of the GW relaxation's optimum that ``baselines.gw`` rests on.
 
 Examples are capped and derandomized, so the module runs in a few seconds
 and draws the same examples on every run.
@@ -11,8 +12,9 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qemc.baselines import gw_solve
 from qemc.core import EncodingConfig, cost, cost_gradient_wrt_probs, decode
-from qemc.graphs import Graph, parse_edge_list, write_edge_list
+from qemc.graphs import Graph, generate_regular, parse_edge_list, write_edge_list
 
 _SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
@@ -101,3 +103,24 @@ class TestDecodeAndCost:
         grad = cost_gradient_wrt_probs(padded, graph, encoding)
         assert np.array_equal(grad, cost_gradient_wrt_probs(probs, graph, encoding))
         assert not grad[graph.num_nodes:].any()
+
+
+class TestGwRelaxationOptimum:
+    """``gw`` solves once per call because every start reaches the same optimum.
+
+    Degrees start at 4: some sparse 3-regular graphs have a non-unique optimum
+    (10 of 90 graphs with N = 16, 32, 64 and graph seeds 0-29 reached Gram
+    matrices 0.04-0.35 apart from three starts, at equal values), and there a
+    call's trials share the optimum its one solve found.
+    """
+
+    @settings(max_examples=20, deadline=None, derandomize=True, database=None)
+    @given(st.sampled_from([16, 32, 64]), st.integers(4, 9), st.integers(0, 2**32 - 1))
+    def test_every_start_reaches_one_optimum(self, num_nodes, degree, graph_seed):
+        graph = generate_regular(num_nodes, degree, seed=graph_seed)
+        solves = [gw_solve(graph, seed=seed) for seed in (0, 1, 2)]
+        grams = [s.embedding.vectors @ s.embedding.vectors.T for s in solves]
+        for solved, gram in zip(solves[1:], grams[1:]):
+            assert solved.relaxation_value == pytest.approx(solves[0].relaxation_value,
+                                                            rel=1e-9)
+            np.testing.assert_allclose(gram, grams[0], rtol=0, atol=1e-4)
