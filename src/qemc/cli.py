@@ -1,12 +1,15 @@
 """Command-line front end binding graphs, solver, baselines and harness.
 
-Exit codes: 0 success, 1 usage/configuration error, 2 runtime error.  Standard
-output carries human-readable summaries only; machine-readable data goes to
-the files named by ``--out``.  Output paths (``--out``, ``--svg``) are
-checked before any work starts, so a missing or unwritable directory exits 1
-at once rather than after a long run.  Every output file embeds the fully
+Exit codes: 0 success, 1 usage/configuration error, 2 runtime error (running
+out of memory included).  Standard output carries human-readable summaries
+only; machine-readable data goes to the files named by ``--out``.  Output
+paths (``--out``, ``--svg``) are checked before any work starts, so a missing
+or unwritable directory, or an ``--svg`` naming the ``--out`` file, exits 1 at
+once rather than after a long run.  Every output file embeds the fully
 resolved configuration and the tool version, so re-running it reproduces the
-output.
+output.  A CSV's ``# config:`` line holds every parsed option except
+``--out``, ``--svg`` and ``--jobs``, with ``--shots 3n2`` and the default
+``--blue`` resolved to numbers.
 The environment variable QEMC_SEED supplies a master seed when a seeded
 subcommand runs without ``--seed``; it is read only then.
 """
@@ -66,16 +69,20 @@ def _parse_shots(token: str, num_nodes: int) -> int | None:
             from None
 
 
-def _number_list(text: str, kind, option: str) -> list:
-    """Comma-separated numbers of type ``kind``; at least one is required."""
-    try:
-        values = [kind(x) for x in text.split(",") if x]
-    except ValueError:
-        raise ConfigError(f"{option} must be comma-separated numbers, got {text!r}") \
-            from None
-    if not values:
-        raise ConfigError(f"{option} needs at least one value")
-    return values
+def _number_list(kind, option: str):
+    """An argparse type: comma-separated numbers of type ``kind``, at least one.
+
+    It raises ``ConfigError``, which argparse passes through to ``main``."""
+    def parse(text: str) -> list:
+        try:
+            values = [kind(x) for x in text.split(",") if x]
+        except ValueError:
+            raise ConfigError(f"{option} must be comma-separated numbers, got {text!r}") \
+                from None
+        if not values:
+            raise ConfigError(f"{option} needs at least one value")
+        return values
+    return parse
 
 
 def _check_output(path: str) -> None:
@@ -90,9 +97,20 @@ def _check_output(path: str) -> None:
         raise UnwritableOutput(f"output path {path!r} is not writable")
 
 
-def _config_comments(payload: dict) -> list[str]:
-    return [f"version: {__version__}",
-            f"config: {json.dumps(payload, sort_keys=True)}"]
+# Parsed arguments that do not shape a CSV's contents, so not in its config.
+_NOT_CONFIG = {"command", "func", "out", "svg", "jobs"}
+
+
+def _write_csv(args, header, rows, **resolved) -> None:
+    """Write ``rows`` to ``args.out`` after a version and a ``# config:`` line.
+
+    The config is every parsed argument outside ``_NOT_CONFIG``; ``resolved``
+    replaces the values only known after parsing."""
+    config = {k: v for k, v in vars(args).items() if k not in _NOT_CONFIG}
+    config.update(resolved)
+    harness.write_csv(args.out, header, rows,
+                      comments=[f"version: {__version__}",
+                                f"config: {json.dumps(config, sort_keys=True)}"])
 
 
 # -- subcommands ----------------------------------------------------------------
@@ -157,11 +175,8 @@ def _cmd_exhaustive(args) -> int:
 def _cmd_gw(args) -> int:
     graph = read_edge_list_file(args.graph)
     cuts = baselines.gw(graph, trials=args.trials, seed=args.seed,
-                        num_hyperplanes=args.hyperplanes)
-    payload = {"graph": args.graph, "trials": args.trials, "seed": args.seed,
-               "num_hyperplanes": args.hyperplanes}
-    harness.write_csv(args.out, ["trial", "cut"], list(enumerate(cuts)),
-                      comments=_config_comments(payload))
+                        num_hyperplanes=args.num_hyperplanes)
+    _write_csv(args, ["trial", "cut"], list(enumerate(cuts)))
     print(f"GW {args.trials} trials: mean {np.mean(cuts):g} max {max(cuts):g}"
           f" -> {args.out}")
     return 0
@@ -170,20 +185,14 @@ def _cmd_gw(args) -> int:
 def _cmd_grid(args) -> int:
     graph = read_edge_list_file(args.graph)
     shots = _parse_shots(args.shots, graph.num_nodes)
-    grid = GridSpec(layer_values=tuple(_number_list(args.layers, int, "--layers")),
-                    step_values=tuple(_number_list(args.steps, float, "--steps")),
-                    trials_per_cell=args.trials,
-                    iteration_budget=args.iters)
+    grid = GridSpec(layer_values=tuple(args.layers), step_values=tuple(args.steps),
+                    trials_per_cell=args.trials, iteration_budget=args.iters)
     encoding = (EncodingConfig.half(graph.num_nodes) if args.blue is None
                 else EncodingConfig(args.blue, graph.num_nodes))
     result = harness.grid_search(graph, grid, encoding, seed=args.seed,
                                  shots=shots, target=args.target, jobs=args.jobs)
-    payload = {"graph": args.graph, "layers": list(grid.layer_values),
-               "steps": list(grid.step_values), "trials": args.trials,
-               "iters": args.iters, "seed": args.seed, "blue": encoding.blue_count,
-               "shots": shots, "target": args.target}
-    harness.write_csv(args.out, ["layers", "step_size", "trial", "final_best_cut"],
-                      result.to_csv_rows(), comments=_config_comments(payload))
+    _write_csv(args, ["layers", "step_size", "trial", "final_best_cut"],
+               result.to_csv_rows(), shots=shots, blue=encoding.blue_count)
     best_layers, best_step = result.best_cell()
     print(f"best cell: layers={best_layers} step_size={best_step:g} "
           f"mean cut {result.cell_mean(best_layers, best_step):g} -> {args.out}")
@@ -194,8 +203,7 @@ def _cmd_grid(args) -> int:
 
 
 def _cmd_scaling(args) -> int:
-    graph_paths = args.graph
-    graphs_list = [read_edge_list_file(p) for p in graph_paths]
+    graphs_list = [read_edge_list_file(p) for p in args.graphs]
     sizes = sorted({g.num_nodes for g in graphs_list})
     if args.shots == "3n2" and args.axis != "shots" and len(sizes) > 1:
         raise ConfigError(f"--shots 3n2 gives each graph size its own budget, but "
@@ -204,19 +212,13 @@ def _cmd_scaling(args) -> int:
                             iterations=args.iters, trials=args.trials,
                             shots=_parse_shots(args.shots, sizes[0])
                             if args.axis != "shots" else None)
-    axis_values = _number_list(args.values, int, "--values") if args.values else None
-    rows = harness.scaling_study(graphs_list, args.target, args.axis, settings,
-                                 axis_values=axis_values, seed=args.seed,
+    rows = harness.scaling_study(graphs_list, args.targets, args.axis, settings,
+                                 axis_values=args.values, seed=args.seed,
                                  jobs=args.jobs)
-    payload = {"graphs": graph_paths, "targets": args.target, "axis": args.axis,
-               "layers": args.layers, "step_size": args.step_size,
-               "iters": args.iters, "trials": args.trials, "seed": args.seed,
-               "shots": settings.shots, "values": axis_values}
-    harness.write_csv(
-        args.out, ["num_nodes", "axis", "minimal_value", "reached"],
-        [(r.num_nodes, r.axis, "" if r.minimal_value is None else r.minimal_value,
-          r.reached) for r in rows],
-        comments=_config_comments(payload))
+    _write_csv(args, ["num_nodes", "axis", "minimal_value", "reached"],
+               [(r.num_nodes, r.axis, "" if r.minimal_value is None else r.minimal_value,
+                 r.reached) for r in rows],
+               shots=settings.shots)
     for r in rows:
         status = f"{r.minimal_value:g}" if r.reached else "target unreachable"
         print(f"N={r.num_nodes} {r.axis}: {status}")
@@ -230,13 +232,7 @@ def _cmd_study(args) -> int:
         args.instances, args.nodes, args.degree, settings,
         gw_trials=args.gw_trials, seed=args.seed,
         gw_hyperplanes=args.gw_hyperplanes, jobs=args.jobs)
-    payload = {"instances": args.instances, "nodes": args.nodes,
-               "degree": args.degree, "layers": args.layers,
-               "step_size": args.step_size, "iters": args.iters,
-               "qemc_trials": args.qemc_trials, "gw_trials": args.gw_trials,
-               "gw_hyperplanes": args.gw_hyperplanes, "seed": args.seed}
-    harness.write_csv(args.out, ["iteration", "stat_name", "value"],
-                      result.to_csv_rows(), comments=_config_comments(payload))
+    _write_csv(args, ["iteration", "stat_name", "value"], result.to_csv_rows())
     print(f"max QEMC {result.max_qemc_curve[-1]:g} vs max GW {result.max_gw:g}")
     print(f"avg QEMC {result.avg_qemc_curve[-1]:g} vs avg GW {result.avg_gw:g}")
     if args.svg:
@@ -255,26 +251,37 @@ def _cmd_study(args) -> int:
 # -- parser ---------------------------------------------------------------------
 
 
+def _shared(*flags, **kwargs) -> argparse.ArgumentParser:
+    """A parent parser holding one option that several subcommands declare."""
+    parent = argparse.ArgumentParser(add_help=False)
+    parent.add_argument(*flags, **kwargs)
+    return parent
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="qemc", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"qemc {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    seed_kwargs = dict(type=int, default=None,
-                       help="master seed (default: QEMC_SEED env var or 0)")
+    graph = _shared("--graph", required=True)
+    seed = _shared("--seed", type=int, default=None,
+                   help="master seed (default: QEMC_SEED env var or 0)")
+    jobs = _shared("--jobs", type=int, default=None)
+    out = _shared("--out", required=True)
 
-    p = sub.add_parser("generate", help="write a random regular graph edge list")
+    def add(name, summary, func, *parents):
+        p = sub.add_parser(name, help=summary, parents=parents)
+        p.set_defaults(func=func)
+        return p
+
+    p = add("generate", "write a random regular graph edge list", _cmd_generate,
+            seed, out)
     p.add_argument("--nodes", type=int, required=True)
     p.add_argument("--degree", type=int, required=True)
-    p.add_argument("--seed", **seed_kwargs)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_generate)
 
-    p = sub.add_parser("solve", help="run the variational MaxCut solver")
-    p.add_argument("--graph", required=True)
+    p = add("solve", "run the variational MaxCut solver", _cmd_solve, graph, seed, out)
     p.add_argument("--layers", type=int, required=True)
     p.add_argument("--step-size", type=float, required=True)
     p.add_argument("--iters", type=int, required=True)
-    p.add_argument("--seed", **seed_kwargs)
     p.add_argument("--shots", default="exact",
                    help="'exact', '3n2' (= 3*N^2) or an integer")
     group = p.add_mutually_exclusive_group()
@@ -291,59 +298,42 @@ def _build_parser() -> _Parser:
     p.add_argument("--verbose", action="store_true",
                    help="print one log line per iteration")
     p.add_argument("--svg", default=None, help="also write a best-so-far chart")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_solve)
 
-    p = sub.add_parser("exhaustive", help="optimal cut by enumeration")
-    p.add_argument("--graph", required=True)
+    p = add("exhaustive", "optimal cut by enumeration", _cmd_exhaustive, graph)
     p.add_argument("--cap", type=int, default=EXHAUSTIVE_NODE_CAP, help="node-count cap")
-    p.set_defaults(func=_cmd_exhaustive)
 
-    p = sub.add_parser("gw", help="Goemans-Williamson baseline trials")
-    p.add_argument("--graph", required=True)
+    p = add("gw", "Goemans-Williamson baseline trials", _cmd_gw, graph, seed, out)
     p.add_argument("--trials", type=int, default=10)
-    p.add_argument("--hyperplanes", type=int, default=100,
-                   help="roundings per trial (best cut kept)")
-    p.add_argument("--seed", **seed_kwargs)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_gw)
+    p.add_argument("--hyperplanes", dest="num_hyperplanes", metavar="HYPERPLANES",
+                   type=int, default=100, help="roundings per trial (best cut kept)")
 
-    p = sub.add_parser("grid", help="layer / step-size grid search")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--layers", required=True,
+    p = add("grid", "layer / step-size grid search", _cmd_grid, graph, seed, jobs, out)
+    p.add_argument("--layers", type=_number_list(int, "--layers"), required=True,
                    help="comma-separated layer counts")
-    p.add_argument("--steps", required=True,
+    p.add_argument("--steps", type=_number_list(float, "--steps"), required=True,
                    help="comma-separated step sizes")
     p.add_argument("--trials", type=int, default=10)
     p.add_argument("--iters", type=int, default=300)
     p.add_argument("--shots", default="exact")
     p.add_argument("--blue", type=int, default=None)
     p.add_argument("--target", type=float, default=None)
-    p.add_argument("--seed", **seed_kwargs)
-    p.add_argument("--jobs", type=int, default=None)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_grid)
 
-    p = sub.add_parser("scaling", help="minimal resource to reach per-graph targets")
-    p.add_argument("--graph", action="append", required=True,
-                   help="edge-list file (repeatable)")
-    p.add_argument("--target", action="append", type=float, required=True,
-                   help="target cut, one per graph")
-    p.add_argument("--axis", choices=["layers", "shots", "iterations"],
-                   required=True)
-    p.add_argument("--values", default=None,
+    p = add("scaling", "minimal resource to reach per-graph targets", _cmd_scaling,
+            seed, jobs, out)
+    p.add_argument("--graph", dest="graphs", metavar="GRAPH", action="append",
+                   required=True, help="edge-list file (repeatable)")
+    p.add_argument("--target", dest="targets", metavar="TARGET", action="append",
+                   type=float, required=True, help="target cut, one per graph")
+    p.add_argument("--axis", choices=["layers", "shots", "iterations"], required=True)
+    p.add_argument("--values", type=_number_list(int, "--values"), default=None,
                    help="comma-separated axis values (defaults per axis)")
     p.add_argument("--layers", type=int, default=5)
     p.add_argument("--step-size", type=float, default=0.7)
     p.add_argument("--iters", type=int, default=300)
     p.add_argument("--trials", type=int, default=10)
     p.add_argument("--shots", default="exact")
-    p.add_argument("--seed", **seed_kwargs)
-    p.add_argument("--jobs", type=int, default=None)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_scaling)
 
-    p = sub.add_parser("study", help="multi-instance QEMC vs GW study")
+    p = add("study", "multi-instance QEMC vs GW study", _cmd_study, seed, jobs, out)
     p.add_argument("--instances", type=int, required=True)
     p.add_argument("--nodes", type=int, required=True)
     p.add_argument("--degree", type=int, required=True)
@@ -353,11 +343,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--qemc-trials", type=int, default=10)
     p.add_argument("--gw-trials", type=int, default=10)
     p.add_argument("--gw-hyperplanes", type=int, default=1)
-    p.add_argument("--seed", **seed_kwargs)
-    p.add_argument("--jobs", type=int, default=None)
     p.add_argument("--svg", default=None)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_study)
     return parser
 
 
@@ -366,15 +352,20 @@ def main(argv=None) -> int:
         args = _build_parser().parse_args(argv)
         if getattr(args, "seed", 0) is None:    # a seeded subcommand without --seed
             args.seed = _default_seed()
-        for path in (getattr(args, "out", None), getattr(args, "svg", None)):
-            if path is not None:
-                _check_output(path)
+        outputs = [p for p in map(vars(args).get, ("out", "svg")) if p is not None]
+        for path in outputs:
+            _check_output(path)
+        if len({os.path.realpath(path) for path in outputs}) < len(outputs):
+            raise ConfigError(f"--svg and --out name the same file {args.out!r}")
         return args.func(args)
     except ConfigError as exc:
         print(f"qemc: error: {exc}", file=sys.stderr)
         return _USAGE_EXIT
     except (QemcError, OSError) as exc:
         print(f"qemc: error: {exc}", file=sys.stderr)
+        return _RUNTIME_EXIT
+    except MemoryError as exc:    # numpy's message names the allocation that failed
+        print(f"qemc: error: out of memory: {exc}".rstrip(": "), file=sys.stderr)
         return _RUNTIME_EXIT
 
 

@@ -1,8 +1,9 @@
 import json
+import os
 
 import pytest
 
-from qemc import core
+from qemc import baselines, core
 from qemc.cli import _build_parser, main
 from qemc.graphs import (
     EXHAUSTIVE_NODE_CAP,
@@ -616,6 +617,17 @@ class TestOutputPath:
         assert "qemc: error: output directory" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["solve", "study"])
+    def test_svg_naming_the_out_file_exits_1_before_training(self, k4_file, tmp_path,
+                                                             capsys, no_training,
+                                                             command):
+        out = tmp_path / "r.out"
+        same = os.path.join(str(tmp_path), ".", "r.out")
+        assert main(_command(command, k4_file, str(out)) + ["--svg", same]) == 1
+        err = capsys.readouterr().err
+        assert "qemc: error: --svg and --out name the same file" in err
+        assert not out.exists()
+
     def test_existing_output_untouched_on_failure(self, tmp_path):
         out = tmp_path / "g.txt"
         out.write_text("keep")
@@ -634,3 +646,89 @@ class TestUsage:
         with pytest.raises(SystemExit) as info:
             main(["generate", "--nodes", "4"])
         assert info.value.code == 1
+
+
+class TestOutOfMemory:
+    def test_exits_2_without_output(self, k4_file, tmp_path, capsys, monkeypatch):
+        def exhausted(*args, **kwargs):
+            raise MemoryError("Unable to allocate 298. GiB for an array")
+
+        monkeypatch.setattr(baselines, "gw", exhausted)
+        out = tmp_path / "gw.csv"
+        assert main(["gw", "--graph", k4_file, "--out", str(out)]) == 2
+        assert "qemc: error: out of memory: Unable to allocate" in capsys.readouterr().err
+        assert not out.exists()
+
+
+# Config keys whose option string is not the key with "_" spelled "-".
+_CONFIG_FLAGS = {"graphs": "--graph", "targets": "--target",
+                 "num_hyperplanes": "--hyperplanes"}
+_REPEATED = {"graphs", "targets"}
+_GRID_KEYS = {"graph", "layers", "steps", "trials", "iters", "seed", "blue", "shots",
+              "target"}
+_SCALING_KEYS = {"graphs", "targets", "axis", "values", "layers", "step_size", "iters",
+                 "trials", "seed", "shots"}
+
+
+def _replay_argv(command, config):
+    """The argument list a ``# config:`` line stands for."""
+    argv = [command]
+    for key, value in config.items():
+        flag = _CONFIG_FLAGS.get(key, "--" + key.replace("_", "-"))
+        if value is None:
+            continue
+        if key in _REPEATED:
+            argv += [a for v in value for a in (flag, str(v))]
+        elif isinstance(value, list):
+            argv += [flag, ",".join(map(str, value))]
+        else:
+            argv += [flag, str(value)]
+    return argv
+
+
+class TestConfigLineReproduces:
+    """Re-running a CSV's ``# config:`` line writes the same bytes."""
+
+    @pytest.fixture
+    def g8_file(self, tmp_path):
+        path = tmp_path / "g8.txt"
+        write_edge_list_file(generate_regular(8, 3, seed=1), path)
+        return str(path)
+
+    @pytest.mark.parametrize("argv, keys", [
+        (["gw", "--graph", "G8", "--trials", "3", "--hyperplanes", "2", "--seed", "4"],
+         {"graph", "trials", "num_hyperplanes", "seed"}),
+        (["grid", "--graph", "G8", "--layers", "1,2", "--steps", "0.5,0.9",
+          "--trials", "2", "--iters", "3", "--shots", "3n2", "--target", "9",
+          "--seed", "2"],
+         _GRID_KEYS),
+        (["grid", "--graph", "G8", "--layers", "2", "--steps", "0.7", "--trials", "1",
+          "--iters", "3", "--blue", "3"],
+         _GRID_KEYS),
+        (["scaling", "--graph", "K4", "--graph", "G8", "--target", "4", "--target", "9",
+          "--axis", "layers", "--values", "1,2", "--step-size", "0.9", "--iters", "3",
+          "--trials", "2"],
+         _SCALING_KEYS),
+        (["scaling", "--graph", "G8", "--target", "9", "--axis", "shots",
+          "--values", "8,64", "--layers", "1", "--iters", "3", "--trials", "1"],
+         _SCALING_KEYS),
+        (["scaling", "--graph", "G8", "--target", "9", "--axis", "iterations",
+          "--layers", "1", "--iters", "3", "--trials", "2", "--shots", "3n2"],
+         _SCALING_KEYS),
+        (["study", "--instances", "1", "--nodes", "8", "--degree", "3", "--layers", "1",
+          "--step-size", "0.9", "--iters", "3", "--qemc-trials", "2", "--gw-trials", "1",
+          "--gw-hyperplanes", "2", "--seed", "5"],
+         {"instances", "nodes", "degree", "layers", "step_size", "iters", "qemc_trials",
+          "gw_trials", "gw_hyperplanes", "seed"}),
+    ], ids=["gw", "grid-3n2", "grid-blue", "scaling-layers", "scaling-shots",
+            "scaling-iterations", "study"])
+    def test_rerun_is_byte_identical(self, k4_file, g8_file, tmp_path, argv, keys):
+        argv = [{"K4": k4_file, "G8": g8_file}.get(a, a) for a in argv]
+        command = argv[0]
+        jobs = [] if command == "gw" else ["--jobs", "1"]
+        first, second = tmp_path / "first.csv", tmp_path / "second.csv"
+        assert main(argv + jobs + ["--out", str(first)]) == 0
+        config = _config(first)
+        assert set(config) == keys
+        assert main(_replay_argv(command, config) + jobs + ["--out", str(second)]) == 0
+        assert second.read_bytes() == first.read_bytes()

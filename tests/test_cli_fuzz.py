@@ -45,7 +45,7 @@ _STEPS = (st.lists(_FLOAT[0], min_size=1, max_size=2, unique=True).map(",".join)
           st.lists(st.one_of(*_FLOAT), max_size=2).map(",".join))
 _LAYER_LIST = _choice(["1", "1,2", "2,1"], ["1,1", "", ",", "1,x", "0", "-1", "1.5"])
 _OUT = _choice(["r.out"], ["missing/r.out", ""])
-_SVG = _choice(["c.svg"], ["r.out", "missing/c.svg"])
+_SVG = _choice(["c.svg", "r.out"], ["missing/c.svg"])  # r.out: the --out file
 _FLAG = (st.just(True), None)
 
 # Edge-list file contents; None leaves the file missing.
