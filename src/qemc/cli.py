@@ -25,7 +25,7 @@ import numpy as np
 
 from . import __version__, baselines, core, harness, svg
 from .core import EncodingConfig
-from .errors import ConfigError, QemcError, RuntimeFailure, UnwritableOutput
+from .errors import ConfigError, QemcError, RuntimeFailure, UnwritableOutput, check_count
 from .graphs import (
     EXHAUSTIVE_NODE_CAP,
     exhaustive_maxcut,
@@ -126,6 +126,8 @@ def _cmd_generate(args) -> int:
 def _cmd_solve(args) -> int:
     if args.target is not None and not np.isfinite(args.target):
         raise ConfigError(f"target must be finite, got {args.target}")
+    if args.jobs is not None:     # checked even where only --scan-blue would use it
+        check_count("jobs", args.jobs)
     graph = read_edge_list_file(args.graph)
     settings = QemcSettings(layers=args.layers, step_size=args.step_size,
                             iterations=args.iters,
@@ -133,7 +135,7 @@ def _cmd_solve(args) -> int:
                             gradient_mode=_GRADIENT_MODES[args.grad],
                             blue_count=args.blue, trials=args.scan_trials)
     if args.scan_blue:
-        record = harness.scan_blue_sizes(graph, settings, seed=args.seed)
+        record = harness.scan_blue_sizes(graph, settings, seed=args.seed, jobs=args.jobs)
         print(f"scan selected blue_count={record.encoding.blue_count}")
     else:
         record = core.train(*harness._trial(graph, settings, args.seed))
@@ -278,7 +280,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--nodes", type=int, required=True)
     p.add_argument("--degree", type=int, required=True)
 
-    p = add("solve", "run the variational MaxCut solver", _cmd_solve, graph, seed, out)
+    p = add("solve", "run the variational MaxCut solver", _cmd_solve, graph, seed,
+            jobs, out)
     p.add_argument("--layers", type=int, required=True)
     p.add_argument("--step-size", type=float, required=True)
     p.add_argument("--iters", type=int, required=True)

@@ -221,9 +221,15 @@ def _cost_terms(probs, graph: Graph, inv_b: float) -> tuple:
     return value, np.bincount(ends, weights=terms, minlength=probs.size)
 
 
+def _check_encoding(graph: Graph, encoding: EncodingConfig) -> None:
+    if encoding.num_nodes != graph.num_nodes:
+        raise ShapeMismatch("encoding and graph disagree on num_nodes")
+
+
 def cost(probs, graph: Graph, encoding: EncodingConfig) -> float:
     """Edge-wise mean-squared-error cost; zero exactly when every edge pairs a
     probability-0 endpoint with a probability-1/B endpoint."""
+    _check_encoding(graph, encoding)
     return _cost_terms(probs, graph, 1.0 / encoding.blue_count)[0]
 
 
@@ -235,6 +241,7 @@ def cost_gradient_wrt_probs(probs, graph: Graph,
     symmetric configurations get a vanishing difference term instead of an
     arbitrary sign.
     """
+    _check_encoding(graph, encoding)
     return _cost_terms(probs, graph, 1.0 / encoding.blue_count)[1]
 
 
@@ -275,8 +282,7 @@ def train(graph: Graph, ansatz: AnsatzConfig, encoding: EncodingConfig,
         raise ShapeMismatch(
             f"ansatz has {ansatz.num_qubits} qubits, graph needs "
             f"{simulator.num_qubits_for(graph.num_nodes)}")
-    if encoding.num_nodes != graph.num_nodes:
-        raise ShapeMismatch("encoding and graph disagree on num_nodes")
+    _check_encoding(graph, encoding)
 
     params = simulator.random_parameters(ansatz, optimizer.seed)
     num_params = ansatz.num_parameters

@@ -90,10 +90,15 @@ class Graph:
 
     @classmethod
     def from_edges(cls, num_nodes, edges) -> "Graph":
-        """Build a graph from (u, v) or (u, v, w) tuples; orientation is canonicalized."""
+        """Build a graph from (u, v) or (u, v, w) tuples; orientation is canonicalized.
+
+        Endpoints must equal integers (``2`` or ``2.0``); any other raises
+        :class:`ConfigError`."""
         us, vs, ws = [], [], []
         for e in edges:
             u, v = int(e[0]), int(e[1])
+            if u != e[0] or v != e[1]:
+                raise ConfigError(f"edge endpoints must be integers, got {e[0]!r}, {e[1]!r}")
             w = float(e[2]) if len(e) > 2 else 1.0
             if u == v:
                 raise SelfLoop(f"self-loop at node {u}")

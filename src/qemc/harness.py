@@ -253,7 +253,8 @@ def grid_search(graph: Graph, grid: GridSpec, encoding: EncodingConfig, seed=0,
 # -- blue-set scan ----------------------------------------------------------------
 
 
-def scan_blue_sizes(graph: Graph, settings: QemcSettings, seed=0) -> RunRecord:
+def scan_blue_sizes(graph: Graph, settings: QemcSettings, seed=0, *,
+                    jobs=None) -> RunRecord:
     """Train ``settings.trials`` trials at every blue-set size B = 1 .. N//2 and
     return the record with the largest best-so-far cut.
 
@@ -265,7 +266,7 @@ def scan_blue_sizes(graph: Graph, settings: QemcSettings, seed=0) -> RunRecord:
     items = _plan(((("scan_blue", blue), graph,
                     dataclasses.replace(settings, blue_count=blue))
                    for blue in range(1, max(1, graph.num_nodes // 2) + 1)), seed)
-    records = _map_jobs(_run_train, items, None)
+    records = _map_jobs(_run_train, items, jobs)
     return max(records, key=lambda r: r.final_best_cut)
 
 

@@ -21,11 +21,10 @@ uniform start state 2^(-n/2); all rotation matrices are built at once from
 the parameter array, and each layer's rotations of up to four consecutive
 qubits are fused into one Kronecker block (a 16x16 matrix), so a layer costs
 one matmul per block: 1 for n <= 4, 2 for n = 8, 3 for n = 11.  What the
-sweeps need from the ``AnsatzConfig`` alone is built once per config and read
-with one lookup: each layer's CNOT ring composed into one index permutation
-and its inverse, the block widths with their marginal index tables, and the
-bytes a row fills per layer, from which the adjoint sweep sizes its chunks.
-A training step therefore rebuilds only what depends on the parameters.
+sweeps need from the ``AnsatzConfig`` alone (each layer's CNOT ring as one
+index permutation, the block widths, the index tables, the bytes per row) is
+built once per config, so a training step rebuilds only what depends on the
+parameters.
 
 One reverse sweep, the adjoint method of Jones & Gacon (arXiv:2009.02823),
 serves both the vector-Jacobian product and the analytic Jacobian, which runs
@@ -44,16 +43,16 @@ Distributions are plain float64 arrays of length 2^n: ``probabilities``
 returns |amplitude|^2, and ``sample_histogram`` turns any such array into
 the frequencies of a multinomial draw.
 
-The parameter-shift Jacobian simulates its 2P shifted circuits in one batched
-sweep over a (2P + 1, 2^n) array whose row 0 is the unshifted circuit, with
-the shifted rotations built once per call.  A circuit shifted in layer l
-equals the unshifted one up to layer l, so its row starts there as row 0 times
-that layer's blocks with its one rotation shifted; the rows already started
-share one matmul per block.  This does about half the row-layer work of
-simulating every shifted circuit in full.  With a shot budget, one generator
-seeded from the call's seed draws every shifted row's histogram in one
-multinomial call, row by row in the order (0, +), (0, -), (1, +), ...; each
-row is an independent draw of ``shots`` samples from its own circuit.
+The parameter-shift Jacobian simulates no shifted circuit.  Every angle
+parameterizes a Pauli rotation, so a +-pi/2 shift turns its rotation R into
+(I +- 2G) R / sqrt(2), G = d(Rot)/d(angle) Rot^dagger being the generator the
+adjoint sweep uses too: the shifted states are (psi +- 2 chi_i) / sqrt(2),
+chi_i = d psi / d theta_i.  One forward sweep over 1 + P rows carries psi and
+every chi_i, which starts at its layer as G applied to psi's row.  Exact, the
+Jacobian is 2 Re(conj(psi) chi_i).  With a shot budget, one generator seeded
+from the call's seed draws every shifted histogram, |psi +- 2 chi_i|^2 / 2, in
+one multinomial call, in the order (0, +), (0, -), (1, +), ...; each row is
+an independent draw of ``shots`` samples from its own circuit.
 
 All functions are pure and safe to call concurrently; the only shared state
 is those two read-only memos, and ``run_circuit`` returns a copy.
@@ -171,13 +170,14 @@ class _Layout(NamedTuple):
     widths: tuple       # qubits per Kronecker block, in qubit order
     marginals: tuple    # per block, its ``_marginal_index`` table
     row_bytes: int      # bytes one state row fills at the blocks of one layer
+    fronts: np.ndarray  # (n, 2^n): per qubit, the state's order with its bit first
+    backs: np.ndarray   # (3n, 2^n): flat indices that undo ``fronts`` per slot
 
 
 @lru_cache(maxsize=128)
 def _layout(config: AnsatzConfig) -> _Layout:
-    """The config's ``_Layout``, built on first use.  The sweep's chunk size in
-    layers also depends on its row count and on ``_SWEEP_BYTES``, so it is
-    ``_SWEEP_BYTES // (rows * row_bytes)``, taken per call."""
+    """The config's ``_Layout``, built on first use; the adjoint sweep's chunk
+    of layers also depends on its row count, so it is taken per call."""
     n = config.num_qubits
     widths = tuple(min(_BLOCK_QUBITS, n - first) for first in range(0, n, _BLOCK_QUBITS))
     strides = config.entangler_strides
@@ -189,13 +189,18 @@ def _layout(config: AnsatzConfig) -> _Layout:
                 perm = perm[_cnot_permutation(n, q, (q + strides[layer]) % n)]
         perms.append(perm)
         inverses.append(np.argsort(perm))
-    for array in perms + inverses:
+    axes = np.arange(config.dim).reshape((2,) * n)
+    fronts = np.stack([np.moveaxis(axes, q, 0).reshape(-1) for q in range(n)])
+    backs = (np.arange(3 * n)[:, np.newaxis] * config.dim
+             + np.repeat(np.argsort(fronts, axis=1), 3, axis=0))
+    for array in perms + inverses + [fronts, backs]:
         array.setflags(write=False)
     return _Layout(perms=tuple(perms),
                    inverses=tuple(inverses),
                    widths=widths,
                    marginals=tuple(_marginal_index(width) for width in widths),
-                   row_bytes=len(widths) * config.dim * np.dtype(np.complex128).itemsize)
+                   row_bytes=len(widths) * config.dim * np.dtype(np.complex128).itemsize,
+                   fronts=fronts, backs=backs)
 
 
 def _rotations(angles: np.ndarray) -> np.ndarray:
@@ -269,17 +274,16 @@ def _marginal_index(width: int) -> np.ndarray:
 
 
 def _rotate_leading(mat: np.ndarray, rows: np.ndarray, out=None) -> np.ndarray:
-    """Apply ``mat`` to the leading log2(mat.shape[-1]) index bits of every row
-    and move those bits last, into the contiguous ``out`` if it is given.
+    """Apply ``mat`` to the leading log2(len(mat)) index bits of every row and
+    move those bits last, into the contiguous ``out`` if it is given.
 
-    ``mat`` is one matrix for all rows, or a stack with one per row (one row
-    broadcasts to the stack).  Calling this once per block, in qubit order,
-    acts on every qubit and leaves the index layout as it was.
+    Calling this once per block, in qubit order, acts on every qubit and
+    leaves the index layout as it was.
     """
-    split = rows.reshape(rows.shape[0], mat.shape[-1], -1).swapaxes(1, 2)
+    split = rows.reshape(len(rows), len(mat), -1).swapaxes(1, 2)
     if out is None:
-        return (split @ mat.swapaxes(-1, -2)).reshape(-1, rows.shape[1])
-    np.matmul(split, mat.swapaxes(-1, -2), out=out.reshape(len(out), -1, mat.shape[-1]))
+        return (split @ mat.T).reshape(rows.shape)
+    np.matmul(split, mat.T, out=out.reshape(len(out), -1, len(mat)))
     return out
 
 
@@ -382,7 +386,7 @@ def _vjp(config: AnsatzConfig, params: np.ndarray, weights: np.ndarray) -> np.nd
     """
     key = params.tobytes()
     rots, blocks = _circuit(config, key)
-    _, inverses, widths, marginal_index, row_bytes = _layout(config)
+    _, inverses, widths, marginal_index, row_bytes, _, _ = _layout(config)
     psi = _state(config, key)
     k = weights.shape[0]
     rows = np.empty((k + 1, config.dim), dtype=np.complex128)
@@ -432,51 +436,34 @@ def probability_vjp(config: AnsatzConfig, params, weights) -> np.ndarray:
     return _vjp(config, params, w[np.newaxis])[0]
 
 
-def _shifted_states(config: AnsatzConfig, params: np.ndarray) -> np.ndarray:
-    """Final states of the circuit and of all its parameter-shifted copies.
+def _tangents(config: AnsatzConfig, params: np.ndarray) -> np.ndarray:
+    """Row 0 is the final state psi, row 1 + i its tangent d psi / d params[i].
 
-    Row 0 is the circuit at ``params``; rows 2i + 1 and 2i + 2 are the circuits
-    with params[i] shifted to params[i] + pi/2 and to (params[i] + pi/2) - pi.
-    A circuit shifted in layer l equals row 0 before layer l, so its row starts
-    there by applying its own blocks to row 0, while the rows started earlier
-    share one matmul per block.  Every layer's shifted rotations are built up
-    front; only one layer's per-row blocks exist at a time.
+    A tangent row starts at its layer as G = d(Rot)/d(angle) Rot^dagger applied
+    on its qubit to row 0, then shares each later block's matmul and CNOT ring
+    with the rows before it.  One matmul applies a layer's 3n generators, to n
+    copies of row 0 each with its qubit's bit moved first.
     """
-    n = config.num_qubits
-    angles = params.reshape(config.num_layers, n, 3)
+    n, per_layer = config.num_qubits, 3 * config.num_qubits
     rots, blocks = _circuit(config, params.tobytes())
-    per_layer = 6 * n
-    # Row r of a layer shifts angle (r // 6, slot[r]): + for even r, - for odd.
-    row = np.arange(per_layer)
-    slot = np.tile(np.repeat(np.arange(3), 2), n)
-    triples = np.repeat(angles, 6, axis=1)
-    plus = angles + np.pi / 2.0
-    triples[:, row, slot] = np.stack([plus, plus - np.pi], -1).reshape(-1, per_layer)
-    shifted_rots = np.repeat(rots[:, np.newaxis], per_layer, axis=1)
-    shifted_rots[:, row, row // 6] = _rotations(triples)
-    rows = np.empty((1 + per_layer * config.num_layers, config.dim),
-                    dtype=np.complex128)
+    gens = _generators(rots, params)
+    layout = _layout(config)
+    rows = np.empty((1 + config.num_parameters, config.dim), dtype=np.complex128)
+    work = np.empty_like(rows)
     rows[0] = 2.0 ** (-n / 2.0)
-    for layer, perm in enumerate(_layout(config).perms):
+    for layer, perm in enumerate(layout.perms):
         done = 1 + per_layer * layer
-        started = rows[:1]
-        for block in _blocks(shifted_rots[layer]):
-            started = _rotate_leading(block, started)
         active = rows[:done]
-        for block in blocks:
-            active = _rotate_leading(block[layer], active)
-        # perm is a permutation, so "clip" clips nothing; it skips buffering out.
-        active.take(perm, axis=1, out=rows[:done], mode="clip")
-        started.take(perm, axis=1, out=rows[done:done + per_layer], mode="clip")
+        for b, block in enumerate(blocks):
+            out = work[:done] if b + 1 == len(blocks) else None
+            active = _rotate_leading(block[layer], active, out=out)
+        fronts = work[0].take(layout.fronts).reshape(n, 1, 2, -1)
+        # Index tables are permutations: "clip" clips nothing, and skips buffering out.
+        (gens[layer] @ fronts).take(layout.backs, out=work[done:done + per_layer],
+                                    mode="clip")
+        work[:done + per_layer].take(perm, axis=1, out=rows[:done + per_layer],
+                                     mode="clip")
     return rows
-
-
-def _jacobian_parameter_shift(config, params, shots, seed):
-    probs = np.abs(_shifted_states(config, params)[1:]) ** 2
-    if shots is not None:
-        probs = _draw(probs, shots, child_sequence(seed, "shift"))
-    # Row-major (2^n, P), so that products such as jac.T @ w round as before.
-    return np.ascontiguousarray(((probs[0::2] - probs[1::2]) / 2.0).T)
 
 
 def probability_jacobian(config: AnsatzConfig, params, mode: str = ANALYTIC,
@@ -485,18 +472,31 @@ def probability_jacobian(config: AnsatzConfig, params, mode: str = ANALYTIC,
 
     ``analytic`` differentiates through the statevector.  ``parameter_shift``
     uses two evaluations per parameter at theta[i] +- pi/2, exact by the shift
-    rule because every angle parameterizes a Pauli rotation; with a ``shots``
-    budget the two evaluations are sampled instead of exact.
+    rule because every angle parameterizes a Pauli rotation.  The shift turns
+    its rotation R into (I +- 2G) R / sqrt(2), G its generator, so one forward
+    sweep over 1 + P rows, the state and its tangents, gives all 2P shifted
+    states.  With a ``shots`` budget the two evaluations are sampled.
     """
     params = _check_params(config, params)
     if mode == ANALYTIC:
         if shots is not None:
             raise ConfigError("analytic mode does not take a shot budget")
         return _vjp(config, params, np.eye(config.dim))
-    if mode == PARAMETER_SHIFT:
-        if shots is not None:
-            check_count("shots", shots)
-            if seed is None:
-                raise ConfigError("sampled parameter shift needs a seed")
-        return _jacobian_parameter_shift(config, params, shots, seed)
-    raise ConfigError(f"unknown jacobian mode {mode!r}")
+    if mode != PARAMETER_SHIFT:
+        raise ConfigError(f"unknown jacobian mode {mode!r}")
+    if shots is not None:
+        check_count("shots", shots)
+        if seed is None:
+            raise ConfigError("sampled parameter shift needs a seed")
+    rows = _tangents(config, params)
+    psi, chi = rows[0], rows[1:]
+    if shots is None:
+        # (|psi + 2 chi|^2 - |psi - 2 chi|^2) / 4
+        jac = 2.0 * (chi * psi.conj()).real
+    else:
+        chi *= 2.0
+        shifted = np.stack([psi + chi, psi - chi], axis=1).reshape(-1, config.dim)
+        probs = _draw(np.abs(shifted) ** 2 / 2.0, shots, child_sequence(seed, "shift"))
+        jac = (probs[0::2] - probs[1::2]) / 2.0
+    # Row-major (2^n, P), so that products such as jac.T @ w round as before.
+    return np.ascontiguousarray(jac.T)

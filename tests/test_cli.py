@@ -182,6 +182,27 @@ class TestSolve:
         assert "qemc: error: trials must be >= 1" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_jobs_zero_exits_1_without_scan(self, k4_file, tmp_path, capsys,
+                                            no_training):
+        out = tmp_path / "x.json"
+        code = main(["solve", "--graph", k4_file, "--layers", "1", "--step-size",
+                     "0.5", "--iters", "2", "--jobs", "0", "--out", str(out)])
+        assert code == 1
+        assert "qemc: error: jobs must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("scan", [[], ["--scan-blue", "--scan-trials", "2"]],
+                             ids=["train", "scan-blue"])
+    def test_jobs_do_not_change_the_output(self, k4_file, tmp_path, scan):
+        args = ["solve", "--graph", k4_file, "--layers", "1", "--step-size", "0.5",
+                "--iters", "3", "--seed", "4", *scan]
+        outputs = []
+        for jobs in ([], ["--jobs", "1"], ["--jobs", "2"]):
+            out = tmp_path / f"run{len(outputs)}.json"
+            assert main(args + jobs + ["--out", str(out)]) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1] == outputs[2]
+
     def test_rerun_is_bit_identical(self, k4_file, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         args = ["solve", "--graph", k4_file, "--layers", "1", "--step-size",

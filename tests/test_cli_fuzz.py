@@ -20,7 +20,6 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qemc import harness
 from qemc.cli import main
 
 _SETTINGS = settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -70,7 +69,7 @@ _COMMANDS = {
                   "--out": _OUT},
                  {"--seed": _SEED}),
     "solve": ({"--graph": _GRAPH, "--layers": _count(1, 2), "--step-size": _FLOAT,
-               "--iters": _count(1, 2, 3), "--out": _OUT},
+               "--iters": _count(1, 2, 3), "--jobs": _JOBS, "--out": _OUT},
               {"--seed": _SEED, "--shots": _SHOTS, "--blue": _count(1, 2, 3),
                "--scan-blue": _FLAG, "--scan-trials": _count(1, 2),
                "--grad": _choice(["analytic", "shift"], ["fast"]), "--target": _TARGET,
@@ -128,16 +127,6 @@ def _invocation(draw, command):
     broken = draw(st.permutations(sorted(chosen)))[:draw(st.integers(0, 2))]
     return {flag: draw(bad if flag in broken and bad is not None else good)
             for flag, (good, bad) in chosen.items()}
-
-
-@pytest.fixture(autouse=True, scope="module")
-def one_process():
-    """``solve --scan-blue`` sizes its pool from the CPUs; keep it in process."""
-    real = harness._resolve_jobs
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(harness, "_resolve_jobs",
-                      lambda jobs: real(1 if jobs is None else jobs))
-        yield
 
 
 def _reject_constant(name):

@@ -136,6 +136,12 @@ class TestCost:
         enc = EncodingConfig(2, 4)
         assert cost(hist([0.0, 0.0, 0.5, 0.5]), g, enc) == pytest.approx(1.5)
 
+    @pytest.mark.parametrize("fn", [cost, cost_gradient_wrt_probs],
+                             ids=["cost", "gradient"])
+    def test_encoding_must_match_graph(self, k4, fn):
+        with pytest.raises(ShapeMismatch, match="disagree on num_nodes"):
+            fn(hist([0.25] * 4), k4, EncodingConfig(1, 3))
+
     def test_zero_cost_implies_full_cut(self, k33):
         ideal = hist([1 / 3, 1 / 3, 1 / 3, 0, 0, 0, 0, 0])
         enc = EncodingConfig(3, 6)
@@ -286,14 +292,12 @@ class TestTrain:
               OptimizerConfig(step_size=0.5, max_iterations=10, shots=64, seed=0))
         assert len(runs) == 10
 
-    @pytest.mark.parametrize("mode,shots,per_step", [
-        ("analytic", None, 1), ("analytic", 32, 1),
-        (PARAMETER_SHIFT, None, 2), (PARAMETER_SHIFT, 32, 2)],
+    @pytest.mark.parametrize("mode,shots", [
+        ("analytic", None), ("analytic", 32), (PARAMETER_SHIFT, None), (PARAMETER_SHIFT, 32)],
         ids=["analytic", "analytic-shots", "shift", "shift-shots"])
-    def test_rotations_built_once_per_step(self, k4, monkeypatch, mode, shots,
-                                           per_step):
-        # Once for the circuit, which the gradient reuses; parameter shift
-        # also rotates its shifted angle triples once.
+    def test_rotations_built_once_per_step(self, k4, monkeypatch, mode, shots):
+        # Once for the circuit, which the gradient reuses: parameter shift
+        # starts its tangent rows from the same rotations' generators.
         calls = []
         real_rotations = simulator._rotations
         monkeypatch.setattr(simulator, "_rotations",
@@ -304,7 +308,7 @@ class TestTrain:
             train(k4, AnsatzConfig(2, num_layers), EncodingConfig(2, 4),
                   OptimizerConfig(step_size=0.5, max_iterations=4, shots=shots,
                                   gradient_mode=mode, seed=0))
-            assert len(calls) == 4 * per_step
+            assert len(calls) == 4
 
     def test_counters_analytic_exact(self, k4):
         record = train(k4, AnsatzConfig(2, 1), EncodingConfig(2, 4),

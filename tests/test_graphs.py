@@ -47,6 +47,16 @@ class TestGraphConstruction:
         with pytest.raises(ConfigError, match="out of range"):
             Graph.from_edges(2, [(0, 5)])
 
+    @pytest.mark.parametrize("edges", [[(0.5, 1), (1.7, 2)], [(0, np.float64(1.5))],
+                                       [("1", 2)]], ids=["fractions", "numpy", "text"])
+    def test_non_integral_endpoint_rejected(self, edges):
+        with pytest.raises(ConfigError, match="endpoints must be integers"):
+            Graph.from_edges(3, edges)
+
+    def test_integral_float_endpoints_accepted(self):
+        g = Graph.from_edges(3, [(2.0, 0), (1, np.float64(2.0)), (np.int64(0), 1)])
+        assert g.edges == [(0, 2, 1.0), (1, 2, 1.0), (0, 1, 1.0)]
+
     @pytest.mark.parametrize("weight", [np.nan, np.inf, -np.inf])
     def test_non_finite_weight_rejected(self, weight):
         with pytest.raises(ConfigError, match="edge weights must be finite"):

@@ -261,6 +261,13 @@ class TestScanBlueSizes:
         for name in ("costs", "cuts", "best_cuts", "final_params"):
             assert getattr(replay, name).tobytes() == getattr(record, name).tobytes()
 
+    def test_jobs_do_not_change_results(self):
+        graph = generate_regular(8, 3, seed=4)
+        settings = QemcSettings(layers=1, step_size=0.5, iterations=3, trials=2)
+        serial = scan_blue_sizes(graph, settings, seed=6, jobs=1)
+        parallel = scan_blue_sizes(graph, settings, seed=6, jobs=2)
+        assert serial.to_json_dict() == parallel.to_json_dict()
+
     def test_one_node_graph_rejected_before_training(self, no_training):
         one = Graph.from_edges(1, [])
         with pytest.raises(ShapeMismatch):

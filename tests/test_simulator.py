@@ -306,8 +306,8 @@ class TestJacobian:
     @pytest.mark.parametrize("shots", [None, 64], ids=["exact", "sampled"])
     @pytest.mark.parametrize(
         "num_qubits,num_layers",
-        [(3, 0), (1, 3), (4, 5), (6, 2), (4, 3), (5, 3), (7, 2), (9, 1)],
-        ids=["3-0", "1-3", "4-5", "6-2", "4-3", "5-3", "7-2", "9-1"])
+        [(3, 0), (1, 3), (4, 5), (6, 2), (4, 3), (5, 3), (7, 2), (9, 1), (11, 2)],
+        ids=["3-0", "1-3", "4-5", "6-2", "4-3", "5-3", "7-2", "9-1", "11-2"])
     def test_shift_matches_per_circuit_reference(self, num_qubits, num_layers, shots):
         config = AnsatzConfig(num_qubits, num_layers)
         params = random_parameters(config, seed=30 + num_qubits)
@@ -315,7 +315,28 @@ class TestJacobian:
                                        seed=17)
         reference = per_circuit_shift_jacobian(config, params, shots=shots, seed=17)
         assert batched.shape == (config.dim, config.num_parameters)
-        assert np.array_equal(batched, reference)
+        if shots is None:
+            # The sweep forms 2 Re(conj(psi) chi), which rounds unlike the
+            # difference of two simulated distributions.
+            assert np.abs(batched - reference).max(initial=0.0) <= 1e-14
+        else:
+            # Rounding-level differences in the distributions move no draw.
+            assert np.array_equal(batched, reference)
+
+    @pytest.mark.parametrize("num_qubits,num_layers", [(1, 2), (3, 2), (5, 2), (9, 1)])
+    def test_tangent_rows_match_finite_differences(self, num_qubits, num_layers):
+        config = AnsatzConfig(num_qubits, num_layers)
+        params = random_parameters(config, seed=40 + num_qubits)
+        rows = simulator._tangents(config, params)
+        assert rows.shape == (1 + config.num_parameters, config.dim)
+        assert np.abs(rows[0] - run_circuit(config, params)).max() < 1e-14
+        h = 1e-6
+        for i in range(config.num_parameters):
+            up, down = params.copy(), params.copy()
+            up[i] += h
+            down[i] -= h
+            fd = (run_circuit(config, up) - run_circuit(config, down)) / (2 * h)
+            assert np.abs(rows[1 + i] - fd).max() < 1e-8
 
     def test_shift_simulates_no_circuit_on_its_own(self, monkeypatch):
         runs = []
