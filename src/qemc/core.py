@@ -20,6 +20,7 @@ a plain float64 array of length 2^n, as ``simulator.probabilities`` and
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -99,7 +100,8 @@ class OptimizerConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not (np.isfinite(self.step_size) and self.step_size > 0):
+        if not (isinstance(self.step_size, numbers.Real)
+                and math.isfinite(self.step_size) and self.step_size > 0):
             raise ShapeMismatch(
                 f"step_size must be positive and finite, got {self.step_size}")
         check_count("max_iterations", self.max_iterations, 0, ShapeMismatch)
@@ -131,14 +133,17 @@ class RunRecord:
     cuts: np.ndarray
     best_cuts: np.ndarray
     final_params: np.ndarray
-    iterations_executed: int
     seed: int
     counters: RunCounters
-    graph_num_nodes: int
     graph_num_edges: int
     ansatz: AnsatzConfig
     encoding: EncodingConfig
     optimizer: OptimizerConfig
+
+    @property
+    def iterations_executed(self) -> int:
+        """``train`` stops early only by raising, so every run executes its budget."""
+        return self.optimizer.max_iterations
 
     @property
     def final_best_cut(self) -> float:
@@ -152,7 +157,7 @@ class RunRecord:
     def to_json_dict(self) -> dict:
         return {
             "config": {
-                "graph": {"num_nodes": self.graph_num_nodes,
+                "graph": {"num_nodes": self.encoding.num_nodes,
                           "num_edges": self.graph_num_edges},
                 "ansatz": {"num_qubits": self.ansatz.num_qubits,
                            "num_layers": self.ansatz.num_layers,
@@ -272,11 +277,12 @@ def train(graph: Graph, ansatz: AnsatzConfig, encoding: EncodingConfig,
     from the chain-rule gradient.  Only distributions pass through here: the
     simulator keeps the state it simulated for the histogram and starts the
     analytic gradient from it, so each iteration simulates the circuit once
-    (plus, for parameter shift, one batched sweep over the 2P shifted
-    circuits).  Iteration indices count Adam steps starting at 1;
-    the pre-initialization state is not recorded.  Deterministic for a fixed
-    seed.  Raises :class:`RuntimeFailure` naming the iteration at which the
-    cost, the cut, Adam's second moment or the angles stop being finite.
+    (plus, for parameter shift, one sweep over the state and its P tangents,
+    which give the 2P shifted distributions).  Iteration indices count Adam
+    steps starting at 1; the pre-initialization state is not recorded.
+    Deterministic for a fixed seed.  Raises :class:`RuntimeFailure` naming
+    the iteration at which the cost, the cut, Adam's second moment or the
+    angles stop being finite.
     """
     if ansatz.num_qubits != simulator.num_qubits_for(graph.num_nodes):
         raise ShapeMismatch(
@@ -338,10 +344,8 @@ def train(graph: Graph, ansatz: AnsatzConfig, encoding: EncodingConfig,
 
     return RunRecord(
         costs=costs, cuts=cuts, best_cuts=best_cuts, final_params=params,
-        iterations_executed=optimizer.max_iterations, seed=optimizer.seed,
-        counters=counters, graph_num_nodes=graph.num_nodes,
-        graph_num_edges=graph.num_edges, ansatz=ansatz, encoding=encoding,
-        optimizer=optimizer)
+        seed=optimizer.seed, counters=counters, graph_num_edges=graph.num_edges,
+        ansatz=ansatz, encoding=encoding, optimizer=optimizer)
 
 
 # -- quality metrics -----------------------------------------------------------------

@@ -92,8 +92,8 @@ class DegenerateDenominator(ConfigError):
 
 def check_count(name, value, minimum=1, error=InvalidCount):
     """Return ``value`` if it is an integer of at least ``minimum``, else raise
-    ``error``; Python and numpy integers both count as integers."""
-    if not isinstance(value, numbers.Integral):
+    ``error``; Python and numpy integers count as integers, bools do not."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise error(f"{name} must be an integer, got {value!r}")
     if value < minimum:
         raise error(f"{name} must be >= {minimum}, got {value}")

@@ -362,6 +362,8 @@ def random_star_partition(num_nodes: int, blue_count: int, seed) -> Partition:
 
 def parse_edge_list(text: str) -> Graph:
     """Parse edge-list text into a Graph; raises ParseError with a line number."""
+    if not isinstance(text, str):
+        raise ParseError(f"edge list must be text, got {type(text).__name__}")
     declared_n = None
     seen_edge = False
     edges: list[tuple[int, int, float]] = []

@@ -26,36 +26,35 @@ index permutation, the block widths, the index tables, the bytes per row) is
 built once per config, so a training step rebuilds only what depends on the
 parameters.
 
-One reverse sweep, the adjoint method of Jones & Gacon (arXiv:2009.02823),
-serves both the vector-Jacobian product and the analytic Jacobian, which runs
-it with the identity as the weight rows.  The sweep only undoes the circuit
-and keeps its rows before each block; for a chunk of layers at a time,
-bounded in bytes, a few stacked calls per block form the cross densities
-between adjoints and state and sum them to each qubit's 2x2 transition
-matrix.
+The reverse sweep, the adjoint method of Jones & Gacon (arXiv:2009.02823),
+serves the vector-Jacobian product.  It only undoes the circuit and keeps its
+rows before each block; for a chunk of layers at a time, bounded in bytes, a
+few stacked calls per block form the cross densities between the adjoint and
+the state and sum them to each qubit's 2x2 transition matrix.
 
-Callers pass parameters, never circuits or states.  One-entry memos keyed on
-the parameters' bytes keep the last rotations and blocks and, separately,
-the last final state, so a training step that asks for the distribution and
-then the VJP builds and simulates its circuit once.
+Callers pass parameters, never circuits or states.  One read-only one-entry
+memo keyed on the parameters' bytes keeps the last rotations, blocks and
+final state, so a training step that asks for the distribution and then the
+gradient builds and simulates its circuit once.
 
 Distributions are plain float64 arrays of length 2^n: ``probabilities``
 returns |amplitude|^2, and ``sample_histogram`` turns any such array into
 the frequencies of a multinomial draw.
 
-The parameter-shift Jacobian simulates no shifted circuit.  Every angle
+The Jacobian, in either mode, simulates no shifted circuit.  Every angle
 parameterizes a Pauli rotation, so a +-pi/2 shift turns its rotation R into
 (I +- 2G) R / sqrt(2), G = d(Rot)/d(angle) Rot^dagger being the generator the
 adjoint sweep uses too: the shifted states are (psi +- 2 chi_i) / sqrt(2),
 chi_i = d psi / d theta_i.  One forward sweep over 1 + P rows carries psi and
 every chi_i, which starts at its layer as G applied to psi's row.  Exact, the
-Jacobian is 2 Re(conj(psi) chi_i).  With a shot budget, one generator seeded
-from the call's seed draws every shifted histogram, |psi +- 2 chi_i|^2 / 2, in
-one multinomial call, in the order (0, +), (0, -), (1, +), ...; each row is
-an independent draw of ``shots`` samples from its own circuit.
+Jacobian is 2 Re(conj(psi) chi_i) in both modes.  With a shot budget, one
+generator seeded from the call's seed draws every shifted histogram,
+|psi +- 2 chi_i|^2 / 2, in one multinomial call, in the order (0, +), (0, -),
+(1, +), ...; each row is an independent draw of ``shots`` samples from its own
+circuit.
 
 All functions are pure and safe to call concurrently; the only shared state
-is those two read-only memos, and ``run_circuit`` returns a copy.
+is that read-only memo, and ``run_circuit`` returns a copy.
 """
 
 from __future__ import annotations
@@ -176,8 +175,8 @@ class _Layout(NamedTuple):
 
 @lru_cache(maxsize=128)
 def _layout(config: AnsatzConfig) -> _Layout:
-    """The config's ``_Layout``, built on first use; the adjoint sweep's chunk
-    of layers also depends on its row count, so it is taken per call."""
+    """The config's ``_Layout``, built on first use; the adjoint sweep takes
+    its chunk of layers from ``row_bytes`` and ``_SWEEP_BYTES`` per call."""
     n = config.num_qubits
     widths = tuple(min(_BLOCK_QUBITS, n - first) for first in range(0, n, _BLOCK_QUBITS))
     strides = config.entangler_strides
@@ -292,6 +291,8 @@ def _check_params(config: AnsatzConfig, params) -> np.ndarray:
     if p.size != config.num_parameters:
         raise ShapeMismatch(
             f"expected {config.num_parameters} parameters, got {p.size}")
+    if not np.isfinite(p).all():
+        raise ConfigError("parameters must be finite")
     return p
 
 
@@ -308,28 +309,21 @@ def _run(config: AnsatzConfig, blocks: list) -> np.ndarray:
 
 @lru_cache(maxsize=1)
 def _circuit(config: AnsatzConfig, key: bytes) -> tuple:
-    """Read-only rotations and Kronecker blocks of the float64 parameters ``key``;
-    a training step asks for them twice, so the last build is kept."""
+    """Read-only rotations, Kronecker blocks and final state of the float64
+    parameters ``key``; a training step asks for them twice, so the last
+    circuit is kept."""
     rots = _rotations(np.frombuffer(key).reshape(config.num_layers, config.num_qubits, 3))
     blocks = tuple(_blocks(rots))
-    for array in (rots, *blocks):
+    state = _run(config, blocks)
+    for array in (rots, *blocks, state):
         array.setflags(write=False)
-    return rots, blocks
-
-
-@lru_cache(maxsize=1)
-def _state(config: AnsatzConfig, key: bytes) -> np.ndarray:
-    """Read-only final state of the float64 parameters ``key``; an analytic
-    training step needs it for the distribution and again for the VJP."""
-    state = _run(config, _circuit(config, key)[1])
-    state.setflags(write=False)
-    return state
+    return rots, blocks, state
 
 
 def run_circuit(config: AnsatzConfig, params) -> np.ndarray:
     """Statevector prepared by the ansatz: complex array of length 2^n."""
     params = _check_params(config, params)
-    return _state(config, params.tobytes()).copy()
+    return _circuit(config, params.tobytes())[2].copy()
 
 
 def probabilities(config: AnsatzConfig, params) -> np.ndarray:
@@ -373,30 +367,25 @@ def sample_histogram(probs, shots: int, seed) -> np.ndarray:
 
 
 def _vjp(config: AnsatzConfig, params: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """g[k, i] = sum_j weights[k, j] * d p(j) / d params[i] for each weight row k.
+    """g[i] = sum_j weights[j] * d p(j) / d params[i].
 
     One reverse sweep from the final state psi carries psi itself as row 0 and
-    the adjoints lambda_k = weights[k] * psi as rows 1..K.  It keeps the rows
-    met before each rotation block, ``_SWEEP_BYTES`` of layers at a time; one
-    stacked matmul per block then forms their cross densities rho[A, B] = sum
-    conj(lambda_A) psi_B, each summed to one 2x2 transition matrix T per qubit.
+    the adjoint lambda = weights * psi as row 1.  It keeps the rows met before
+    each rotation block, ``_SWEEP_BYTES`` of layers at a time; one stacked
+    matmul per block then forms their cross density rho[A, B] = sum
+    conj(lambda_A) psi_B, summed to one 2x2 transition matrix T per qubit.
     T gives the qubit's three angle derivatives as 2 Re sum(G * T), G being
     d(Rot)/d(angle) Rot^dagger.  Undoing the layer's other rotations first
     leaves T unchanged: they act on other qubits.
     """
-    key = params.tobytes()
-    rots, blocks = _circuit(config, key)
+    rots, blocks, psi = _circuit(config, params.tobytes())
     _, inverses, widths, marginal_index, row_bytes, _, _ = _layout(config)
-    psi = _state(config, key)
-    k = weights.shape[0]
-    rows = np.empty((k + 1, config.dim), dtype=np.complex128)
-    rows[0] = psi
-    np.multiply(weights, psi, out=rows[1:])
+    rows = np.stack([psi, weights * psi])
     adjoints = [block.conj().swapaxes(-1, -2) for block in blocks]
-    chunk = max(1, _SWEEP_BYTES // ((k + 1) * row_bytes))
+    chunk = max(1, _SWEEP_BYTES // (2 * row_bytes))
     points = np.empty((min(chunk, config.num_layers), len(blocks)) + rows.shape,
                       dtype=np.complex128)
-    transitions = np.empty((config.num_layers, config.num_qubits, k, 2, 2),
+    transitions = np.empty((config.num_layers, config.num_qubits, 2, 2),
                            dtype=np.complex128)
     for top in range(config.num_layers, 0, -chunk):
         bottom = max(top - chunk, 0)
@@ -409,15 +398,14 @@ def _vjp(config: AnsatzConfig, params: np.ndarray, weights: np.ndarray) -> np.nd
         count = top - bottom
         first = 0
         for b, width in enumerate(widths):
-            split = points[:count, b].reshape(count, k + 1, 1 << width, -1)
-            rho = split[:, 1:].conj() @ split[:, :1].swapaxes(-1, -2)
+            split = points[:count, b].reshape(count, 2, 1 << width, -1)
+            rho = split[:, 1].conj() @ split[:, 0].swapaxes(-1, -2)
             # take keeps the gathered sum contiguous, so it rounds as one row's.
-            marginals = rho.reshape(count, k, -1).take(
-                marginal_index[b], axis=-1).sum(axis=-1)
-            transitions[bottom:top, first:first + width] = marginals[::-1].swapaxes(1, 2)
+            marginals = rho.reshape(count, -1).take(marginal_index[b], axis=-1).sum(axis=-1)
+            transitions[bottom:top, first:first + width] = marginals[::-1]
             first += width
-    grad = np.einsum("lqsab,lqkab->klqs", _generators(rots, params), transitions)
-    return 2.0 * grad.real.reshape(k, -1)
+    grad = np.einsum("lqsab,lqab->lqs", _generators(rots, params), transitions)
+    return 2.0 * grad.real.reshape(-1)
 
 
 def probability_vjp(config: AnsatzConfig, params, weights) -> np.ndarray:
@@ -425,15 +413,15 @@ def probability_vjp(config: AnsatzConfig, params, weights) -> np.ndarray:
 
     One reverse sweep uncomputes the circuit layer by layer, so the cost is
     proportional to the gate count rather than gates x parameters.  This is
-    the workhorse behind analytic training gradients.  Right after a
-    ``run_circuit`` or ``probabilities`` call at the same parameters, the
-    sweep starts from the state that call simulated.
+    the workhorse behind analytic training gradients.  The sweep starts from
+    the memo's final state, so right after a ``run_circuit`` or
+    ``probabilities`` call at the same parameters it simulates no circuit.
     """
     params = _check_params(config, params)
     w = np.asarray(weights, dtype=np.float64).reshape(-1)
     if w.size != config.dim:
         raise ShapeMismatch(f"expected {config.dim} weights, got {w.size}")
-    return _vjp(config, params, w[np.newaxis])[0]
+    return _vjp(config, params, w)
 
 
 def _tangents(config: AnsatzConfig, params: np.ndarray) -> np.ndarray:
@@ -445,7 +433,7 @@ def _tangents(config: AnsatzConfig, params: np.ndarray) -> np.ndarray:
     copies of row 0 each with its qubit's bit moved first.
     """
     n, per_layer = config.num_qubits, 3 * config.num_qubits
-    rots, blocks = _circuit(config, params.tobytes())
+    rots, blocks, _ = _circuit(config, params.tobytes())
     gens = _generators(rots, params)
     layout = _layout(config)
     rows = np.empty((1 + config.num_parameters, config.dim), dtype=np.complex128)
@@ -470,21 +458,21 @@ def probability_jacobian(config: AnsatzConfig, params, mode: str = ANALYTIC,
                          *, shots: int | None = None, seed=None) -> np.ndarray:
     """Matrix of d p(k) / d theta[i], shape (2^n, 3nL).
 
-    ``analytic`` differentiates through the statevector.  ``parameter_shift``
-    uses two evaluations per parameter at theta[i] +- pi/2, exact by the shift
-    rule because every angle parameterizes a Pauli rotation.  The shift turns
-    its rotation R into (I +- 2G) R / sqrt(2), G its generator, so one forward
-    sweep over 1 + P rows, the state and its tangents, gives all 2P shifted
-    states.  With a ``shots`` budget the two evaluations are sampled.
+    One forward sweep over 1 + P rows, the state psi and its tangents chi_i,
+    gives the exact Jacobian 2 Re(conj(psi) chi_i) in either mode, so ``mode``
+    matters only with a ``shots`` budget, which ``analytic`` does not take.
+    Sampled ``parameter_shift`` draws the two evaluations per parameter at
+    theta[i] +- pi/2, exact by the shift rule because every angle
+    parameterizes a Pauli rotation: the shift turns its rotation R into
+    (I +- 2G) R / sqrt(2), G its generator, so the shifted states are
+    (psi +- 2 chi_i) / sqrt(2).
     """
     params = _check_params(config, params)
-    if mode == ANALYTIC:
-        if shots is not None:
-            raise ConfigError("analytic mode does not take a shot budget")
-        return _vjp(config, params, np.eye(config.dim))
-    if mode != PARAMETER_SHIFT:
+    if mode not in (ANALYTIC, PARAMETER_SHIFT):
         raise ConfigError(f"unknown jacobian mode {mode!r}")
     if shots is not None:
+        if mode == ANALYTIC:
+            raise ConfigError("analytic mode does not take a shot budget")
         check_count("shots", shots)
         if seed is None:
             raise ConfigError("sampled parameter shift needs a seed")

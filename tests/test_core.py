@@ -51,7 +51,7 @@ class TestEncodingConfig:
 
 
 class TestOptimizerConfig:
-    @pytest.mark.parametrize("step", [0.0, -0.1, float("nan"), float("inf")])
+    @pytest.mark.parametrize("step", [0.0, -0.1, float("nan"), float("inf"), "0.1"])
     def test_step_size_positive_and_finite(self, step):
         with pytest.raises(ShapeMismatch):
             OptimizerConfig(step_size=step, max_iterations=1)
@@ -276,7 +276,6 @@ class TestTrain:
         monkeypatch.setattr(simulator, "_run",
                             lambda *args: runs.append(1) or real_run(*args))
         simulator._circuit.cache_clear()
-        simulator._state.cache_clear()
         train(k4, AnsatzConfig(2, 2), EncodingConfig(2, 4),
               OptimizerConfig(step_size=0.5, max_iterations=10, seed=0))
         assert len(runs) == 10
@@ -287,7 +286,6 @@ class TestTrain:
         monkeypatch.setattr(simulator, "_run",
                             lambda *args: runs.append(1) or real_run(*args))
         simulator._circuit.cache_clear()
-        simulator._state.cache_clear()
         train(k4, AnsatzConfig(2, 1), EncodingConfig(2, 4),
               OptimizerConfig(step_size=0.5, max_iterations=10, shots=64, seed=0))
         assert len(runs) == 10

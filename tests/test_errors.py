@@ -114,7 +114,7 @@ class TestCheckCount:
     def test_integers_returned(self, value):
         assert check_count("n", value) is value
 
-    @pytest.mark.parametrize("value", [2.5, 3.0, np.float64(3), "3", None])
+    @pytest.mark.parametrize("value", [2.5, 3.0, np.float64(3), "3", None, True])
     def test_non_integral_rejected(self, value):
         with pytest.raises(InvalidCount, match=r"^n must be an integer, got "):
             check_count("n", value)

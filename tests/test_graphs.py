@@ -316,3 +316,7 @@ class TestEdgeListFormat:
         path.write_bytes(b"0 1\n\xff 2\n")
         with pytest.raises(ParseError, match="is not UTF-8 text"):
             read_edge_list_file(path)
+
+    def test_bytes_are_parse_error(self):
+        with pytest.raises(ParseError, match="must be text, got bytes"):
+            parse_edge_list(b"0 1\n")

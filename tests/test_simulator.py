@@ -152,6 +152,22 @@ class TestShapes:
         with pytest.raises(ShapeMismatch):
             run_circuit(AnsatzConfig(2, 1), np.zeros(5))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_parameters_rejected(self, bad):
+        # Rejected before any arithmetic: no NaN result and no RuntimeWarning.
+        config = AnsatzConfig(3, 2)
+        params = random_parameters(config, seed=0)
+        params[4] = bad
+        calls = [lambda: run_circuit(config, params),
+                 lambda: probabilities(config, params),
+                 lambda: probability_vjp(config, params, np.ones(config.dim)),
+                 lambda: probability_jacobian(config, params),
+                 lambda: probability_jacobian(config, params, PARAMETER_SHIFT,
+                                              shots=8, seed=0)]
+        for call in calls:
+            with pytest.raises(ConfigError, match="must be finite"):
+                call()
+
 
 class TestRunCircuit:
     def test_single_hadamard(self):
@@ -293,7 +309,8 @@ class TestJacobian:
             params = random_parameters(config, seed=seed)
             analytic = probability_jacobian(config, params, ANALYTIC)
             shifted = probability_jacobian(config, params, PARAMETER_SHIFT)
-            assert np.abs(analytic - shifted).max() < 1e-9
+            # One tangent sweep serves both modes.
+            assert np.array_equal(analytic, shifted)
 
     def test_sampled_shift_deterministic(self):
         config = AnsatzConfig(2, 1)
@@ -337,17 +354,6 @@ class TestJacobian:
             down[i] -= h
             fd = (run_circuit(config, up) - run_circuit(config, down)) / (2 * h)
             assert np.abs(rows[1 + i] - fd).max() < 1e-8
-
-    def test_shift_simulates_no_circuit_on_its_own(self, monkeypatch):
-        runs = []
-        real_run = simulator._run
-        monkeypatch.setattr(simulator, "_run",
-                            lambda *args: runs.append(1) or real_run(*args))
-        config = AnsatzConfig(3, 2)
-        params = random_parameters(config, seed=3)
-        probability_jacobian(config, params, PARAMETER_SHIFT)
-        probability_jacobian(config, params, PARAMETER_SHIFT, shots=32, seed=1)
-        assert runs == []
 
     def test_shift_builds_rotations_once_per_call(self, monkeypatch):
         calls = []
@@ -442,7 +448,6 @@ class TestJacobian:
             params = random_parameters(config, seed=n)
             weights = np.random.default_rng(n).normal(size=config.dim)
             simulator._circuit.cache_clear()
-            simulator._state.cache_clear()
             cold = probability_vjp(config, params, weights)
             run_circuit(config, params)
             assert np.array_equal(cold, probability_vjp(config, params, weights))
@@ -487,8 +492,7 @@ class TestJacobian:
     def test_circuit_memo_is_read_only(self):
         config = AnsatzConfig(5, 2)
         params = random_parameters(config, seed=0)
-        rots, blocks = simulator._circuit(config, params.tobytes())
-        state = simulator._state(config, params.tobytes())
+        rots, blocks, state = simulator._circuit(config, params.tobytes())
         assert not any(a.flags.writeable for a in (rots, *blocks, state))
 
     def test_run_circuit_result_is_a_writable_copy(self):
