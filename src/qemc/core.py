@@ -258,6 +258,8 @@ def cost_gradient_params(graph: Graph, ansatz: AnsatzConfig,
     :class:`RuntimeFailure` when the gradient is not finite."""
     weights = cost_gradient_wrt_probs(simulator.probabilities(ansatz, params),
                                       graph, encoding)
+    if not np.isfinite(weights).all():    # probability_vjp takes finite weights only
+        raise RuntimeFailure("cost_gradient_params: the gradient is not finite")
     grad = simulator.probability_vjp(ansatz, params, weights)
     if not np.isfinite(grad).all():
         raise RuntimeFailure("cost_gradient_params: the gradient is not finite")
@@ -318,6 +320,8 @@ def train(graph: Graph, ansatz: AnsatzConfig, encoding: EncodingConfig,
                 probs, optimizer.shots, seed=child_sequence(optimizer.seed, "shots", it))
 
         costs[it - 1], weights = _cost_terms(probs, graph, inv_b)
+        if not np.isfinite(weights).all():    # probability_vjp takes finite weights only
+            raise RuntimeFailure(f"train: dC/dp is not finite at iteration {it}")
         if analytic:
             grad = simulator.probability_vjp(ansatz, params, weights)
         else:

@@ -41,7 +41,7 @@ class SizeMismatch(ConfigError):
 
 
 class TooLarge(ConfigError):
-    """Exhaustive search was asked to enumerate beyond its node cap."""
+    """Exhaustive search's node cap or the simulator's qubit cap is exceeded."""
 
 
 class InvalidBlueCount(ConfigError):

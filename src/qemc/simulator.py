@@ -21,10 +21,12 @@ uniform start state 2^(-n/2); all rotation matrices are built at once from
 the parameter array, and each layer's rotations of up to four consecutive
 qubits are fused into one Kronecker block (a 16x16 matrix), so a layer costs
 one matmul per block: 1 for n <= 4, 2 for n = 8, 3 for n = 11.  What the
-sweeps need from the ``AnsatzConfig`` alone (each layer's CNOT ring as one
-index permutation, the block widths, the index tables, the bytes per row) is
-built once per config, so a training step rebuilds only what depends on the
-parameters.
+sweeps read from the ``AnsatzConfig`` alone (each layer's CNOT ring as one
+index permutation, the block widths, the index tables) is built once per
+config.  Each thread keeps one workspace, for the config it last simulated,
+that holds every array a step writes and prebuilt views of them: a training
+step allocates no per-step arrays, and builds and simulates its circuit once
+for the distribution and the gradient.
 
 The reverse sweep, the adjoint method of Jones & Gacon (arXiv:2009.02823),
 serves the vector-Jacobian product.  It only undoes the circuit and keeps its
@@ -32,10 +34,7 @@ rows before each block; for a chunk of layers at a time, bounded in bytes, a
 few stacked calls per block form the cross densities between the adjoint and
 the state and sum them to each qubit's 2x2 transition matrix.
 
-Callers pass parameters, never circuits or states.  One read-only one-entry
-memo keyed on the parameters' bytes keeps the last rotations, blocks and
-final state, so a training step that asks for the distribution and then the
-gradient builds and simulates its circuit once.
+Callers pass parameters, never circuits or states.
 
 Distributions are plain float64 arrays of length 2^n: ``probabilities``
 returns |amplitude|^2, and ``sample_histogram`` turns any such array into
@@ -53,19 +52,20 @@ generator seeded from the call's seed draws every shifted histogram,
 (1, +), ...; each row is an independent draw of ``shots`` samples from its own
 circuit.
 
-All functions are pure and safe to call concurrently; the only shared state
-is that read-only memo, and ``run_circuit`` returns a copy.
+All functions are pure and safe to call from concurrent threads: no thread
+reads another's workspace, and every public function returns a fresh array.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, ShapeMismatch, check_count
+from .errors import ConfigError, ShapeMismatch, TooLarge, check_count
 from .seeding import child_sequence
 
 __all__ = [
@@ -98,6 +98,10 @@ _BLOCK_QUBITS = 4
 # 512 KiB and 2.2 ms from 768 KiB on; n=11, L=50 stayed at 5.0-6.5 ms.
 _SWEEP_BYTES = 1 << 19
 
+# At this cap ``_layout``'s index tables (32 n 2^n bytes) take 640 MiB and
+# one state 16 MiB; the paper's largest graphs, 2048 nodes, need 11 qubits.
+_MAX_QUBITS = 20
+
 # -iZ/2, the generator of the phi and omega rotations, and its diagonal.
 _HALF_IZ = np.array([-0.5j, 0.5j])
 _HALF_IZ_MATRIX = np.diag(_HALF_IZ)
@@ -120,6 +124,8 @@ class AnsatzConfig:
     def __post_init__(self):
         check_count("num_qubits", self.num_qubits, error=ShapeMismatch)
         check_count("num_layers", self.num_layers, 0, ShapeMismatch)
+        if self.num_qubits > _MAX_QUBITS:
+            raise TooLarge(f"{self.num_qubits} qubits exceeds the qubit cap of {_MAX_QUBITS}")
 
     @property
     def entangler_strides(self) -> tuple[int, ...]:
@@ -168,15 +174,13 @@ class _Layout(NamedTuple):
     inverses: tuple     # per layer, that permutation's inverse
     widths: tuple       # qubits per Kronecker block, in qubit order
     marginals: tuple    # per block, its ``_marginal_index`` table
-    row_bytes: int      # bytes one state row fills at the blocks of one layer
     fronts: np.ndarray  # (n, 2^n): per qubit, the state's order with its bit first
     backs: np.ndarray   # (3n, 2^n): flat indices that undo ``fronts`` per slot
 
 
 @lru_cache(maxsize=128)
 def _layout(config: AnsatzConfig) -> _Layout:
-    """The config's ``_Layout``, built on first use; the adjoint sweep takes
-    its chunk of layers from ``row_bytes`` and ``_SWEEP_BYTES`` per call."""
+    """The config's ``_Layout``, built on first use."""
     n = config.num_qubits
     widths = tuple(min(_BLOCK_QUBITS, n - first) for first in range(0, n, _BLOCK_QUBITS))
     strides = config.entangler_strides
@@ -198,58 +202,50 @@ def _layout(config: AnsatzConfig) -> _Layout:
                    inverses=tuple(inverses),
                    widths=widths,
                    marginals=tuple(_marginal_index(width) for width in widths),
-                   row_bytes=len(widths) * config.dim * np.dtype(np.complex128).itemsize,
                    fronts=fronts, backs=backs)
 
 
-def _rotations(angles: np.ndarray) -> np.ndarray:
-    """Rot(phi, theta, omega) for angles of shape (..., 3): shape (..., 2, 2)."""
+def _rotations(angles: np.ndarray, rots: np.ndarray) -> None:
+    """Rot(phi, theta, omega) for angles of shape (..., 3), into ``rots``: (..., 2, 2)."""
     phi, theta, omega = angles[..., 0], angles[..., 1], angles[..., 2]
     half = theta / 2.0
     c, s = np.cos(half), np.sin(half)
     plus = np.exp(-0.5j * (phi + omega))
     minus = np.exp(-0.5j * (phi - omega))
-    rots = np.empty(angles.shape[:-1] + (2, 2), dtype=np.complex128)
     rots[..., 0, 0], rots[..., 0, 1] = plus * c, -minus.conj() * s
     rots[..., 1, 0], rots[..., 1, 1] = minus * s, plus.conj() * c
-    return rots
 
 
-def _generators(rots: np.ndarray, params: np.ndarray) -> np.ndarray:
-    """d(Rot)/d(angle) @ Rot^dagger for every (layer, qubit, slot): (L, n, 3, 2, 2).
+def _generators(ws: _Workspace, params: np.ndarray) -> np.ndarray:
+    """d(Rot)/d(angle) @ Rot^dagger for every (layer, qubit, slot), into ``ws.gens``.
 
     With Rot = RZ(omega) RY(theta) RZ(phi) these are R (-iZ/2) R^dagger,
-    RZ(omega) (-iY/2) RZ(omega)^dagger and -iZ/2.
+    RZ(omega) (-iY/2) RZ(omega)^dagger and -iZ/2 (set once, with the zeros).
     """
-    omega = params.reshape(rots.shape[:2] + (3,))[..., 2]
-    gens = np.zeros(rots.shape[:2] + (3, 2, 2), dtype=np.complex128)
-    gens[..., 0, :, :] = (rots * _HALF_IZ) @ rots.conj().swapaxes(-1, -2)
-    gens[..., 1, 0, 1] = -0.5 * np.exp(-1j * omega)
-    gens[..., 1, 1, 0] = 0.5 * np.exp(1j * omega)
-    gens[..., 2, :, :] = _HALF_IZ_MATRIX
-    return gens
+    omega = params.reshape(ws.rots.shape[:2] + (3,))[..., 2]
+    ws.gens[..., 0, :, :] = (ws.rots * _HALF_IZ) @ ws.rots.conj().swapaxes(-1, -2)
+    ws.gens[..., 1, 0, 1] = -0.5 * np.exp(-1j * omega)
+    ws.gens[..., 1, 1, 0] = 0.5 * np.exp(1j * omega)
+    return ws.gens
 
 
-def _blocks(rots: np.ndarray) -> list:
+def _blocks(ws: _Workspace) -> None:
     """Fuse each layer's rotations into Kronecker blocks of consecutive qubits.
 
-    Returns one (L, 2^b, 2^b) array per block of up to ``_BLOCK_QUBITS``
-    qubits, in qubit order; within a block the first qubit is the most
-    significant bit, as in the full index.
+    ``ws.blocks`` holds one (L, 2^b, 2^b) array per block of up to
+    ``_BLOCK_QUBITS`` qubits, in qubit order; within a block the first qubit
+    is the most significant bit, as in the full index.
     """
-    num_layers, n = rots.shape[:2]
-    # Layer axis last, so that each product runs long inner loops over layers
-    # rather than loops of two.
-    by_qubit = np.ascontiguousarray(rots.transpose(1, 2, 3, 0))
-    blocks = []
-    for first in range(0, n, _BLOCK_QUBITS):
-        mat = by_qubit[first]
-        for q in range(first + 1, min(first + _BLOCK_QUBITS, n)):
-            size = 2 * mat.shape[0]
-            mat = (mat[:, None, :, None]
-                   * by_qubit[q, None, :, None, :]).reshape(size, size, num_layers)
-        blocks.append(np.ascontiguousarray(mat.transpose(2, 0, 1)))
-    return blocks
+    # Layer axis last, for long inner loops.  numpy buffers a broadcast ufunc
+    # operand, 128 KiB at a time, so both factors are copied to full size first.
+    np.copyto(ws.by_qubit, ws.rots.transpose(1, 2, 3, 0))
+    for products, layer_first, block, adjoint in ws.fusions:
+        for left, right, wide, out in products:
+            np.copyto(out, left)
+            np.copyto(wide, right)
+            np.multiply(out, wide, out=out)
+        np.copyto(block, layer_first)
+        np.conjugate(block, out=adjoint)
 
 
 def _marginal_index(width: int) -> np.ndarray:
@@ -296,34 +292,97 @@ def _check_params(config: AnsatzConfig, params) -> np.ndarray:
     return p
 
 
-def _run(config: AnsatzConfig, blocks: list) -> np.ndarray:
+def _run(ws: _Workspace) -> None:
     # The Hadamard layer on |0...0> is the uniform start state.
-    state = np.full((1, config.dim), 2.0 ** (-config.num_qubits / 2.0),
-                    dtype=np.complex128)
-    for layer, perm in enumerate(_layout(config).perms):
-        for block in blocks:
-            state = _rotate_leading(block[layer], state)
-        state = state.take(perm, axis=1, mode="clip")
-    return state[0]
+    ws.state[:] = 2.0 ** (-ws.config.num_qubits / 2.0)
+    for mats, perm in zip(ws.block_mats, ws.layout.perms):
+        for (split, out), mat in zip(ws.run_views, mats):
+            np.matmul(split, mat, out=out)
+        ws.forward[-1].take(perm, axis=1, out=ws.forward[0], mode="clip")
 
 
-@lru_cache(maxsize=1)
-def _circuit(config: AnsatzConfig, key: bytes) -> tuple:
-    """Read-only rotations, Kronecker blocks and final state of the float64
-    parameters ``key``; a training step asks for them twice, so the last
-    circuit is kept."""
-    rots = _rotations(np.frombuffer(key).reshape(config.num_layers, config.num_qubits, 3))
-    blocks = tuple(_blocks(rots))
-    state = _run(config, blocks)
-    for array in (rots, *blocks, state):
-        array.setflags(write=False)
-    return rots, blocks, state
+class _Workspace:
+    """Every array a step at one ``AnsatzConfig`` writes, with prebuilt views:
+    the rotations, blocks and final ``state`` of the parameters whose bytes
+    are ``key``, and the buffers of ``_generators`` and the adjoint sweep."""
+
+    def __init__(self, config: AnsatzConfig):
+        layout = _layout(config)
+        widths, num_layers, dim = layout.widths, config.num_layers, config.dim
+        widest = max(widths)
+        new = partial(np.empty, dtype=np.complex128)
+        self.config, self.layout, self.key = config, layout, None
+        self.rots = new((num_layers, config.num_qubits, 2, 2))
+        self.gens = np.zeros(self.rots.shape[:2] + (3, 2, 2), dtype=np.complex128)
+        self.gens[..., 2, :, :] = _HALF_IZ_MATRIX
+        # Per block: _blocks' products (the k-th into ``stages[k]``, each right
+        # factor copied into ``wide``), the last stage's layer-first view, the
+        # block and its conjugate.
+        self.by_qubit = new((config.num_qubits, 2, 2, num_layers))
+        stages = [new(num_layers << 2 * k) for k in range(2, widest + 1)]
+        wide = new(num_layers << 2 * widest)
+        self.blocks, self.fusions = [new((num_layers, 1 << w, 1 << w)) for w in widths], []
+        for first, width, block in zip(range(0, config.num_qubits, _BLOCK_QUBITS), widths,
+                                       self.blocks):
+            mat, products = self.by_qubit[first], []
+            for stage, q in zip(stages, range(first + 1, first + width)):
+                shape = (len(mat), 2, len(mat), 2, num_layers)
+                products.append((mat[:, None, :, None], self.by_qubit[q, None, :, None, :],
+                                 wide[:stage.size].reshape(shape), stage.reshape(shape)))
+                mat = stage.reshape(2 * len(mat), 2 * len(mat), num_layers)
+            self.fusions.append((products, mat.transpose(2, 0, 1), block, new(block.shape)))
+        # Forward rows: block b turns row b into row b + 1, and the CNOT ring
+        # gathers the last row back into row 0, the state.
+        self.forward = new((len(widths) + 1, 1, dim))
+        self.state = self.forward[0, 0]
+
+        def views(rows, outs):   # _rotate_leading's operand and result, per block
+            return [(row.reshape(len(row), 1 << w, -1).swapaxes(1, 2),
+                     out.reshape(len(out), -1, 1 << w)) for w, row, out in zip(widths, rows, outs)]
+        self.run_views = views(self.forward, self.forward[1:])
+        self.block_mats = list(zip(*(block.transpose(0, 2, 1) for block in self.blocks)))
+        # The adjoint sweep: its rows (psi, lambda), the rows met before each
+        # block for a chunk of layers, and the cross densities of each block.
+        self.chunk = max(1, _SWEEP_BYTES // (2 * len(widths) * dim * 16))
+        self.rows = new((2, dim))
+        depth = min(self.chunk, num_layers)
+        self.points = new((depth, len(widths), 2, dim))
+        self.sweep_steps = [views(points, [*points[1:], self.rows]) for points in self.points]
+        self.adjoint_mats = list(zip(*(adjoint for *_, adjoint in self.fusions)))
+        # The blocks take turns with one conjugate, density and gather buffer.
+        conj, rho, gathered = (new(depth * k) for k in (dim, 1 << 2 * widest, widest << widest + 1))
+        self.densities = []
+        for b, (w, index) in enumerate(zip(widths, layout.marginals)):
+            split = self.points[:, b].reshape(depth, 2, 1 << w, dim >> w)
+            self.densities.append((
+                split[:, 1], conj.reshape(split[:, 1].shape), split[:, 0].swapaxes(-1, -2),
+                rho[:depth << 2 * w].reshape(depth, 1 << w, 1 << w), index,
+                gathered[:depth * index.size].reshape((depth,) + index.shape),
+                new((depth, w, 2, 2)), slice(_BLOCK_QUBITS * b, _BLOCK_QUBITS * b + w)))
+        self.transitions, self.grad = new(self.rots.shape), new(self.rots.shape[:2] + (3,))
+
+
+_workspaces = threading.local()
+
+
+def _loaded(config: AnsatzConfig, params: np.ndarray) -> _Workspace:
+    """This thread's workspace for ``config``, holding the circuit of ``params``."""
+    ws = getattr(_workspaces, "current", None)
+    if ws is None or ws.config != config:
+        ws = _workspaces.current = _Workspace(config)
+    if (key := params.tobytes()) != ws.key:
+        ws.key = None      # a load that fails part way leaves no stale key
+        _rotations(params.reshape(ws.rots.shape[:2] + (3,)), ws.rots)
+        _blocks(ws)
+        _run(ws)
+        ws.key = key
+    return ws
 
 
 def run_circuit(config: AnsatzConfig, params) -> np.ndarray:
     """Statevector prepared by the ansatz: complex array of length 2^n."""
     params = _check_params(config, params)
-    return _circuit(config, params.tobytes())[2].copy()
+    return _loaded(config, params).state.copy()
 
 
 def probabilities(config: AnsatzConfig, params) -> np.ndarray:
@@ -378,34 +437,29 @@ def _vjp(config: AnsatzConfig, params: np.ndarray, weights: np.ndarray) -> np.nd
     d(Rot)/d(angle) Rot^dagger.  Undoing the layer's other rotations first
     leaves T unchanged: they act on other qubits.
     """
-    rots, blocks, psi = _circuit(config, params.tobytes())
-    _, inverses, widths, marginal_index, row_bytes, _, _ = _layout(config)
-    rows = np.stack([psi, weights * psi])
-    adjoints = [block.conj().swapaxes(-1, -2) for block in blocks]
-    chunk = max(1, _SWEEP_BYTES // (2 * row_bytes))
-    points = np.empty((min(chunk, config.num_layers), len(blocks)) + rows.shape,
-                      dtype=np.complex128)
-    transitions = np.empty((config.num_layers, config.num_qubits, 2, 2),
-                           dtype=np.complex128)
-    for top in range(config.num_layers, 0, -chunk):
-        bottom = max(top - chunk, 0)
+    ws = _loaded(config, params)
+    ws.rows[0] = ws.state
+    np.multiply(weights, ws.state, out=ws.rows[1])
+    for top in range(config.num_layers, 0, -ws.chunk):
+        bottom = max(top - ws.chunk, 0)
         # points[i] holds layer top - 1 - i: the sweep meets the layers downwards.
         for i, layer in enumerate(range(top - 1, bottom - 1, -1)):
-            rows.take(inverses[layer], axis=1, out=points[i, 0], mode="clip")
-            for b, adjoint in enumerate(adjoints):
-                out = points[i, b + 1] if b + 1 < len(blocks) else rows
-                _rotate_leading(adjoint[layer], points[i, b], out=out)
+            ws.rows.take(ws.layout.inverses[layer], axis=1, out=ws.points[i, 0], mode="clip")
+            for (split, out), mat in zip(ws.sweep_steps[i], ws.adjoint_mats[layer]):
+                np.matmul(split, mat, out=out)
         count = top - bottom
-        first = 0
-        for b, width in enumerate(widths):
-            split = points[:count, b].reshape(count, 2, 1 << width, -1)
-            rho = split[:, 1].conj() @ split[:, 0].swapaxes(-1, -2)
+        for left, conj, right, rho, index, gathered, marginals, qubits in ws.densities:
+            # Conjugated in place: a strided operand would be buffered.
+            np.copyto(conj[:count], left[:count])
+            np.conjugate(conj[:count], out=conj[:count])
+            np.matmul(conj[:count], right[:count], out=rho[:count])
             # take keeps the gathered sum contiguous, so it rounds as one row's.
-            marginals = rho.reshape(count, -1).take(marginal_index[b], axis=-1).sum(axis=-1)
-            transitions[bottom:top, first:first + width] = marginals[::-1]
-            first += width
-    grad = np.einsum("lqsab,lqab->lqs", _generators(rots, params), transitions)
-    return 2.0 * grad.real.reshape(-1)
+            rho[:count].reshape(count, -1).take(index, axis=-1, out=gathered[:count],
+                                                 mode="clip")
+            gathered[:count].sum(axis=-1, out=marginals[:count])
+            ws.transitions[bottom:top, qubits] = marginals[count - 1::-1]
+    np.einsum("lqsab,lqab->lqs", _generators(ws, params), ws.transitions, out=ws.grad)
+    return (2.0 * ws.grad.real).reshape(-1)
 
 
 def probability_vjp(config: AnsatzConfig, params, weights) -> np.ndarray:
@@ -414,13 +468,15 @@ def probability_vjp(config: AnsatzConfig, params, weights) -> np.ndarray:
     One reverse sweep uncomputes the circuit layer by layer, so the cost is
     proportional to the gate count rather than gates x parameters.  This is
     the workhorse behind analytic training gradients.  The sweep starts from
-    the memo's final state, so right after a ``run_circuit`` or
+    the workspace's final state, so right after a ``run_circuit`` or
     ``probabilities`` call at the same parameters it simulates no circuit.
     """
     params = _check_params(config, params)
     w = np.asarray(weights, dtype=np.float64).reshape(-1)
     if w.size != config.dim:
         raise ShapeMismatch(f"expected {config.dim} weights, got {w.size}")
+    if not np.isfinite(w).all():
+        raise ConfigError("weights must be finite")
     return _vjp(config, params, w)
 
 
@@ -433,9 +489,8 @@ def _tangents(config: AnsatzConfig, params: np.ndarray) -> np.ndarray:
     copies of row 0 each with its qubit's bit moved first.
     """
     n, per_layer = config.num_qubits, 3 * config.num_qubits
-    rots, blocks, _ = _circuit(config, params.tobytes())
-    gens = _generators(rots, params)
-    layout = _layout(config)
+    ws = _loaded(config, params)
+    gens, blocks, layout = _generators(ws, params), ws.blocks, ws.layout
     rows = np.empty((1 + config.num_parameters, config.dim), dtype=np.complex128)
     work = np.empty_like(rows)
     rows[0] = 2.0 ** (-n / 2.0)

@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 
@@ -275,7 +277,7 @@ class TestTrain:
         real_run = simulator._run
         monkeypatch.setattr(simulator, "_run",
                             lambda *args: runs.append(1) or real_run(*args))
-        simulator._circuit.cache_clear()
+        monkeypatch.setattr(simulator, "_workspaces", threading.local())
         train(k4, AnsatzConfig(2, 2), EncodingConfig(2, 4),
               OptimizerConfig(step_size=0.5, max_iterations=10, seed=0))
         assert len(runs) == 10
@@ -285,7 +287,7 @@ class TestTrain:
         real_run = simulator._run
         monkeypatch.setattr(simulator, "_run",
                             lambda *args: runs.append(1) or real_run(*args))
-        simulator._circuit.cache_clear()
+        monkeypatch.setattr(simulator, "_workspaces", threading.local())
         train(k4, AnsatzConfig(2, 1), EncodingConfig(2, 4),
               OptimizerConfig(step_size=0.5, max_iterations=10, shots=64, seed=0))
         assert len(runs) == 10
@@ -301,7 +303,7 @@ class TestTrain:
         monkeypatch.setattr(simulator, "_rotations",
                             lambda *args: calls.append(1) or real_rotations(*args))
         for num_layers in (1, 5):
-            simulator._circuit.cache_clear()
+            monkeypatch.setattr(simulator, "_workspaces", threading.local())
             calls.clear()
             train(k4, AnsatzConfig(2, num_layers), EncodingConfig(2, 4),
                   OptimizerConfig(step_size=0.5, max_iterations=4, shots=shots,

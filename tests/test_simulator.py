@@ -1,10 +1,12 @@
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from qemc import simulator
-from qemc.errors import ConfigError, InvalidCount, ShapeMismatch
+from qemc.errors import ConfigError, InvalidCount, ShapeMismatch, TooLarge
 from qemc.seeding import child_sequence
 from qemc.simulator import (
     ANALYTIC,
@@ -93,9 +95,8 @@ def per_layer_vjp(config: AnsatzConfig, params, weights) -> np.ndarray:
     """Reference adjoint sweep that forms each layer's cross densities and
     marginals block by block as it goes, for weight rows ``weights``."""
     params = np.asarray(params, dtype=float)
-    rots = simulator._rotations(params.reshape(config.num_layers, config.num_qubits, 3))
-    blocks = simulator._blocks(rots)
-    psi = simulator._run(config, blocks)
+    ws = simulator._loaded(config, params)
+    blocks, psi = ws.blocks, ws.state
     k = weights.shape[0]
     rows = np.vstack([psi, weights * psi])
     transitions = np.empty((config.num_layers, config.num_qubits, k, 2, 2),
@@ -113,7 +114,7 @@ def per_layer_vjp(config: AnsatzConfig, params, weights) -> np.ndarray:
             transitions[layer, first:first + width] = marginals.swapaxes(0, 1)
             rows = simulator._rotate_leading(block[layer].conj().T, rows)
             first += width
-    grad = np.einsum("lqsab,lqkab->klqs", simulator._generators(rots, params),
+    grad = np.einsum("lqsab,lqkab->klqs", simulator._generators(ws, params),
                      transitions)
     return 2.0 * grad.real.reshape(k, -1)
 
@@ -139,6 +140,11 @@ class TestShapes:
     def test_shape_must_be_counts(self, shape):
         with pytest.raises(ShapeMismatch):
             AnsatzConfig(*shape)
+
+    def test_qubit_cap(self):
+        with pytest.raises(TooLarge):
+            AnsatzConfig(40, 1)
+        assert AnsatzConfig(11, 120).num_parameters == 3 * 11 * 120
 
     def test_parameter_count(self):
         assert AnsatzConfig(3, 2).num_parameters == 18
@@ -442,12 +448,12 @@ class TestJacobian:
             shifted = probability_jacobian(config, params, PARAMETER_SHIFT).T @ weights
             assert np.abs(direct - shifted).max() < 1e-9
 
-    def test_vjp_from_cold_memos_is_bit_identical(self):
+    def test_vjp_from_cold_memos_is_bit_identical(self, monkeypatch):
         for n, layers in [(3, 2), (6, 2)]:
             config = AnsatzConfig(n, layers)
             params = random_parameters(config, seed=n)
             weights = np.random.default_rng(n).normal(size=config.dim)
-            simulator._circuit.cache_clear()
+            monkeypatch.setattr(simulator, "_workspaces", threading.local())
             cold = probability_vjp(config, params, weights)
             run_circuit(config, params)
             assert np.array_equal(cold, probability_vjp(config, params, weights))
@@ -473,7 +479,10 @@ class TestJacobian:
                           probability_jacobian(config, params)))
         monkeypatch.setattr(simulator, "_SWEEP_BYTES", 1)    # one layer per flush
         for config, params, weights, vjp, jac in cases:
+            # A workspace sizes its flush when it is built.
+            monkeypatch.setattr(simulator, "_workspaces", threading.local())
             assert np.array_equal(probability_vjp(config, params, weights), vjp)
+            assert simulator._workspaces.current.chunk == 1
             assert np.array_equal(probability_jacobian(config, params), jac)
 
     def test_analytic_jacobian_memory_bounded(self):
@@ -489,11 +498,22 @@ class TestJacobian:
             tracemalloc.stop()
         assert peak < 2 * 17.4 * 2 ** 20
 
-    def test_circuit_memo_is_read_only(self):
+    def test_results_are_independent_copies(self):
         config = AnsatzConfig(5, 2)
         params = random_parameters(config, seed=0)
-        rots, blocks, state = simulator._circuit(config, params.tobytes())
-        assert not any(a.flags.writeable for a in (rots, *blocks, state))
+        weights = np.random.default_rng(0).normal(size=config.dim)
+        results = [run_circuit(config, params), probabilities(config, params),
+                   probability_vjp(config, params, weights),
+                   probability_jacobian(config, params)]
+        expected = [r.copy() for r in results]
+        buffers = [a for a in vars(simulator._workspaces.current).values()
+                   if isinstance(a, np.ndarray)]
+        assert not any(np.shares_memory(r, b) for r in results for b in buffers)
+        other = random_parameters(config, seed=1)
+        run_circuit(config, other)
+        probability_vjp(config, other, weights)
+        probability_jacobian(config, other)
+        assert all(np.array_equal(r, e) for r, e in zip(results, expected))
 
     def test_run_circuit_result_is_a_writable_copy(self):
         config = AnsatzConfig(3, 2)
@@ -510,3 +530,75 @@ class TestJacobian:
     def test_vjp_weight_length_checked(self):
         with pytest.raises(ShapeMismatch):
             probability_vjp(AnsatzConfig(2, 1), np.zeros(6), np.ones(3))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_weights_rejected(self, bad):
+        config = AnsatzConfig(2, 1)
+        with pytest.raises(ConfigError, match="weights must be finite"):
+            probability_vjp(config, random_parameters(config, 0), [1.0, bad, 1.0, 1.0])
+
+
+def training_step(config, params, weights):
+    return probabilities(config, params), probability_vjp(config, params, weights)
+
+
+class TestWorkspace:
+    def test_step_allocates_little(self):
+        # The per-step arrays took 1781 KiB here when each step allocated them.
+        config = AnsatzConfig(8, 50)
+        weights = np.random.default_rng(0).normal(size=config.dim)
+        training_step(config, random_parameters(config, 0), weights)
+        params = random_parameters(config, 1)
+        tracemalloc.start()
+        try:
+            training_step(config, params, weights)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 256 * 2 ** 10
+
+    def test_threads_do_not_share_workspaces(self):
+        # More threads than the two cores this was written on: two share a
+        # config at different parameters, and n = 9 ends in a one-qubit block.
+        cases = []
+        for n, layers, first in [(6, 4, 0), (6, 4, 10), (9, 2, 0)]:
+            config = AnsatzConfig(n, layers)
+            steps = [(random_parameters(config, seed),
+                      np.random.default_rng(seed).normal(size=config.dim))
+                     for seed in range(first, first + 6)]
+            cases.append((config, steps, [probability_vjp(config, p, w) for p, w in steps]))
+        results = [[] for _ in cases]
+        barrier = threading.Barrier(len(cases), timeout=10)
+
+        def work(index):
+            config, steps, _ = cases[index]
+            for params, weights in steps * 5:
+                barrier.wait()    # each VJP starts while the other threads run theirs
+                results[index].append(probability_vjp(config, params, weights))
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(len(cases))]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not any(thread.is_alive() for thread in threads)
+        for (_, _, serial), got in zip(cases, results):
+            assert len(got) == len(serial) * 5
+            assert all(np.array_equal(g, s) for g, s in zip(got, serial * 5))
+
+    def test_switching_configs_keeps_cold_bits(self, monkeypatch):
+        a, b = AnsatzConfig(8, 3), AnsatzConfig(5, 4)
+        params_a, params_b = random_parameters(a, 1), random_parameters(b, 2)
+        weights_a = np.random.default_rng(1).normal(size=a.dim)
+        weights_b = np.random.default_rng(2).normal(size=b.dim)
+        monkeypatch.setattr(simulator, "_workspaces", threading.local())
+        cold = training_step(a, params_a, weights_a) + (probability_jacobian(a, params_a),)
+        training_step(b, params_b, weights_b)
+        probability_jacobian(b, params_b)
+        again = training_step(a, params_a, weights_a) + (probability_jacobian(a, params_a),)
+        assert all(np.array_equal(x, y) for x, y in zip(cold, again))
