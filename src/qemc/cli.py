@@ -25,7 +25,8 @@ import numpy as np
 
 from . import __version__, baselines, core, harness, svg
 from .core import EncodingConfig
-from .errors import ConfigError, QemcError, RuntimeFailure, UnwritableOutput, check_count
+from .errors import (ConfigError, QemcError, RuntimeFailure, UnwritableOutput, check_count,
+                     check_finite)
 from .graphs import (
     EXHAUSTIVE_NODE_CAP,
     exhaustive_maxcut,
@@ -124,8 +125,8 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    if args.target is not None and not np.isfinite(args.target):
-        raise ConfigError(f"target must be finite, got {args.target}")
+    if args.target is not None:
+        check_finite("target", args.target)
     if args.jobs is not None:     # checked even where only --scan-blue would use it
         check_count("jobs", args.jobs)
     graph = read_edge_list_file(args.graph)

@@ -33,6 +33,7 @@ from .errors import (
     RuntimeFailure,
     ShapeMismatch,
     check_count,
+    check_finite,
 )
 from .graphs import Graph, Partition, _crossing_weight
 from .seeding import child_sequence
@@ -100,8 +101,8 @@ class OptimizerConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not (isinstance(self.step_size, numbers.Real)
-                and math.isfinite(self.step_size) and self.step_size > 0):
+        if (not isinstance(self.step_size, numbers.Real)
+                or check_finite("step_size", self.step_size, ShapeMismatch) <= 0):
             raise ShapeMismatch(
                 f"step_size must be positive and finite, got {self.step_size}")
         check_count("max_iterations", self.max_iterations, 0, ShapeMismatch)
@@ -203,7 +204,7 @@ def decode(probs, encoding: EncodingConfig) -> Partition:
     indices >= num_nodes are zero padding for graphs whose size is not a
     power of two; they are ignored.
     """
-    probs = _check_probs(probs, encoding.num_nodes)
+    probs = check_finite("probabilities", _check_probs(probs, encoding.num_nodes))
     blue = probs[:encoding.num_nodes] > encoding.threshold
     return Partition(blue.astype(np.uint8))
 
@@ -235,6 +236,7 @@ def cost(probs, graph: Graph, encoding: EncodingConfig) -> float:
     """Edge-wise mean-squared-error cost; zero exactly when every edge pairs a
     probability-0 endpoint with a probability-1/B endpoint."""
     _check_encoding(graph, encoding)
+    probs = check_finite("probabilities", probs)
     return _cost_terms(probs, graph, 1.0 / encoding.blue_count)[0]
 
 
@@ -247,6 +249,7 @@ def cost_gradient_wrt_probs(probs, graph: Graph,
     arbitrary sign.
     """
     _check_encoding(graph, encoding)
+    probs = check_finite("probabilities", probs)
     return _cost_terms(probs, graph, 1.0 / encoding.blue_count)[1]
 
 
@@ -357,7 +360,8 @@ def train(graph: Graph, ansatz: AnsatzConfig, encoding: EncodingConfig,
 
 def cut_ratio(cut: float, cut_star: float) -> float:
     """Cut divided by the optimal cut."""
-    if cut_star <= 0:
+    check_finite("cut", cut)
+    if check_finite("cut_star", cut_star) <= 0:
         raise DegenerateDenominator("cut_star must be positive")
     return cut / cut_star
 
@@ -365,7 +369,8 @@ def cut_ratio(cut: float, cut_star: float) -> float:
 def rescaled_ratio(cut: float, cut_star: float, num_edges: int) -> float:
     """(M - 2*Cut) / (M - 2*Cut*): the cut ratio on the signed-energy scale,
     1 at the optimum and 0 for a half-cut."""
-    denom = num_edges - 2.0 * cut_star
+    check_finite("cut", cut)
+    denom = check_finite("num_edges", num_edges) - 2.0 * check_finite("cut_star", cut_star)
     if denom == 0:
         raise DegenerateDenominator("num_edges equals twice cut_star")
     return (num_edges - 2.0 * cut) / denom

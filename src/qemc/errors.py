@@ -7,6 +7,8 @@ kept as distinct subtrees because the CLI maps them to different exit codes.
 
 import numbers
 
+import numpy as np
+
 
 class QemcError(Exception):
     """Base class for all errors raised by this package."""
@@ -98,3 +100,14 @@ def check_count(name, value, minimum=1, error=InvalidCount):
     if value < minimum:
         raise error(f"{name} must be >= {minimum}, got {value}")
     return value
+
+
+def check_finite(name, value, error=ConfigError):
+    """Return ``value`` if it is a real number, or an array-like of them, with no
+    NaN or infinity, else raise ``error``."""
+    try:
+        if np.isfinite(value).all():
+            return value
+    except TypeError:       # a string, None, or an int too large for a float
+        pass
+    raise error(f"{name} must be finite, got {value}")

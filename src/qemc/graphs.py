@@ -23,6 +23,7 @@ from .errors import (
     SizeMismatch,
     TooLarge,
     check_count,
+    check_finite,
 )
 from .seeding import child_rng
 
@@ -72,8 +73,7 @@ class Graph:
         w = np.asarray(self.edge_w, dtype=np.float64)
         if not (u.shape == v.shape == w.shape):
             raise ConfigError("edge arrays must have equal length")
-        if not np.all(np.isfinite(w)):
-            raise ConfigError("edge weights must be finite")
+        check_finite("edge weights", w)
         if u.size:
             if u.min() < 0 or v.max() >= self.num_nodes:
                 raise ConfigError("edge endpoint out of range")

@@ -29,7 +29,8 @@ import numpy as np
 
 from . import baselines, core, simulator
 from .core import EncodingConfig, OptimizerConfig, RunRecord
-from .errors import ConfigError, InvalidCount, RuntimeFailure, ShapeMismatch, check_count
+from .errors import (ConfigError, InvalidCount, RuntimeFailure, ShapeMismatch, check_count,
+                     check_finite)
 from .graphs import Graph, generate_regular
 from .seeding import derive_seed
 from .simulator import ANALYTIC, PARAMETER_SHIFT, AnsatzConfig
@@ -233,8 +234,8 @@ def grid_search(graph: Graph, grid: GridSpec, encoding: EncodingConfig, seed=0,
     """
     if encoding.num_nodes != graph.num_nodes:
         raise ShapeMismatch("encoding and graph disagree on num_nodes")
-    if target is not None and not np.isfinite(target):
-        raise ConfigError(f"target must be finite, got {target}")
+    if target is not None:
+        check_finite("target", target)
     arms = [(("grid", layers, step), graph,
              QemcSettings(layers=layers, step_size=step, iterations=grid.iteration_budget,
                           shots=shots, blue_count=encoding.blue_count,
@@ -305,8 +306,7 @@ def scaling_study(graph_family, targets, resource_axis: str,
     targets = list(targets)
     if len(targets) != len(graph_family):
         raise ConfigError("need exactly one target per graph")
-    if not np.all(np.isfinite(targets)):
-        raise ConfigError(f"every target must be finite, got {targets}")
+    check_finite("every target", targets)
     if resource_axis not in ("layers", "shots", "iterations"):
         raise ConfigError(f"unknown resource axis {resource_axis!r}")
     if resource_axis == "iterations" and axis_values is not None:

@@ -397,9 +397,10 @@ def _draw(probs: np.ndarray, shots: int,
 
     One generator draws the rows of a stack in order, each from its own
     distribution, as consecutive one-row draws from that generator would.
+    ``probs`` is normalized in place.
     """
-    rng = np.random.default_rng(seed_sequence)
-    return rng.multinomial(shots, probs / probs.sum(axis=-1, keepdims=True)) / shots
+    probs /= probs.sum(axis=-1, keepdims=True)
+    return np.random.default_rng(seed_sequence).multinomial(shots, probs) / shots
 
 
 def sample_histogram(probs, shots: int, seed) -> np.ndarray:
@@ -410,7 +411,7 @@ def sample_histogram(probs, shots: int, seed) -> np.ndarray:
     one is derived.
     """
     check_count("shots", shots)
-    probs = np.asarray(probs, dtype=np.float64)
+    probs = np.array(probs, dtype=np.float64)     # a copy: _draw normalizes it in place
     if probs.ndim != 1:
         raise ShapeMismatch(f"expected a 1-D distribution, got shape {probs.shape}")
     total = probs.sum()
@@ -538,8 +539,13 @@ def probability_jacobian(config: AnsatzConfig, params, mode: str = ANALYTIC,
         jac = 2.0 * (chi * psi.conj()).real
     else:
         chi *= 2.0
-        shifted = np.stack([psi + chi, psi - chi], axis=1).reshape(-1, config.dim)
-        probs = _draw(np.abs(shifted) ** 2 / 2.0, shots, child_sequence(seed, "shift"))
+        shifted = np.empty((len(chi), 2, config.dim), dtype=np.complex128)
+        np.add(psi, chi, out=shifted[:, 0])
+        np.subtract(psi, chi, out=shifted[:, 1])
+        dens = np.abs(shifted).reshape(-1, config.dim)
+        np.square(dens, out=dens)
+        dens /= 2.0
+        probs = _draw(dens, shots, child_sequence(seed, "shift"))
         jac = (probs[0::2] - probs[1::2]) / 2.0
     # Row-major (2^n, P), so that products such as jac.T @ w round as before.
     return np.ascontiguousarray(jac.T)

@@ -2,8 +2,9 @@
 
 The README promises that results replay from the master seed alone.  This
 corpus pins that promise across versions: ``test_golden.py`` reruns it and
-compares cuts, best cuts and the seed of every planned trial exactly, and
-costs and GW relaxation values to 1e-9 relative.  Runs stay at 30 iterations
+compares cuts, best cuts, the seed of every planned trial, the first words of
+a fixed set of derived seed streams and one sampled parameter-shift Jacobian
+exactly, and costs and GW relaxation values to 1e-9 relative.  Runs stay at 30 iterations
 and at most 5 layers, where a float reassociation moves costs by about 1e-12
 and no cut, so only a change of seeds, tag paths or trial order fails.
 
@@ -19,11 +20,13 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from qemc import baselines, core, harness
+import numpy as np
+
+from qemc import baselines, core, harness, simulator
 from qemc.core import EncodingConfig, OptimizerConfig
 from qemc.graphs import Graph, generate_regular
 from qemc.harness import GridSpec, QemcSettings
-from qemc.seeding import derive_seed
+from qemc.seeding import child_sequence, derive_seed
 from qemc.simulator import ANALYTIC, PARAMETER_SHIFT, AnsatzConfig
 
 GOLDEN = Path(__file__).with_name("golden_runs.json")
@@ -59,9 +62,26 @@ def _record(record) -> dict:
             "best_cuts": record.best_cuts.tolist()}
 
 
+def _seed_paths() -> list:
+    """(seed, *tags) paths covering every kind of seed and tag ``child_sequence`` takes."""
+    nested = child_sequence(MASTER, "shift", 3)
+    return [(MASTER,), (MASTER, "shots", 1), (0,), (-1, "init"), (2**63, 2**64 - 1, 2**32),
+            ("master", 0.5, True, None), (MASTER, np.int64(-7), np.uint64(2**64 - 1)),
+            (np.random.SeedSequence(MASTER).spawn(2)[1], "a"), (nested, "shift"),
+            (nested.spawn(1)[0], 0)]
+
+
 def run_corpus() -> dict:
     """Every golden run, as plain JSON values keyed by run name."""
-    runs = {}
+    runs = {"seeding": {
+        "child_sequence": [child_sequence(*path).generate_state(4).tolist()
+                           for path in _seed_paths()],
+        "derive_seed": [derive_seed(*path) for path in _seed_paths()]}}
+    config = simulator.AnsatzConfig(4, 2)
+    jacobian = simulator.probability_jacobian(
+        config, simulator.random_parameters(config, MASTER), simulator.PARAMETER_SHIFT,
+        shots=64, seed=MASTER)
+    runs["probability_jacobian/sampled"] = {"jacobian": jacobian.tolist()}
     g8 = generate_regular(8, 3, seed=1)
     for mode in (ANALYTIC, PARAMETER_SHIFT):
         for shots in (None, 64):

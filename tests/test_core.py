@@ -16,13 +16,14 @@ from qemc.core import (
     train,
 )
 from qemc.errors import (
+    ConfigError,
     DegenerateDenominator,
     HistogramTooShort,
     InvalidBlueCount,
     RuntimeFailure,
     ShapeMismatch,
 )
-from qemc import simulator
+from qemc import core, simulator
 from qemc.graphs import Graph, cut_value
 from qemc.simulator import (
     ANALYTIC,
@@ -98,6 +99,12 @@ class TestDecode:
         with pytest.raises(HistogramTooShort):
             decode(hist([0.5, 0.5]), EncodingConfig(2, 4))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rejected(self, bad):
+        # A NaN entry used to compare False and colour its node white.
+        with pytest.raises(ConfigError, match="probabilities must be finite"):
+            decode(hist([bad, 1, 0, 0]), EncodingConfig(2, 4))
+
     def test_blue_set_grows_with_blue_count(self):
         # Larger B means a smaller threshold, hence a superset of blue nodes.
         rng = np.random.default_rng(0)
@@ -143,6 +150,12 @@ class TestCost:
     def test_encoding_must_match_graph(self, k4, fn):
         with pytest.raises(ShapeMismatch, match="disagree on num_nodes"):
             fn(hist([0.25] * 4), k4, EncodingConfig(1, 3))
+
+    @pytest.mark.parametrize("fn", [cost, cost_gradient_wrt_probs],
+                             ids=["cost", "gradient"])
+    def test_non_finite_distribution_rejected(self, k4, fn):
+        with pytest.raises(ConfigError, match="probabilities must be finite"):
+            fn([np.nan, 0.5, 0.25, 0.25], k4, EncodingConfig(2, 4))
 
     def test_zero_cost_implies_full_cut(self, k33):
         ideal = hist([1 / 3, 1 / 3, 1 / 3, 0, 0, 0, 0, 0])
@@ -249,6 +262,15 @@ class TestTrain:
                            OptimizerConfig(step_size=0.99, max_iterations=300,
                                            seed=seed))
             assert record.final_best_cut == 4.0
+
+    def test_loop_checks_no_distribution(self, k4, monkeypatch):
+        # train reaches the cost through _cost_terms, so its loop pays for no
+        # public-entry check.
+        optimizer = OptimizerConfig(0.5, 3, shots=16, gradient_mode=PARAMETER_SHIFT)
+        calls = []
+        monkeypatch.setattr(core, "check_finite", lambda *args: calls.append(args))
+        train(k4, AnsatzConfig(2, 1), EncodingConfig(2, 4), optimizer)
+        assert calls == []
 
     def test_zero_iterations(self, k4):
         record = train(k4, AnsatzConfig(2, 1), EncodingConfig(2, 4),
@@ -404,6 +426,15 @@ class TestRatios:
             cut_ratio(1, 0)
         with pytest.raises(DegenerateDenominator):
             rescaled_ratio(1, 2, 4)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad):
+        # cut_ratio(1, inf) read 0.0 and the NaN cases returned nan.
+        for call in (lambda: cut_ratio(1.0, bad), lambda: cut_ratio(bad, 1.0),
+                     lambda: rescaled_ratio(1.0, bad, 3), lambda: rescaled_ratio(bad, 1.0, 3),
+                     lambda: rescaled_ratio(1.0, 1.0, bad)):
+            with pytest.raises(ConfigError, match="must be finite"):
+                call()
 
     def test_default_shots(self):
         assert default_shots(4) == 48

@@ -12,8 +12,10 @@ from qemc.errors import (
     InvalidBlueCount,
     InvalidCount,
     InvalidDegree,
+    ConfigError,
     ShapeMismatch,
     check_count,
+    check_finite,
 )
 from qemc.graphs import Graph, complete_graph, generate_regular, random_star_partition
 from qemc.harness import (
@@ -127,6 +129,23 @@ class TestCheckCount:
     def test_error_class(self):
         with pytest.raises(InvalidDegree, match=r"^degree must be >= 1, got 0$"):
             check_count("degree", 0, error=InvalidDegree)
+
+
+class TestCheckFinite:
+    @pytest.mark.parametrize("value", [0.0, -1e308, 3, np.float64(2.5), [1.0, 2.0],
+                                       np.zeros(3)], ids=repr)
+    def test_finite_returned(self, value):
+        assert check_finite("x", value) is value
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, [1.0, np.nan], "1.0", None,
+                                       10 ** 400], ids=repr)
+    def test_non_finite_rejected(self, value):
+        with pytest.raises(ConfigError, match=r"^x must be finite, got "):
+            check_finite("x", value)
+
+    def test_error_class(self):
+        with pytest.raises(ShapeMismatch, match=r"^step must be finite, got nan$"):
+            check_finite("step", float("nan"), ShapeMismatch)
 
 
 @pytest.mark.parametrize("entry", list(ENTRY_POINTS))

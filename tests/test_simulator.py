@@ -265,6 +265,11 @@ class TestSampling:
         assert np.array_equal(sample_histogram(10 * probs, shots=50, seed=4),
                               sample_histogram(probs, shots=50, seed=4))
 
+    def test_caller_array_unchanged(self):
+        probs = np.array([1.0, 3.0, 2.0, 4.0])
+        sample_histogram(probs, shots=50, seed=4)
+        assert probs.tolist() == [1.0, 3.0, 2.0, 4.0]
+
     def test_shots_must_be_positive(self):
         with pytest.raises(InvalidCount):
             sample_histogram(np.full(2, 0.5), shots=0, seed=0)
@@ -408,6 +413,16 @@ class TestJacobian:
         # 100 times the shots should cut the error by sqrt(100) = 10.
         ratio = median_error(10 ** 3) / median_error(10 ** 5)
         assert 5.0 < ratio < 20.0
+
+    def test_sampled_shift_takes_any_seed_sequence(self):
+        config = AnsatzConfig(2, 1)
+        params = random_parameters(config, seed=1)
+        words = np.random.SeedSequence(np.array([1, 2], dtype=np.uint64))
+        jac = probability_jacobian(config, params, PARAMETER_SHIFT, shots=64, seed=words)
+        same = probability_jacobian(config, params, PARAMETER_SHIFT, shots=64,
+                                    seed=np.random.SeedSequence([1, 2]))
+        assert np.array_equal(jac, same)
+        assert np.abs(jac.sum(axis=0)).max() < 1e-12
 
     def test_sampled_shift_needs_seed(self):
         config = AnsatzConfig(2, 1)
