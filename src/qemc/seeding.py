@@ -21,6 +21,7 @@ import numpy as np
 
 __all__ = ["child_sequence", "child_rng", "derive_seed"]
 
+
 def _words(value: int) -> list:
     """numpy's little-endian 32-bit words of an int >= 0: no leading zero word,
     and zero as one zero word."""

@@ -4,9 +4,10 @@ The README promises that results replay from the master seed alone.  This
 corpus pins that promise across versions: ``test_golden.py`` reruns it and
 compares cuts, best cuts, the seed of every planned trial, the first words of
 a fixed set of derived seed streams and one sampled parameter-shift Jacobian
-exactly, and costs and GW relaxation values to 1e-9 relative.  Runs stay at 30 iterations
-and at most 5 layers, where a float reassociation moves costs by about 1e-12
-and no cut, so only a change of seeds, tag paths or trial order fails.
+exactly, and costs and GW relaxation values to 1e-9 relative.  Runs stay at
+30 iterations and at most 5 layers, where a float reassociation moves costs by
+about 1e-12 and no cut, so only a change of seeds, tag paths or trial order
+fails.
 
 When a change alters seeded results on purpose, regenerate the file with
 
@@ -22,12 +23,13 @@ from pathlib import Path
 
 import numpy as np
 
-from qemc import baselines, core, harness, simulator
+from qemc import baselines, core, harness
 from qemc.core import EncodingConfig, OptimizerConfig
 from qemc.graphs import Graph, generate_regular
 from qemc.harness import GridSpec, QemcSettings
 from qemc.seeding import child_sequence, derive_seed
-from qemc.simulator import ANALYTIC, PARAMETER_SHIFT, AnsatzConfig
+from qemc.simulator import (ANALYTIC, PARAMETER_SHIFT, AnsatzConfig, probability_jacobian,
+                            random_parameters)
 
 GOLDEN = Path(__file__).with_name("golden_runs.json")
 MASTER = 2718
@@ -77,10 +79,9 @@ def run_corpus() -> dict:
         "child_sequence": [child_sequence(*path).generate_state(4).tolist()
                            for path in _seed_paths()],
         "derive_seed": [derive_seed(*path) for path in _seed_paths()]}}
-    config = simulator.AnsatzConfig(4, 2)
-    jacobian = simulator.probability_jacobian(
-        config, simulator.random_parameters(config, MASTER), simulator.PARAMETER_SHIFT,
-        shots=64, seed=MASTER)
+    config = AnsatzConfig(4, 2)
+    jacobian = probability_jacobian(config, random_parameters(config, MASTER),
+                                    PARAMETER_SHIFT, shots=64, seed=MASTER)
     runs["probability_jacobian/sampled"] = {"jacobian": jacobian.tolist()}
     g8 = generate_regular(8, 3, seed=1)
     for mode in (ANALYTIC, PARAMETER_SHIFT):
