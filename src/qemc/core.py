@@ -281,13 +281,15 @@ def train(graph: Graph, ansatz: AnsatzConfig, encoding: EncodingConfig,
     S-shot sample), records its cost and decoded cut, and takes one Adam step
     from the chain-rule gradient.  Only distributions pass through here: the
     simulator keeps the state it simulated for the histogram and starts the
-    analytic gradient from it, so each iteration simulates the circuit once
-    (plus, for parameter shift, one sweep over the state and its P tangents,
-    which give the 2P shifted distributions).  Iteration indices count Adam
-    steps starting at 1; the pre-initialization state is not recorded.
-    Deterministic for a fixed seed.  Raises :class:`RuntimeFailure` naming
-    the iteration at which the cost, the cut, Adam's second moment or the
-    angles stop being finite.
+    gradient from it, so each iteration simulates the circuit once.  Sampled
+    parameter shift draws its 2P shifted histograms from one sweep over the
+    state and its P tangents; every other gradient is a VJP, so exact shift
+    trains bit for bit as analytic does, with the counters of 1 + 2P
+    executions a step.  Iteration indices count Adam steps starting at 1;
+    the pre-initialization state is not recorded.  Deterministic for a fixed
+    seed, whatever the BLAS thread count.  Raises :class:`RuntimeFailure`
+    naming the iteration at which the cost, the cut, Adam's second moment or
+    the angles stop being finite.
     """
     if ansatz.num_qubits != simulator.num_qubits_for(graph.num_nodes):
         raise ShapeMismatch(
@@ -299,10 +301,10 @@ def train(graph: Graph, ansatz: AnsatzConfig, encoding: EncodingConfig,
     num_params = ansatz.num_parameters
     num_nodes, threshold = graph.num_nodes, encoding.threshold
     inv_b = 1.0 / encoding.blue_count
-    analytic = optimizer.gradient_mode == ANALYTIC
+    shift = optimizer.gradient_mode == PARAMETER_SHIFT
     # Every iteration executes the circuit once, plus 2P shifted copies for
     # parameter shift, each sampled with the shot budget if there is one.
-    executions = optimizer.max_iterations * (1 if analytic else 1 + 2 * num_params)
+    executions = optimizer.max_iterations * (1 + 2 * num_params if shift else 1)
     counters = RunCounters(
         circuit_executions=executions,
         shots_total=0 if optimizer.shots is None else executions * optimizer.shots,
@@ -325,13 +327,14 @@ def train(graph: Graph, ansatz: AnsatzConfig, encoding: EncodingConfig,
         costs[it - 1], weights = _cost_terms(probs, graph, inv_b)
         if not np.isfinite(weights).all():    # probability_vjp takes finite weights only
             raise RuntimeFailure(f"train: dC/dp is not finite at iteration {it}")
-        if analytic:
-            grad = simulator.probability_vjp(ansatz, params, weights)
-        else:
+        if shift and optimizer.shots is not None:
             jac = simulator.probability_jacobian(
-                ansatz, params, PARAMETER_SHIFT, shots=optimizer.shots,
+                ansatz, params, shots=optimizer.shots,
                 seed=child_sequence(optimizer.seed, "shift", it))
-            grad = jac.T @ weights
+            # einsum sums in its own loop: the bits do not depend on BLAS threads.
+            grad = np.einsum("kp,k->p", jac, weights)
+        else:
+            grad = simulator.probability_vjp(ansatz, params, weights)
 
         # The cut of decode(probs, encoding), without building the Partition.
         cut = _crossing_weight(graph, probs[:num_nodes] > threshold)

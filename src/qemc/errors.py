@@ -104,9 +104,9 @@ def check_count(name, value, minimum=1, error=InvalidCount):
 
 def check_finite(name, value, error=ConfigError):
     """Return ``value`` if it is a real number, or an array-like of them, with no
-    NaN or infinity, else raise ``error``."""
+    NaN or infinity, else raise ``error``; bools, numpy's too, are not real numbers."""
     try:
-        if np.isfinite(value).all():
+        if (array := np.asarray(value)).dtype != bool and np.isfinite(array).all():
             return value
     except TypeError:       # a string, None, or an int too large for a float
         pass

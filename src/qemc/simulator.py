@@ -21,12 +21,12 @@ uniform start state 2^(-n/2); all rotation matrices are built at once from
 the parameter array, and each layer's rotations of up to four consecutive
 qubits are fused into one Kronecker block (a 16x16 matrix), so a layer costs
 one matmul per block: 1 for n <= 4, 2 for n = 8, 3 for n = 11.  What the
-sweeps read from the ``AnsatzConfig`` alone (each layer's CNOT ring as one
-index permutation, the block widths, the index tables) is built once per
-config.  Each thread keeps one workspace, for the config it last simulated,
-that holds every array a step writes and prebuilt views of them: a training
-step allocates no per-step arrays, and builds and simulates its circuit once
-for the distribution and the gradient.
+sweeps read from the ``AnsatzConfig`` alone (the CNOT ring of each of the
+n - 1 strides as one index permutation, the block widths, the index tables)
+is built once per config.  Each thread keeps one workspace, for the config
+it last simulated, that holds every array a step writes and prebuilt views
+of them: a training step allocates no per-step arrays, and builds and
+simulates its circuit once for the distribution and the gradient.
 
 The reverse sweep, the adjoint method of Jones & Gacon (arXiv:2009.02823),
 serves the vector-Jacobian product.  It only undoes the circuit and keeps its
@@ -40,17 +40,17 @@ Distributions are plain float64 arrays of length 2^n: ``probabilities``
 returns |amplitude|^2, and ``sample_histogram`` turns any such array into
 the frequencies of a multinomial draw.
 
-The Jacobian, in either mode, simulates no shifted circuit.  Every angle
+The Jacobian, exact or sampled, simulates no shifted circuit.  Every angle
 parameterizes a Pauli rotation, so a +-pi/2 shift turns its rotation R into
 (I +- 2G) R / sqrt(2), G = d(Rot)/d(angle) Rot^dagger being the generator the
 adjoint sweep uses too: the shifted states are (psi +- 2 chi_i) / sqrt(2),
 chi_i = d psi / d theta_i.  One forward sweep over 1 + P rows carries psi and
 every chi_i, which starts at its layer as G applied to psi's row.  Exact, the
-Jacobian is 2 Re(conj(psi) chi_i) in both modes.  With a shot budget, one
-generator seeded from the call's seed draws every shifted histogram,
-|psi +- 2 chi_i|^2 / 2, in one multinomial call, in the order (0, +), (0, -),
-(1, +), ...; each row is an independent draw of ``shots`` samples from its own
-circuit.
+Jacobian is 2 Re(conj(psi) chi_i), but no training gradient needs it: those
+are VJPs.  With a shot budget, one generator seeded from the call's seed
+draws every shifted histogram, |psi +- 2 chi_i|^2 / 2, in one multinomial
+call, in the order (0, +), (0, -), (1, +), ...; each row is an independent
+draw of ``shots`` samples from its own circuit.
 
 All functions are pure and safe to call from concurrent threads: no thread
 reads another's workspace, and every public function returns a fresh array.
@@ -98,13 +98,10 @@ _BLOCK_QUBITS = 4
 # 512 KiB and 2.2 ms from 768 KiB on; n=11, L=50 stayed at 5.0-6.5 ms.
 _SWEEP_BYTES = 1 << 19
 
-# At this cap ``_layout``'s index tables (32 n 2^n bytes) take 640 MiB and
-# one state 16 MiB; the paper's largest graphs, 2048 nodes, need 11 qubits.
+# At this cap ``_layout``'s index tables take 944 MiB: 32 n 2^n bytes of
+# ``fronts`` and ``backs``, 16 (n - 1) 2^n of CNOT rings and their inverses.
+# One state takes 16 MiB; the paper's 2048-node graphs need 11 qubits.
 _MAX_QUBITS = 20
-
-# -iZ/2, the generator of the phi and omega rotations, and its diagonal.
-_HALF_IZ = np.array([-0.5j, 0.5j])
-_HALF_IZ_MATRIX = np.diag(_HALF_IZ)
 
 
 def num_qubits_for(num_nodes: int) -> int:
@@ -170,7 +167,7 @@ def _cnot_permutation(num_qubits: int, control: int, target: int) -> np.ndarray:
 class _Layout(NamedTuple):
     """What every sweep over one ``AnsatzConfig`` reads, whatever the parameters."""
 
-    perms: tuple        # per layer, the CNOT ring as one index permutation
+    perms: tuple        # per layer, its stride's CNOT ring as one index permutation
     inverses: tuple     # per layer, that permutation's inverse
     widths: tuple       # qubits per Kronecker block, in qubit order
     marginals: tuple    # per block, its ``_marginal_index`` table
@@ -183,23 +180,22 @@ def _layout(config: AnsatzConfig) -> _Layout:
     """The config's ``_Layout``, built on first use."""
     n = config.num_qubits
     widths = tuple(min(_BLOCK_QUBITS, n - first) for first in range(0, n, _BLOCK_QUBITS))
-    strides = config.entangler_strides
-    perms, inverses = [], []
-    for layer in range(config.num_layers):
+    # The strides cycle with period n - 1: layers of one stride share its ring.
+    strides = config.entangler_strides or (0,) * config.num_layers   # one qubit: no ring
+    rings = {}
+    for stride in dict.fromkeys(strides):
         perm = np.arange(config.dim, dtype=np.int64)
-        if n >= 2:
-            for q in range(n):
-                perm = perm[_cnot_permutation(n, q, (q + strides[layer]) % n)]
-        perms.append(perm)
-        inverses.append(np.argsort(perm))
+        for q in range(n if stride else 0):
+            perm = perm[_cnot_permutation(n, q, (q + stride) % n)]
+        rings[stride] = perm, np.argsort(perm)
     axes = np.arange(config.dim).reshape((2,) * n)
     fronts = np.stack([np.moveaxis(axes, q, 0).reshape(-1) for q in range(n)])
     backs = (np.arange(3 * n)[:, np.newaxis] * config.dim
              + np.repeat(np.argsort(fronts, axis=1), 3, axis=0))
-    for array in perms + inverses + [fronts, backs]:
+    for array in [*(a for ring in rings.values() for a in ring), fronts, backs]:
         array.setflags(write=False)
-    return _Layout(perms=tuple(perms),
-                   inverses=tuple(inverses),
+    return _Layout(perms=tuple(rings[stride][0] for stride in strides),
+                   inverses=tuple(rings[stride][1] for stride in strides),
                    widths=widths,
                    marginals=tuple(_marginal_index(width) for width in widths),
                    fronts=fronts, backs=backs)
@@ -219,13 +215,16 @@ def _rotations(angles: np.ndarray, rots: np.ndarray) -> None:
 def _generators(ws: _Workspace, params: np.ndarray) -> np.ndarray:
     """d(Rot)/d(angle) @ Rot^dagger for every (layer, qubit, slot), into ``ws.gens``.
 
-    With Rot = RZ(omega) RY(theta) RZ(phi) these are R (-iZ/2) R^dagger,
+    With Rot = RZ(omega) RY(theta) RZ(phi), RZ(phi) commuting with Z, they are
+    R (-iZ/2) R^dagger = -(i/2) (cos theta Z + sin theta (cos omega X + sin omega Y)),
     RZ(omega) (-iY/2) RZ(omega)^dagger and -iZ/2 (set once, with the zeros).
     """
-    omega = params.reshape(ws.rots.shape[:2] + (3,))[..., 2]
-    ws.gens[..., 0, :, :] = (ws.rots * _HALF_IZ) @ ws.rots.conj().swapaxes(-1, -2)
-    ws.gens[..., 1, 0, 1] = -0.5 * np.exp(-1j * omega)
-    ws.gens[..., 1, 1, 0] = 0.5 * np.exp(1j * omega)
+    angles = params.reshape(ws.rots.shape[:2] + (3,))
+    turn = np.exp(1j * angles[..., 2])
+    cos, sin = -0.5j * np.cos(angles[..., 1]), -0.5j * np.sin(angles[..., 1])
+    ws.gens[..., 0, 0, 0], ws.gens[..., 0, 1, 1] = cos, -cos
+    ws.gens[..., 0, 0, 1], ws.gens[..., 0, 1, 0] = sin * turn.conj(), sin * turn
+    ws.gens[..., 1, 0, 1], ws.gens[..., 1, 1, 0] = -0.5 * turn.conj(), 0.5 * turn
     return ws.gens
 
 
@@ -314,7 +313,7 @@ class _Workspace:
         self.config, self.layout, self.key = config, layout, None
         self.rots = new((num_layers, config.num_qubits, 2, 2))
         self.gens = np.zeros(self.rots.shape[:2] + (3, 2, 2), dtype=np.complex128)
-        self.gens[..., 2, :, :] = _HALF_IZ_MATRIX
+        self.gens[..., 2, 0, 0], self.gens[..., 2, 1, 1] = -0.5j, 0.5j
         # Per block: _blocks' products (the k-th into ``stages[k]``, each right
         # factor copied into ``wide``), the last stage's layer-first view, the
         # block and its conjugate.
@@ -467,8 +466,8 @@ def probability_vjp(config: AnsatzConfig, params, weights) -> np.ndarray:
     """Vector-Jacobian product  g[i] = sum_k weights[k] * d p(k) / d theta[i].
 
     One reverse sweep uncomputes the circuit layer by layer, so the cost is
-    proportional to the gate count rather than gates x parameters.  This is
-    the workhorse behind analytic training gradients.  The sweep starts from
+    proportional to the gate count rather than gates x parameters.  Every
+    exact training gradient, in either mode, is one.  The sweep starts from
     the workspace's final state, so right after a ``run_circuit`` or
     ``probabilities`` call at the same parameters it simulates no circuit.
     """
@@ -510,25 +509,21 @@ def _tangents(config: AnsatzConfig, params: np.ndarray) -> np.ndarray:
     return rows
 
 
-def probability_jacobian(config: AnsatzConfig, params, mode: str = ANALYTIC,
-                         *, shots: int | None = None, seed=None) -> np.ndarray:
-    """Matrix of d p(k) / d theta[i], shape (2^n, 3nL).
+def probability_jacobian(config: AnsatzConfig, params, *, shots: int | None = None,
+                         seed=None) -> np.ndarray:
+    """Matrix of d p(k) / d theta[i], shape (2^n, 3nL): exact without ``shots``,
+    sampled parameter shift with them.
 
     One forward sweep over 1 + P rows, the state psi and its tangents chi_i,
-    gives the exact Jacobian 2 Re(conj(psi) chi_i) in either mode, so ``mode``
-    matters only with a ``shots`` budget, which ``analytic`` does not take.
-    Sampled ``parameter_shift`` draws the two evaluations per parameter at
+    gives the exact Jacobian 2 Re(conj(psi) chi_i).  Sampled parameter shift
+    draws ``shots`` samples from each of the two evaluations per parameter at
     theta[i] +- pi/2, exact by the shift rule because every angle
     parameterizes a Pauli rotation: the shift turns its rotation R into
     (I +- 2G) R / sqrt(2), G its generator, so the shifted states are
     (psi +- 2 chi_i) / sqrt(2).
     """
     params = _check_params(config, params)
-    if mode not in (ANALYTIC, PARAMETER_SHIFT):
-        raise ConfigError(f"unknown jacobian mode {mode!r}")
     if shots is not None:
-        if mode == ANALYTIC:
-            raise ConfigError("analytic mode does not take a shot budget")
         check_count("shots", shots)
         if seed is None:
             raise ConfigError("sampled parameter shift needs a seed")
@@ -547,5 +542,5 @@ def probability_jacobian(config: AnsatzConfig, params, mode: str = ANALYTIC,
         dens /= 2.0
         probs = _draw(dens, shots, child_sequence(seed, "shift"))
         jac = (probs[0::2] - probs[1::2]) / 2.0
-    # Row-major (2^n, P), so that products such as jac.T @ w round as before.
+    # Row-major (2^n, P): the layout ``train``'s gradient product reads.
     return np.ascontiguousarray(jac.T)

@@ -80,8 +80,8 @@ def run_corpus() -> dict:
                            for path in _seed_paths()],
         "derive_seed": [derive_seed(*path) for path in _seed_paths()]}}
     config = AnsatzConfig(4, 2)
-    jacobian = probability_jacobian(config, random_parameters(config, MASTER),
-                                    PARAMETER_SHIFT, shots=64, seed=MASTER)
+    jacobian = probability_jacobian(config, random_parameters(config, MASTER), shots=64,
+                                    seed=MASTER)
     runs["probability_jacobian/sampled"] = {"jacobian": jacobian.tolist()}
     g8 = generate_regular(8, 3, seed=1)
     for mode in (ANALYTIC, PARAMETER_SHIFT):

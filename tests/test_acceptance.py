@@ -133,8 +133,7 @@ def test_a5_gradient_correctness():
 
         weights = core.cost_gradient_wrt_probs(probabilities(config, params),
                                                g, encoding)
-        shifted = simulator.probability_jacobian(config, params,
-                                                 PARAMETER_SHIFT).T @ weights
+        shifted = simulator.probability_jacobian(config, params).T @ weights
         worst_modes = max(worst_modes, float(np.abs(grad - shifted).max()))
     ok = worst_fd < 1e-4 and worst_modes < 1e-9
     _verdict("A5", ok,

@@ -24,6 +24,7 @@ from qemc.errors import (
     ShapeMismatch,
 )
 from qemc import core, simulator
+from golden import WEIGHTED
 from qemc.graphs import Graph, cut_value
 from qemc.simulator import (
     ANALYTIC,
@@ -313,6 +314,30 @@ class TestTrain:
         train(k4, AnsatzConfig(2, 1), EncodingConfig(2, 4),
               OptimizerConfig(step_size=0.5, max_iterations=10, shots=64, seed=0))
         assert len(runs) == 10
+
+    def test_exact_shift_trains_as_analytic(self, k4):
+        # The golden corpus's exact runs, and a deeper circuit on K4.
+        for graph, ansatz, encoding in [(WEIGHTED, AnsatzConfig(3, 2), EncodingConfig(3, 6)),
+                                        (k4, AnsatzConfig(2, 4), EncodingConfig(2, 4))]:
+            analytic, shift = (
+                train(graph, ansatz, encoding,
+                      OptimizerConfig(0.3, 30, gradient_mode=mode, seed=2718))
+                for mode in (ANALYTIC, PARAMETER_SHIFT))
+            for field in ("costs", "cuts", "best_cuts", "final_params"):
+                assert getattr(shift, field).tobytes() == getattr(analytic, field).tobytes()
+            assert analytic.counters.circuit_executions == 30
+            assert shift.counters.circuit_executions == 30 * (1 + 2 * ansatz.num_parameters)
+
+    def test_one_reverse_sweep_per_exact_shift_iteration(self, k4, monkeypatch):
+        calls = []
+        for name in ("_vjp", "_tangents"):
+            real = getattr(simulator, name)
+            monkeypatch.setattr(simulator, name, lambda *args, name=name, real=real:
+                                calls.append(name) or real(*args))
+        train(k4, AnsatzConfig(2, 2), EncodingConfig(2, 4),
+              OptimizerConfig(step_size=0.5, max_iterations=10,
+                              gradient_mode=PARAMETER_SHIFT, seed=0))
+        assert calls == ["_vjp"] * 10
 
     @pytest.mark.parametrize("mode,shots", [
         ("analytic", None), ("analytic", 32), (PARAMETER_SHIFT, None), (PARAMETER_SHIFT, 32)],

@@ -26,7 +26,6 @@ from qemc.harness import (
     scaling_study,
 )
 from qemc.simulator import (
-    PARAMETER_SHIFT,
     AnsatzConfig,
     num_qubits_for,
     probability_jacobian,
@@ -66,8 +65,8 @@ ENTRY_POINTS = {
     "sample_histogram.shots": (lambda v: sample_histogram(np.ones(4), v, 0), 1, 1,
                                InvalidCount),
     "probability_jacobian.shots": (
-        lambda v: probability_jacobian(AnsatzConfig(2, 1), np.zeros(6), PARAMETER_SHIFT,
-                                       shots=v, seed=0), 1, 1, InvalidCount),
+        lambda v: probability_jacobian(AnsatzConfig(2, 1), np.zeros(6), shots=v, seed=0),
+        1, 1, InvalidCount),
     "QemcSettings.iterations": (_settings("iterations"), 1, 1, InvalidCount),
     "QemcSettings.trials": (_settings("trials"), 1, 1, InvalidCount),
     "QemcSettings.layers": (_settings("layers"), 1, 1, InvalidCount),
@@ -138,10 +137,22 @@ class TestCheckFinite:
         assert check_finite("x", value) is value
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, [1.0, np.nan], "1.0", None,
-                                       10 ** 400], ids=repr)
+                                       10 ** 400, True, np.bool_(False),
+                                       np.array([True, False]), [False]], ids=repr)
     def test_non_finite_rejected(self, value):
         with pytest.raises(ConfigError, match=r"^x must be finite, got "):
             check_finite("x", value)
+
+    @pytest.mark.parametrize("call,error", [
+        (lambda: OptimizerConfig(True, 1), ShapeMismatch),
+        (lambda: core.cut_ratio(True, 2.0), ConfigError),
+        (lambda: core.cut_ratio(1.0, np.bool_(True)), ConfigError),
+        (lambda: core.rescaled_ratio(True, 1.0, 4), ConfigError),
+        (lambda: core.rescaled_ratio(1.0, 1.0, True), ConfigError),
+    ], ids=["step_size", "cut", "cut_star", "rescaled-cut", "num_edges"])
+    def test_sites_reject_bools(self, call, error):
+        with pytest.raises(error, match="must be finite, got (True|False)$"):
+            call()
 
     def test_error_class(self):
         with pytest.raises(ShapeMismatch, match=r"^step must be finite, got nan$"):

@@ -9,8 +9,6 @@ from qemc import simulator
 from qemc.errors import ConfigError, InvalidCount, ShapeMismatch, TooLarge
 from qemc.seeding import child_sequence
 from qemc.simulator import (
-    ANALYTIC,
-    PARAMETER_SHIFT,
     AnsatzConfig,
     gate_count,
     num_qubits_for,
@@ -134,6 +132,18 @@ class TestShapes:
         assert AnsatzConfig(1, 4).entangler_strides == ()
         assert AnsatzConfig(4, 5).entangler_strides == (1, 2, 3, 1, 2)
 
+    @pytest.mark.parametrize("num_qubits", [1, 2, 3, 5])
+    def test_layers_of_one_stride_share_its_ring(self, num_qubits):
+        # One permutation and one inverse per stride, not per layer; a lone
+        # qubit's layers share one identity.
+        layout = simulator._layout(AnsatzConfig(num_qubits, 9))
+        period = max(num_qubits - 1, 1)
+        for layer in range(9 - period):
+            assert layout.perms[layer] is layout.perms[layer + period]
+            assert layout.inverses[layer] is layout.inverses[layer + period]
+        assert len({id(perm) for perm in layout.perms}) == period
+        assert len({id(inverse) for inverse in layout.inverses}) == period
+
     @pytest.mark.parametrize("shape", [(0, 1), (3, -1), (3, 1.5), (2.0, 1)],
                              ids=["no-qubits", "negative-layers", "fractional-layers",
                                   "float-qubits"])
@@ -168,8 +178,7 @@ class TestShapes:
                  lambda: probabilities(config, params),
                  lambda: probability_vjp(config, params, np.ones(config.dim)),
                  lambda: probability_jacobian(config, params),
-                 lambda: probability_jacobian(config, params, PARAMETER_SHIFT,
-                                              shots=8, seed=0)]
+                 lambda: probability_jacobian(config, params, shots=8, seed=0)]
         for call in calls:
             with pytest.raises(ConfigError, match="must be finite"):
                 call()
@@ -315,19 +324,19 @@ class TestJacobian:
             assert np.all(np.abs(jac[:, i] - fd) <= 1e-8 + 1e-4 * np.abs(fd))
 
     def test_analytic_agrees_with_parameter_shift(self):
+        # Row k of the exact shift Jacobian is the VJP of the one-hot weight e_k.
         for seed, (n, layers) in enumerate([(1, 1), (2, 2), (3, 2), (4, 1)]):
             config = AnsatzConfig(n, layers)
             params = random_parameters(config, seed=seed)
-            analytic = probability_jacobian(config, params, ANALYTIC)
-            shifted = probability_jacobian(config, params, PARAMETER_SHIFT)
-            # One tangent sweep serves both modes.
-            assert np.array_equal(analytic, shifted)
+            shifted = probability_jacobian(config, params)
+            analytic = [probability_vjp(config, params, e) for e in np.eye(config.dim)]
+            assert np.abs(shifted - analytic).max(initial=0.0) < 1e-14
 
     def test_sampled_shift_deterministic(self):
         config = AnsatzConfig(2, 1)
         params = random_parameters(config, seed=1)
-        a = probability_jacobian(config, params, PARAMETER_SHIFT, shots=64, seed=4)
-        b = probability_jacobian(config, params, PARAMETER_SHIFT, shots=64, seed=4)
+        a = probability_jacobian(config, params, shots=64, seed=4)
+        b = probability_jacobian(config, params, shots=64, seed=4)
         assert np.array_equal(a, b)
         assert np.abs(a.sum(axis=0)).max() < 1e-12  # each histogram sums to 1
 
@@ -339,8 +348,7 @@ class TestJacobian:
     def test_shift_matches_per_circuit_reference(self, num_qubits, num_layers, shots):
         config = AnsatzConfig(num_qubits, num_layers)
         params = random_parameters(config, seed=30 + num_qubits)
-        batched = probability_jacobian(config, params, PARAMETER_SHIFT, shots=shots,
-                                       seed=17)
+        batched = probability_jacobian(config, params, shots=shots, seed=17)
         reference = per_circuit_shift_jacobian(config, params, shots=shots, seed=17)
         assert batched.shape == (config.dim, config.num_parameters)
         if shots is None:
@@ -376,7 +384,7 @@ class TestJacobian:
             config = AnsatzConfig(3, num_layers)
             params = random_parameters(config, seed=3)
             calls.clear()
-            probability_jacobian(config, params, PARAMETER_SHIFT, shots=32, seed=1)
+            probability_jacobian(config, params, shots=32, seed=1)
             counts.append(len(calls))
         assert counts[0] == counts[1]
 
@@ -387,11 +395,10 @@ class TestJacobian:
         config = AnsatzConfig(3, 2)
         params = random_parameters(config, seed=5)
         column = config.num_parameters - 1
-        exact = probability_jacobian(config, params, PARAMETER_SHIFT)
+        exact = probability_jacobian(config, params)
         assert np.abs(exact[:, column]).max() < 1e-12
         diffs = np.array([
-            probability_jacobian(config, params, PARAMETER_SHIFT, shots=256,
-                                 seed=seed)[:, column]
+            probability_jacobian(config, params, shots=256, seed=seed)[:, column]
             for seed in range(200)])
         # (plus - minus) / 2 is 0 in every seed only if the two rows share a draw.
         assert np.count_nonzero(np.abs(diffs).max(axis=1)) >= 190
@@ -402,12 +409,12 @@ class TestJacobian:
     def test_sampled_shift_converges_like_one_over_root_shots(self):
         config = AnsatzConfig(3, 2)
         params = random_parameters(config, seed=8)
-        exact = probability_jacobian(config, params, PARAMETER_SHIFT)
+        exact = probability_jacobian(config, params)
 
         def median_error(shots):
             return np.median([
-                np.abs(probability_jacobian(config, params, PARAMETER_SHIFT,
-                                            shots=shots, seed=seed) - exact).max()
+                np.abs(probability_jacobian(config, params, shots=shots, seed=seed)
+                       - exact).max()
                 for seed in range(20)])
 
         # 100 times the shots should cut the error by sqrt(100) = 10.
@@ -418,30 +425,20 @@ class TestJacobian:
         config = AnsatzConfig(2, 1)
         params = random_parameters(config, seed=1)
         words = np.random.SeedSequence(np.array([1, 2], dtype=np.uint64))
-        jac = probability_jacobian(config, params, PARAMETER_SHIFT, shots=64, seed=words)
-        same = probability_jacobian(config, params, PARAMETER_SHIFT, shots=64,
-                                    seed=np.random.SeedSequence([1, 2]))
+        jac = probability_jacobian(config, params, shots=64, seed=words)
+        same = probability_jacobian(config, params, shots=64, seed=np.random.SeedSequence([1, 2]))
         assert np.array_equal(jac, same)
         assert np.abs(jac.sum(axis=0)).max() < 1e-12
 
     def test_sampled_shift_needs_seed(self):
         config = AnsatzConfig(2, 1)
         with pytest.raises(ConfigError):
-            probability_jacobian(config, np.zeros(6), PARAMETER_SHIFT, shots=16)
-
-    def test_analytic_takes_no_shots(self):
-        with pytest.raises(ConfigError):
-            probability_jacobian(AnsatzConfig(2, 1), np.zeros(6), ANALYTIC, shots=16)
-
-    def test_unknown_mode(self):
-        with pytest.raises(ConfigError):
-            probability_jacobian(AnsatzConfig(2, 1), np.zeros(6), "finite_difference")
+            probability_jacobian(config, np.zeros(6), shots=16)
 
     @pytest.mark.parametrize("shots", [0, 2.5], ids=["zero", "fractional"])
     def test_sampled_shift_shots_checked(self, shots):
         with pytest.raises(InvalidCount):
-            probability_jacobian(AnsatzConfig(2, 1), np.zeros(6), PARAMETER_SHIFT,
-                                 shots=shots, seed=0)
+            probability_jacobian(AnsatzConfig(2, 1), np.zeros(6), shots=shots, seed=0)
 
     def test_vjp_matches_jacobian_contraction(self):
         rng = np.random.default_rng(9)
@@ -460,7 +457,8 @@ class TestJacobian:
             params = random_parameters(config, seed=n * 10 + layers)
             weights = rng.normal(size=config.dim)
             direct = probability_vjp(config, params, weights)
-            shifted = probability_jacobian(config, params, PARAMETER_SHIFT).T @ weights
+            # Every shifted circuit simulated on its own.
+            shifted = per_circuit_shift_jacobian(config, params).T @ weights
             assert np.abs(direct - shifted).max() < 1e-9
 
     def test_vjp_from_cold_memos_is_bit_identical(self, monkeypatch):
