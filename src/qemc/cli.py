@@ -17,6 +17,7 @@ subcommand runs without ``--seed``; it is read only then.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import os
 import sys
@@ -109,9 +110,11 @@ def _write_csv(args, header, rows, **resolved) -> None:
     replaces the values only known after parsing."""
     config = {k: v for k, v in vars(args).items() if k not in _NOT_CONFIG}
     config.update(resolved)
-    harness.write_csv(args.out, header, rows,
-                      comments=[f"version: {__version__}",
-                                f"config: {json.dumps(config, sort_keys=True)}"])
+    with open(args.out, "w", encoding="utf-8", newline="") as fh:
+        fh.write(f"# version: {__version__}\n# config: {json.dumps(config, sort_keys=True)}\n")
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 # -- subcommands ----------------------------------------------------------------

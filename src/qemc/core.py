@@ -134,12 +134,15 @@ class RunRecord:
     cuts: np.ndarray
     best_cuts: np.ndarray
     final_params: np.ndarray
-    seed: int
     counters: RunCounters
     graph_num_edges: int
     ansatz: AnsatzConfig
     encoding: EncodingConfig
     optimizer: OptimizerConfig
+
+    @property
+    def seed(self) -> int:
+        return self.optimizer.seed
 
     @property
     def iterations_executed(self) -> int:
@@ -191,6 +194,8 @@ class RunRecord:
 
 def _check_probs(probs, num_nodes: int) -> np.ndarray:
     probs = np.asarray(probs, dtype=np.float64)
+    if probs.ndim != 1:
+        raise ShapeMismatch(f"expected a 1-D histogram, got shape {probs.shape}")
     if probs.size < num_nodes:
         raise HistogramTooShort(
             f"histogram has {probs.size} entries, graph has {num_nodes} nodes")
@@ -204,7 +209,7 @@ def decode(probs, encoding: EncodingConfig) -> Partition:
     indices >= num_nodes are zero padding for graphs whose size is not a
     power of two; they are ignored.
     """
-    probs = check_finite("probabilities", _check_probs(probs, encoding.num_nodes))
+    probs = _check_probs(check_finite("probabilities", probs), encoding.num_nodes)
     blue = probs[:encoding.num_nodes] > encoding.threshold
     return Partition(blue.astype(np.uint8))
 
@@ -354,8 +359,8 @@ def train(graph: Graph, ansatz: AnsatzConfig, encoding: EncodingConfig,
 
     return RunRecord(
         costs=costs, cuts=cuts, best_cuts=best_cuts, final_params=params,
-        seed=optimizer.seed, counters=counters, graph_num_edges=graph.num_edges,
-        ansatz=ansatz, encoding=encoding, optimizer=optimizer)
+        counters=counters, graph_num_edges=graph.num_edges, ansatz=ansatz,
+        encoding=encoding, optimizer=optimizer)
 
 
 # -- quality metrics -----------------------------------------------------------------

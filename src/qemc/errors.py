@@ -104,10 +104,10 @@ def check_count(name, value, minimum=1, error=InvalidCount):
 
 def check_finite(name, value, error=ConfigError):
     """Return ``value`` if it is a real number, or an array-like of them, with no
-    NaN or infinity, else raise ``error``; bools, numpy's too, are not real numbers."""
-    try:
-        if (array := np.asarray(value)).dtype != bool and np.isfinite(array).all():
-            return value
-    except TypeError:       # a string, None, or an int too large for a float
-        pass
+    NaN or infinity, else raise ``error``; bools and complex numbers, numpy's too,
+    are not real numbers."""
+    # Integer and float kinds only: a string, None or an int too large for a
+    # float arrives as another kind.
+    if (array := np.asarray(value)).dtype.kind in "iuf" and np.isfinite(array).all():
+        return value
     raise error(f"{name} must be finite, got {value}")

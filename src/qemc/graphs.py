@@ -70,10 +70,9 @@ class Graph:
         check_count("num_nodes", self.num_nodes)
         u = np.asarray(self.edge_u, dtype=np.int64)
         v = np.asarray(self.edge_v, dtype=np.int64)
-        w = np.asarray(self.edge_w, dtype=np.float64)
+        w = np.asarray(check_finite("edge weights", self.edge_w), dtype=np.float64)
         if not (u.shape == v.shape == w.shape):
             raise ConfigError("edge arrays must have equal length")
-        check_finite("edge weights", w)
         if u.size:
             if u.min() < 0 or v.max() >= self.num_nodes:
                 raise ConfigError("edge endpoint out of range")
@@ -92,23 +91,21 @@ class Graph:
     def from_edges(cls, num_nodes, edges) -> "Graph":
         """Build a graph from (u, v) or (u, v, w) tuples; orientation is canonicalized.
 
-        Endpoints must equal integers (``2`` or ``2.0``); any other raises
-        :class:`ConfigError`."""
+        Endpoints must equal integers (``2`` or ``2.0``) and weights be finite real
+        numbers; any other raises :class:`ConfigError`."""
         us, vs, ws = [], [], []
         for e in edges:
             u, v = int(e[0]), int(e[1])
             if u != e[0] or v != e[1]:
                 raise ConfigError(f"edge endpoints must be integers, got {e[0]!r}, {e[1]!r}")
-            w = float(e[2]) if len(e) > 2 else 1.0
             if u == v:
                 raise SelfLoop(f"self-loop at node {u}")
             if u > v:
                 u, v = v, u
             us.append(u)
             vs.append(v)
-            ws.append(w)
-        return cls(num_nodes, np.array(us, dtype=np.int64),
-                   np.array(vs, dtype=np.int64), np.array(ws, dtype=np.float64))
+            ws.append(e[2] if len(e) > 2 else 1.0)
+        return cls(num_nodes, np.array(us, dtype=np.int64), np.array(vs, dtype=np.int64), ws)
 
     @property
     def num_edges(self) -> int:

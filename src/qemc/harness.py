@@ -18,7 +18,6 @@ its tag path and seed, which replay it alone.
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 import functools
 import os
@@ -29,8 +28,7 @@ import numpy as np
 
 from . import baselines, core, simulator
 from .core import EncodingConfig, OptimizerConfig, RunRecord
-from .errors import (ConfigError, InvalidCount, RuntimeFailure, ShapeMismatch, check_count,
-                     check_finite)
+from .errors import ConfigError, InvalidCount, RuntimeFailure, check_count, check_finite
 from .graphs import Graph, generate_regular
 from .seeding import derive_seed
 from .simulator import ANALYTIC, PARAMETER_SHIFT, AnsatzConfig
@@ -232,8 +230,7 @@ def grid_search(graph: Graph, grid: GridSpec, encoding: EncodingConfig, seed=0,
     ``shots`` is set, the analytic gradient otherwise.  ``min_layers_to_target``
     reports the smallest layer count whose best cell reaches ``target``.
     """
-    if encoding.num_nodes != graph.num_nodes:
-        raise ShapeMismatch("encoding and graph disagree on num_nodes")
+    core._check_encoding(graph, encoding)
     if target is not None:
         check_finite("target", target)
     arms = [(("grid", layers, step), graph,
@@ -466,16 +463,3 @@ def resource_estimate(record: RunRecord) -> ResourceEstimate:
         expected_circuit_executions=per_iteration * iterations,
         classical_time_proxy=t_c, quantum_time_proxy=t_q,
         tts_proxy=(t_c + t_q) * p * iterations)
-
-
-# -- CSV emission -----------------------------------------------------------------------
-
-
-def write_csv(path, header, rows, *, comments=()) -> None:
-    """CSV file with optional '#'-prefixed comment lines carrying the config."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        for comment in comments:
-            fh.write(f"# {comment}\n")
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)

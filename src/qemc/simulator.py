@@ -20,11 +20,11 @@ The simulation works layer by layer.  The Hadamard layer on |0...0> is the
 uniform start state 2^(-n/2); all rotation matrices are built at once from
 the parameter array, and each layer's rotations of up to four consecutive
 qubits are fused into one Kronecker block (a 16x16 matrix), so a layer costs
-one matmul per block: 1 for n <= 4, 2 for n = 8, 3 for n = 11.  What the
+one matmul per block: 1 for n <= 4, 2 for n = 8, 3 for n = 11.  Each thread
+keeps one workspace, for the config it last simulated.  It holds what the
 sweeps read from the ``AnsatzConfig`` alone (the CNOT ring of each of the
-n - 1 strides as one index permutation, the block widths, the index tables)
-is built once per config.  Each thread keeps one workspace, for the config
-it last simulated, that holds every array a step writes and prebuilt views
+n - 1 strides as one index permutation, the block widths, the index tables),
+built with the workspace, and every array a step writes with prebuilt views
 of them: a training step allocates no per-step arrays, and builds and
 simulates its circuit once for the distribution and the gradient.
 
@@ -60,7 +60,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -98,9 +98,9 @@ _BLOCK_QUBITS = 4
 # 512 KiB and 2.2 ms from 768 KiB on; n=11, L=50 stayed at 5.0-6.5 ms.
 _SWEEP_BYTES = 1 << 19
 
-# At this cap ``_layout``'s index tables take 944 MiB: 32 n 2^n bytes of
-# ``fronts`` and ``backs``, 16 (n - 1) 2^n of CNOT rings and their inverses.
-# One state takes 16 MiB; the paper's 2048-node graphs need 11 qubits.
+# At this cap the index tables of one thread's workspace take 944 MiB: 32 n 2^n
+# bytes of ``fronts`` and ``backs``, 16 (n - 1) 2^n of CNOT rings and their
+# inverses.  One state takes 16 MiB; the paper's 2048-node graphs need 11 qubits.
 _MAX_QUBITS = 20
 
 
@@ -175,9 +175,8 @@ class _Layout(NamedTuple):
     backs: np.ndarray   # (3n, 2^n): flat indices that undo ``fronts`` per slot
 
 
-@lru_cache(maxsize=128)
 def _layout(config: AnsatzConfig) -> _Layout:
-    """The config's ``_Layout``, built on first use."""
+    """The config's ``_Layout``, built with each ``_Workspace``."""
     n = config.num_qubits
     widths = tuple(min(_BLOCK_QUBITS, n - first) for first in range(0, n, _BLOCK_QUBITS))
     # The strides cycle with period n - 1: layers of one stride share its ring.
@@ -267,22 +266,10 @@ def _marginal_index(width: int) -> np.ndarray:
     return out
 
 
-def _rotate_leading(mat: np.ndarray, rows: np.ndarray, out=None) -> np.ndarray:
-    """Apply ``mat`` to the leading log2(len(mat)) index bits of every row and
-    move those bits last, into the contiguous ``out`` if it is given.
-
-    Calling this once per block, in qubit order, acts on every qubit and
-    leaves the index layout as it was.
-    """
-    split = rows.reshape(len(rows), len(mat), -1).swapaxes(1, 2)
-    if out is None:
-        return (split @ mat.T).reshape(rows.shape)
-    np.matmul(split, mat.T, out=out.reshape(len(out), -1, len(mat)))
-    return out
-
-
 def _check_params(config: AnsatzConfig, params) -> np.ndarray:
-    p = np.asarray(params, dtype=np.float64).reshape(-1)
+    if (p := np.asarray(params)).dtype.kind not in "iuf":
+        raise ConfigError(f"parameters must be real numbers, got dtype {p.dtype}")
+    p = p.astype(np.float64, copy=False).reshape(-1)
     if p.size != config.num_parameters:
         raise ShapeMismatch(
             f"expected {config.num_parameters} parameters, got {p.size}")
@@ -335,7 +322,9 @@ class _Workspace:
         self.forward = new((len(widths) + 1, 1, dim))
         self.state = self.forward[0, 0]
 
-        def views(rows, outs):   # _rotate_leading's operand and result, per block
+        # Per block, its matmul's operand (its leading index bits moved last) and
+        # result; the blocks, in qubit order, leave the index layout as it was.
+        def views(rows, outs):
             return [(row.reshape(len(row), 1 << w, -1).swapaxes(1, 2),
                      out.reshape(len(out), -1, 1 << w)) for w, row, out in zip(widths, rows, outs)]
         self.run_views = views(self.forward, self.forward[1:])
@@ -386,7 +375,8 @@ def run_circuit(config: AnsatzConfig, params) -> np.ndarray:
 
 def probabilities(config: AnsatzConfig, params) -> np.ndarray:
     """Exact measurement distribution |amplitude|^2: float64 array of length 2^n."""
-    return np.abs(run_circuit(config, params)) ** 2
+    params = _check_params(config, params)
+    return np.abs(_loaded(config, params).state) ** 2
 
 
 def _draw(probs: np.ndarray, shots: int,
@@ -410,10 +400,13 @@ def sample_histogram(probs, shots: int, seed) -> np.ndarray:
     one is derived.
     """
     check_count("shots", shots)
-    probs = np.array(probs, dtype=np.float64)     # a copy: _draw normalizes it in place
+    if (probs := np.asarray(probs)).dtype.kind not in "iuf":
+        raise ConfigError(f"probabilities must be real numbers, got dtype {probs.dtype}")
+    probs = probs.astype(np.float64)     # a copy: _draw normalizes it in place
     if probs.ndim != 1:
         raise ShapeMismatch(f"expected a 1-D distribution, got shape {probs.shape}")
-    total = probs.sum()
+    with np.errstate(over="ignore"):     # an infinite total is refused below
+        total = probs.sum()
     if not (np.isfinite(total) and total > 0 and probs.min() >= 0):
         raise ConfigError(
             "probabilities must be finite and non-negative with a positive sum")
@@ -472,7 +465,9 @@ def probability_vjp(config: AnsatzConfig, params, weights) -> np.ndarray:
     ``probabilities`` call at the same parameters it simulates no circuit.
     """
     params = _check_params(config, params)
-    w = np.asarray(weights, dtype=np.float64).reshape(-1)
+    if (w := np.asarray(weights)).dtype.kind not in "iuf":
+        raise ConfigError(f"weights must be real numbers, got dtype {w.dtype}")
+    w = w.astype(np.float64, copy=False).reshape(-1)
     if w.size != config.dim:
         raise ShapeMismatch(f"expected {config.dim} weights, got {w.size}")
     if not np.isfinite(w).all():
@@ -486,26 +481,29 @@ def _tangents(config: AnsatzConfig, params: np.ndarray) -> np.ndarray:
     A tangent row starts at its layer as G = d(Rot)/d(angle) Rot^dagger applied
     on its qubit to row 0, then shares each later block's matmul and CNOT ring
     with the rows before it.  One matmul applies a layer's 3n generators, to n
-    copies of row 0 each with its qubit's bit moved first.
+    copies of row 0 each with its qubit's bit moved first.  The rows move
+    between two (1 + P, 2^n) buffers: each block's matmul, as in the forward
+    sweep, and each ring write the other buffer, so no step allocates an array
+    of the rows' size.
     """
     n, per_layer = config.num_qubits, 3 * config.num_qubits
     ws = _loaded(config, params)
-    gens, blocks, layout = _generators(ws, params), ws.blocks, ws.layout
-    rows = np.empty((1 + config.num_parameters, config.dim), dtype=np.complex128)
-    work = np.empty_like(rows)
+    gens, layout = _generators(ws, params), ws.layout
+    rows, work = (np.empty((1 + config.num_parameters, config.dim), dtype=np.complex128)
+                  for _ in range(2))
     rows[0] = 2.0 ** (-n / 2.0)
     for layer, perm in enumerate(layout.perms):
         done = 1 + per_layer * layer
-        active = rows[:done]
-        for b, block in enumerate(blocks):
-            out = work[:done] if b + 1 == len(blocks) else None
-            active = _rotate_leading(block[layer], active, out=out)
-        fronts = work[0].take(layout.fronts).reshape(n, 1, 2, -1)
+        for width, mat in zip(layout.widths, ws.block_mats[layer]):
+            split = rows[:done].reshape(done, 1 << width, -1).swapaxes(1, 2)
+            np.matmul(split, mat, out=work[:done].reshape(done, -1, 1 << width))
+            rows, work = work, rows
+        fronts = rows[0].take(layout.fronts).reshape(n, 1, 2, -1)
         # Index tables are permutations: "clip" clips nothing, and skips buffering out.
-        (gens[layer] @ fronts).take(layout.backs, out=work[done:done + per_layer],
+        (gens[layer] @ fronts).take(layout.backs, out=rows[done:done + per_layer],
                                     mode="clip")
-        work[:done + per_layer].take(perm, axis=1, out=rows[:done + per_layer],
-                                     mode="clip")
+        rows[:done + per_layer].take(perm, axis=1, out=work[:done + per_layer], mode="clip")
+        rows, work = work, rows
     return rows
 
 
@@ -530,14 +528,16 @@ def probability_jacobian(config: AnsatzConfig, params, *, shots: int | None = No
     rows = _tangents(config, params)
     psi, chi = rows[0], rows[1:]
     if shots is None:
-        # (|psi + 2 chi|^2 - |psi - 2 chi|^2) / 4
-        jac = 2.0 * (chi * psi.conj()).real
+        # (|psi + 2 chi|^2 - |psi - 2 chi|^2) / 4, formed in the tangent rows
+        np.multiply(chi, psi.conj(), out=chi)
+        jac = chi.real
+        jac *= 2.0
     else:
         chi *= 2.0
-        shifted = np.empty((len(chi), 2, config.dim), dtype=np.complex128)
-        np.add(psi, chi, out=shifted[:, 0])
-        np.subtract(psi, chi, out=shifted[:, 1])
-        dens = np.abs(shifted).reshape(-1, config.dim)
+        dens = np.empty((len(chi), 2, config.dim))
+        np.abs(psi + chi, out=dens[:, 0])
+        np.abs(np.subtract(psi, chi, out=chi), out=dens[:, 1])
+        dens = dens.reshape(-1, config.dim)
         np.square(dens, out=dens)
         dens /= 2.0
         probs = _draw(dens, shots, child_sequence(seed, "shift"))

@@ -1,10 +1,11 @@
+import argparse
 import json
 import os
 
 import pytest
 
-from qemc import baselines, core
-from qemc.cli import _build_parser, main
+from qemc import baselines, cli, core
+from qemc.cli import _build_parser, _write_csv, main
 from qemc.graphs import (
     EXHAUSTIVE_NODE_CAP,
     complete_graph,
@@ -32,6 +33,18 @@ def _config(path):
     """The resolved configuration embedded in a CSV's ``# config:`` line."""
     line = next(l for l in path.read_text().splitlines() if l.startswith("# config: "))
     return json.loads(line[len("# config: "):])
+
+
+class TestCsv:
+    def test_comments_then_header(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "__version__", "test")
+        path = tmp_path / "out.csv"
+        _write_csv(argparse.Namespace(out=str(path)), ["a", "b"], [(1, 2), (3, 4)])
+        lines = path.read_text().strip().splitlines()
+        assert lines[0] == "# version: test"
+        assert lines[1] == "# config: {}"
+        assert lines[2] == "a,b"
+        assert len(lines) == 5
 
 
 class TestGenerate:

@@ -28,7 +28,10 @@ from qemc.harness import (
 from qemc.simulator import (
     AnsatzConfig,
     num_qubits_for,
+    probabilities,
     probability_jacobian,
+    probability_vjp,
+    run_circuit,
     sample_histogram,
 )
 
@@ -47,10 +50,13 @@ def _study(field):
                                           **{**counts, field: v})
 
 
-def _grid_jobs(v):
+def _grid(**kwargs):
     grid = GridSpec(layer_values=(1,), step_values=(0.5,), trials_per_cell=1,
                     iteration_budget=1)
-    return grid_search(K4, grid, EncodingConfig.half(4), seed=0, jobs=v)
+    return grid_search(K4, grid, EncodingConfig.half(4), seed=0, **kwargs)
+
+
+A21 = AnsatzConfig(2, 1)
 
 
 # name -> (call with the count, minimum, a valid value, error class)
@@ -72,7 +78,7 @@ ENTRY_POINTS = {
     "QemcSettings.layers": (_settings("layers"), 1, 1, InvalidCount),
     "GridSpec.trials_per_cell": (lambda v: GridSpec((1,), (0.5,), v, 1), 1, 1,
                                  InvalidCount),
-    "grid_search.jobs": (_grid_jobs, 1, 1, InvalidCount),
+    "grid_search.jobs": (lambda v: _grid(jobs=v), 1, 1, InvalidCount),
     "scaling_study.axis_values": (
         lambda v: scaling_study([K4], [3.0], "layers", QemcSettings(**SETTINGS),
                                 axis_values=[v], jobs=1), 1, 1, InvalidCount),
@@ -138,7 +144,9 @@ class TestCheckFinite:
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, [1.0, np.nan], "1.0", None,
                                        10 ** 400, True, np.bool_(False),
-                                       np.array([True, False]), [False]], ids=repr)
+                                       np.array([True, False]), [False], 1 + 1j,
+                                       np.complex128(2.0), [1.0, 2j],
+                                       np.zeros(2, dtype=complex)], ids=repr)
     def test_non_finite_rejected(self, value):
         with pytest.raises(ConfigError, match=r"^x must be finite, got "):
             check_finite("x", value)
@@ -152,6 +160,32 @@ class TestCheckFinite:
     ], ids=["step_size", "cut", "cut_star", "rescaled-cut", "num_edges"])
     def test_sites_reject_bools(self, call, error):
         with pytest.raises(error, match="must be finite, got (True|False)$"):
+            call()
+
+    # Each site checks the dtype before it casts to float64, which would drop
+    # an imaginary part with only a ComplexWarning, or fail on text; a
+    # histogram's shape and sum are checked with no numpy error or warning.
+    @pytest.mark.parametrize("call,error", [
+        (lambda: core.cut_ratio(1 + 1j, 2.0), ConfigError),
+        (lambda: _grid(target=3 + 1j, jobs=1), ConfigError),
+        (lambda: run_circuit(A21, np.full(6, 1j)), ConfigError),
+        (lambda: probabilities(A21, np.full(6, 1j)), ConfigError),
+        (lambda: probability_jacobian(A21, np.full(6, 1j)), ConfigError),
+        (lambda: run_circuit(A21, ["0.5"] * 6), ConfigError),
+        (lambda: probability_vjp(A21, np.zeros(6), np.full(4, 1j)), ConfigError),
+        (lambda: sample_histogram(np.full(4, 1 + 0j), 3, 1), ConfigError),
+        (lambda: Graph(2, [0], [1], [1 + 1j]), ConfigError),
+        (lambda: Graph.from_edges(2, [(0, 1, 1 + 1j)]), ConfigError),
+        (lambda: core.cost(np.full((2, 8), 1 / 16), K4, EncodingConfig.half(4)),
+         ShapeMismatch),
+        (lambda: core.cost_gradient_wrt_probs(np.full((2, 8), 1 / 16), K4,
+                                              EncodingConfig.half(4)), ShapeMismatch),
+        (lambda: sample_histogram([1e308, 1e308], 3, 1), ConfigError),
+    ], ids=["cut", "grid-target", "run_circuit-params", "probabilities-params",
+            "jacobian-params", "text-params", "vjp-weights", "histogram", "Graph-weights",
+            "from_edges-weight", "cost-2-d", "gradient-2-d", "histogram-overflow"])
+    def test_sites_refuse_bad_input(self, call, error, no_training):
+        with pytest.raises(error):
             call()
 
     def test_error_class(self):

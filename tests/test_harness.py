@@ -21,7 +21,6 @@ from qemc.harness import (
     resource_estimate,
     scaling_study,
     scan_blue_sizes,
-    write_csv,
 )
 from qemc.seeding import derive_seed
 from qemc.simulator import ANALYTIC, PARAMETER_SHIFT, AnsatzConfig
@@ -455,16 +454,6 @@ class TestResourceEstimate:
         assert estimate.expected_circuit_executions == 3 * (1 + 2 * 6)
         assert estimate.circuit_executions == estimate.expected_circuit_executions
         assert estimate.quantum_time_proxy == estimate.gate_count * 16
-
-
-class TestCsv:
-    def test_comments_then_header(self, tmp_path):
-        path = tmp_path / "out.csv"
-        write_csv(path, ["a", "b"], [(1, 2), (3, 4)], comments=["version: test"])
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "# version: test"
-        assert lines[1] == "a,b"
-        assert len(lines) == 4
 
 
 GRID = GridSpec(layer_values=(1, 2), step_values=(0.5, 0.9), trials_per_cell=2,
