@@ -5,6 +5,7 @@ catch one base class.  Config/precondition violations and runtime failures are
 kept as distinct subtrees because the CLI maps them to different exit codes.
 """
 
+import contextlib
 import numbers
 
 import numpy as np
@@ -107,7 +108,8 @@ def check_finite(name, value, error=ConfigError):
     NaN or infinity, else raise ``error``; bools and complex numbers, numpy's too,
     are not real numbers."""
     # Integer and float kinds only: a string, None or an int too large for a
-    # float arrives as another kind.
-    if (array := np.asarray(value)).dtype.kind in "iuf" and np.isfinite(array).all():
-        return value
+    # float arrives as another kind, and a ragged sequence as no array at all.
+    with contextlib.suppress(ValueError):
+        if (array := np.asarray(value)).dtype.kind in "iuf" and np.isfinite(array).all():
+            return value
     raise error(f"{name} must be finite, got {value}")

@@ -8,6 +8,7 @@ construction and safe to share across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
@@ -104,7 +105,12 @@ class Graph:
                 u, v = v, u
             us.append(u)
             vs.append(v)
-            ws.append(e[2] if len(e) > 2 else 1.0)
+            if len(e) < 3:
+                ws.append(1.0)
+            elif isinstance(e[2], (bool, np.bool_)):     # among floats, cast to 1.0 or 0.0
+                raise ConfigError(f"edge weights must be finite, got {e[2]!r}")
+            else:
+                ws.append(e[2])
         return cls(num_nodes, np.array(us, dtype=np.int64), np.array(vs, dtype=np.int64), ws)
 
     @property
@@ -240,13 +246,7 @@ def _pair_stubs(num_nodes, degree, rng):
 
 
 def _has_suitable_pair(edges, leftover):
-    nodes = list(leftover)
-    for i, a in enumerate(nodes):
-        for b in nodes[i + 1:]:
-            u, v = (a, b) if a < b else (b, a)
-            if (u, v) not in edges:
-                return True
-    return False
+    return any((min(a, b), max(a, b)) not in edges for a, b in combinations(leftover, 2))
 
 
 def generate_regular(num_nodes: int, degree: int, seed) -> Graph:
@@ -331,9 +331,7 @@ def exhaustive_maxcut(graph: Graph, *, node_cap: int = EXHAUSTIVE_NODE_CAP):
         if cuts[i] > best_cut:
             best_cut = float(cuts[i])
             best_mask = int(masks[i])
-    colors = np.zeros(n, dtype=np.uint8)
-    for node in range(1, n):
-        colors[node] = (best_mask >> (node - 1)) & 1
+    colors = ((best_mask << 1) >> np.arange(n)) & 1     # node k > 0: mask bit k - 1
     return best_cut, Partition(colors)
 
 

@@ -30,9 +30,9 @@ simulates its circuit once for the distribution and the gradient.
 
 The reverse sweep, the adjoint method of Jones & Gacon (arXiv:2009.02823),
 serves the vector-Jacobian product.  It only undoes the circuit and keeps its
-rows before each block; for a chunk of layers at a time, bounded in bytes, a
-few stacked calls per block form the cross densities between the adjoint and
-the state and sum them to each qubit's 2x2 transition matrix.
+rows before each block; per chunk of layers, bounded in bytes, a few stacked
+calls per block form the cross densities of adjoint and state and sum them,
+over a gathered table's leading axis, to each qubit's 2x2 transition matrix.
 
 Callers pass parameters, never circuits or states.
 
@@ -86,17 +86,17 @@ ANALYTIC = "analytic"
 PARAMETER_SHIFT = "parameter_shift"
 
 # Rotations of this many consecutive qubits are fused into one 16x16 matrix
-# per layer.  Forward pass plus VJP was timed at widths 1-6 on a 2-core x86
-# VM: 4 was fastest or within noise of it for n in {3, 4, 6, 8, 11}; wider
-# blocks cost more in the matmul than they save in calls (n=8, L=50:
-# 5.5-5.8 ms at width 4, 5.8-6.4 ms at 5, 16-18 ms at 6).
+# per layer.  Forward pass plus VJP at L=50 on a 2-core Sapphire Rapids VM,
+# medians of 10-20 rounds: 4 was fastest for n in {4, 7, 8, 10, 11} (n=8: 1.74
+# ms, 2.29 at width 5, 5.78 at 6), but 3 was 10-16% faster for n in {5, 6, 9},
+# where 4 leaves a last block of 1 or 2 qubits.
 _BLOCK_QUBITS = 4
 
 # The adjoint sweep keeps at most this many bytes of rows (but always one
-# layer's) between its stacked density calls.  Timed at 256 KiB-1 MiB on a
-# 2-core x86 VM, min of 25 rounds: the n=8, L=50 VJP took 1.4-1.5 ms up to
-# 512 KiB and 2.2 ms from 768 KiB on; n=11, L=50 stayed at 5.0-6.5 ms.
-_SWEEP_BYTES = 1 << 19
+# layer's) between its stacked density calls.  Medians of 30-40 alternating rounds
+# on a 2-core Sapphire Rapids VM: the n=8, L=50 VJP took 0.98 ms at 256 KiB, 1.03-1.06
+# up to 2 MiB; n=11, L=20 took 2.46 at 256 KiB, 2.13 at 512 KiB, 1.97-2.04 from 768 KiB.
+_SWEEP_BYTES = 1 << 20
 
 # At this cap the index tables of one thread's workspace take 944 MiB: 32 n 2^n
 # bytes of ``fronts`` and ``backs``, 16 (n - 1) 2^n of CNOT rings and their
@@ -249,19 +249,19 @@ def _blocks(ws: _Workspace) -> None:
 def _marginal_index(width: int) -> np.ndarray:
     """Flat indices into a 2^b x 2^b matrix that sum it to each qubit's 2x2 block.
 
-    ``m.reshape(..., -1)[..., idx].sum(-1)`` has shape (..., b, 2, 2): entry
-    [i, a, c] sums m over the pairs of indices that agree on every qubit but
-    i, where they read a and c (the partial trace over the other qubits).
+    Its shape is (2^(b-1), b, 2, 2), and ``m.reshape(-1)[idx].sum(0)`` has shape
+    (b, 2, 2): entry [i, a, c] sums m over the pairs of indices that agree on
+    every qubit but i, where they read a and c (the partial trace over the others).
     """
     dim = 1 << width
     idx = np.arange(dim)
-    out = np.empty((width, 2, 2, dim // 2), dtype=np.int64)
+    out = np.empty((dim // 2, width, 2, 2), dtype=np.int64)
     for i in range(width):
         bit = 1 << (width - 1 - i)
         rest = idx[idx & bit == 0]
         for a in range(2):
             for c in range(2):
-                out[i, a, c] = (rest | a * bit) * dim + (rest | c * bit)
+                out[:, i, a, c] = (rest | a * bit) * dim + (rest | c * bit)
     out.setflags(write=False)
     return out
 
@@ -446,10 +446,10 @@ def _vjp(config: AnsatzConfig, params: np.ndarray, weights: np.ndarray) -> np.nd
             np.copyto(conj[:count], left[:count])
             np.conjugate(conj[:count], out=conj[:count])
             np.matmul(conj[:count], right[:count], out=rho[:count])
-            # take keeps the gathered sum contiguous, so it rounds as one row's.
+            # Leading-axis sums add whole rows; a last-axis complex sum stalls after zgemm.
             rho[:count].reshape(count, -1).take(index, axis=-1, out=gathered[:count],
                                                  mode="clip")
-            gathered[:count].sum(axis=-1, out=marginals[:count])
+            gathered[:count].sum(axis=1, out=marginals[:count])
             ws.transitions[bottom:top, qubits] = marginals[count - 1::-1]
     np.einsum("lqsab,lqab->lqs", _generators(ws, params), ws.transitions, out=ws.grad)
     return (2.0 * ws.grad.real).reshape(-1)

@@ -146,7 +146,7 @@ class TestCheckFinite:
                                        10 ** 400, True, np.bool_(False),
                                        np.array([True, False]), [False], 1 + 1j,
                                        np.complex128(2.0), [1.0, 2j],
-                                       np.zeros(2, dtype=complex)], ids=repr)
+                                       np.zeros(2, dtype=complex), [1, [2, 3]]], ids=repr)
     def test_non_finite_rejected(self, value):
         with pytest.raises(ConfigError, match=r"^x must be finite, got "):
             check_finite("x", value)
@@ -181,9 +181,13 @@ class TestCheckFinite:
         (lambda: core.cost_gradient_wrt_probs(np.full((2, 8), 1 / 16), K4,
                                               EncodingConfig.half(4)), ShapeMismatch),
         (lambda: sample_histogram([1e308, 1e308], 3, 1), ConfigError),
+        (lambda: core.cut_ratio([1, [2, 3]], 2.0), ConfigError),
+        (lambda: Graph.from_edges(3, [(0, 1, True), (1, 2, 2.0)]), ConfigError),
+        (lambda: Graph.from_edges(3, [(0, 1, 2.0), (1, 2, np.bool_(False))]), ConfigError),
     ], ids=["cut", "grid-target", "run_circuit-params", "probabilities-params",
             "jacobian-params", "text-params", "vjp-weights", "histogram", "Graph-weights",
-            "from_edges-weight", "cost-2-d", "gradient-2-d", "histogram-overflow"])
+            "from_edges-weight", "cost-2-d", "gradient-2-d", "histogram-overflow",
+            "ragged-cut", "from_edges-bool-among-floats", "from_edges-numpy-bool-among-floats"])
     def test_sites_refuse_bad_input(self, call, error, no_training):
         with pytest.raises(error):
             call()

@@ -108,7 +108,7 @@ def per_layer_vjp(config: AnsatzConfig, params, weights) -> np.ndarray:
             width = dim.bit_length() - 1
             split = rows.reshape(k + 1, dim, -1)
             rho = split[1:].conj() @ split[0].T
-            marginals = rho.reshape(k, -1)[:, simulator._marginal_index(width)].sum(-1)
+            marginals = rho.reshape(k, -1)[:, simulator._marginal_index(width)].sum(1)
             transitions[layer, first:first + width] = marginals.swapaxes(0, 1)
             # The adjoint of the block on the leading bits, which then move last.
             rows = (split.swapaxes(1, 2) @ block[layer].conj()).reshape(rows.shape)
@@ -144,6 +144,22 @@ class TestShapes:
             assert layout.inverses[layer] is layout.inverses[layer + period]
         assert len({id(perm) for perm in layout.perms}) == period
         assert len({id(inverse) for inverse in layout.inverses}) == period
+
+    @pytest.mark.parametrize("width", [1, 2, 3, 4])
+    def test_marginal_index_sums_leading_axis_to_partial_traces(self, width):
+        dim = 1 << width
+        rng = np.random.default_rng(width)
+        m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        index = simulator._marginal_index(width)
+        assert index.shape == (dim // 2, width, 2, 2)
+        marginals = m.reshape(-1)[index].sum(0)
+        tensor = m.reshape((2,) * 2 * width)
+        letters = "abcdefgh"[:width]
+        for i in range(width):
+            # Row and column share every letter but qubit i's: those are traced out.
+            cols = letters[:i] + "y" + letters[i + 1:]
+            traced = np.einsum(f"{letters[:i]}x{letters[i + 1:]}{cols}->xy", tensor)
+            assert np.abs(marginals[i] - traced).max() <= 1e-15
 
     @pytest.mark.parametrize("shape", [(0, 1), (3, -1), (3, 1.5), (2.0, 1)],
                              ids=["no-qubits", "negative-layers", "fractional-layers",
