@@ -141,10 +141,11 @@ def _trial(graph: Graph, settings: QemcSettings, seed: int):
 
 
 def _distinct(name: str, values) -> tuple:
-    """``values`` as a non-empty tuple, each value at most once: a repeated value
-    would rerun the same trials under the same tag paths and seeds and count
-    them twice."""
-    values = tuple(values)
+    """``values`` as a non-empty tuple of Python values, each at most once: a
+    repeated value would rerun the same trials under the same tag paths and
+    seeds and count them twice, and a numpy scalar would derive other seeds
+    than the Python value it equals."""
+    values = tuple(v.item() if isinstance(v, np.generic) else v for v in values)
     if not values:
         raise InvalidCount(f"{name} must be non-empty")
     if len(set(values)) != len(values):

@@ -18,21 +18,25 @@ as the most significant bit.  Parameter vectors are flat arrays of length
 
 The simulation works layer by layer.  The Hadamard layer on |0...0> is the
 uniform start state 2^(-n/2); all rotation matrices are built at once from
-the parameter array, and each layer's rotations of up to four consecutive
-qubits are fused into one Kronecker block (a 16x16 matrix), so a layer costs
-one matmul per block: 1 for n <= 4, 2 for n = 8, 3 for n = 11.  Each thread
-keeps one workspace, for the config it last simulated.  It holds what the
-sweeps read from the ``AnsatzConfig`` alone (the CNOT ring of each of the
-n - 1 strides as one index permutation, the block widths, the index tables),
-built with the workspace, and every array a step writes with prebuilt views
-of them: a training step allocates no per-step arrays, and builds and
-simulates its circuit once for the distribution and the gradient.
+the parameter array, and each layer's rotations are fused into ceil(n/4)
+Kronecker blocks of consecutive qubits, near-equal and at most four qubits
+wide (a 16x16 matrix), so a layer costs one matmul per block.  Each thread
+keeps one workspace, the simulator's only per-config object, for the config
+it last simulated.  It holds what the sweeps read from the ``AnsatzConfig``
+alone (the CNOT ring of each of the n - 1 strides as one index permutation,
+the block widths, the index tables), one copy of each matrix a step reads,
+and every array a step writes, with prebuilt views of them: a training step
+allocates no per-step arrays, and builds and simulates its circuit once for
+the distribution and the gradient.  Only a Jacobian builds the tangent
+sweep's index tables.
 
 The reverse sweep, the adjoint method of Jones & Gacon (arXiv:2009.02823),
-serves the vector-Jacobian product.  It only undoes the circuit and keeps its
-rows before each block; per chunk of layers, bounded in bytes, a few stacked
-calls per block form the cross densities of adjoint and state and sum them,
-over a gathered table's leading axis, to each qubit's 2x2 transition matrix.
+serves the vector-Jacobian product.  It runs on conjugated rows and undoes
+each block B with B itself, as conj(B^dagger x) = B^T conj(x) exactly.  It
+keeps its rows before each block; per chunk of layers, bounded in bytes, a
+few stacked calls per block form the cross densities of adjoint and state
+and sum them, over a gathered table's leading axis, to each qubit's 2x2
+transition matrix.
 
 Callers pass parameters, never circuits or states.
 
@@ -60,8 +64,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from functools import partial
-from typing import NamedTuple
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -85,11 +88,11 @@ __all__ = [
 ANALYTIC = "analytic"
 PARAMETER_SHIFT = "parameter_shift"
 
-# Rotations of this many consecutive qubits are fused into one 16x16 matrix
-# per layer.  Forward pass plus VJP at L=50 on a 2-core Sapphire Rapids VM,
-# medians of 10-20 rounds: 4 was fastest for n in {4, 7, 8, 10, 11} (n=8: 1.74
-# ms, 2.29 at width 5, 5.78 at 6), but 3 was 10-16% faster for n in {5, 6, 9},
-# where 4 leaves a last block of 1 or 2 qubits.
+# A layer's blocks are at most this many qubits wide: ceil(n/4) of them, widths
+# differing by at most one.  Forward pass plus VJP at L=50 on a 2-core Sapphire
+# Rapids VM, medians of 30 alternating rounds against blocks of 4 and a narrow
+# last one: n=5 -16%, 6 -7%, 9 -16%, 10 -6%, 13 -18% (unchanged splits: -4 to +4%).
+# Uniform width 4 beat 3, 5 and 6 at n = 4, 7, 8, 11 (n=8: 1.74 ms, 2.29 at 5).
 _BLOCK_QUBITS = 4
 
 # The adjoint sweep keeps at most this many bytes of rows (but always one
@@ -98,9 +101,10 @@ _BLOCK_QUBITS = 4
 # up to 2 MiB; n=11, L=20 took 2.46 at 256 KiB, 2.13 at 512 KiB, 1.97-2.04 from 768 KiB.
 _SWEEP_BYTES = 1 << 20
 
-# At this cap the index tables of one thread's workspace take 944 MiB: 32 n 2^n
-# bytes of ``fronts`` and ``backs``, 16 (n - 1) 2^n of CNOT rings and their
-# inverses.  One state takes 16 MiB; the paper's 2048-node graphs need 11 qubits.
+# At this cap a thread's workspace always holds 304 MiB of CNOT rings and their
+# inverses, 16 (n - 1) 2^n bytes; the tangent sweep's ``fronts`` and ``backs``,
+# 32 n 2^n bytes, add 640 MiB once a Jacobian runs.  One state takes 16 MiB;
+# the paper's 2048-node graphs need 11 qubits.
 _MAX_QUBITS = 20
 
 
@@ -164,42 +168,6 @@ def _cnot_permutation(num_qubits: int, control: int, target: int) -> np.ndarray:
     return np.where(idx & control_bit, idx ^ target_bit, idx)
 
 
-class _Layout(NamedTuple):
-    """What every sweep over one ``AnsatzConfig`` reads, whatever the parameters."""
-
-    perms: tuple        # per layer, its stride's CNOT ring as one index permutation
-    inverses: tuple     # per layer, that permutation's inverse
-    widths: tuple       # qubits per Kronecker block, in qubit order
-    marginals: tuple    # per block, its ``_marginal_index`` table
-    fronts: np.ndarray  # (n, 2^n): per qubit, the state's order with its bit first
-    backs: np.ndarray   # (3n, 2^n): flat indices that undo ``fronts`` per slot
-
-
-def _layout(config: AnsatzConfig) -> _Layout:
-    """The config's ``_Layout``, built with each ``_Workspace``."""
-    n = config.num_qubits
-    widths = tuple(min(_BLOCK_QUBITS, n - first) for first in range(0, n, _BLOCK_QUBITS))
-    # The strides cycle with period n - 1: layers of one stride share its ring.
-    strides = config.entangler_strides or (0,) * config.num_layers   # one qubit: no ring
-    rings = {}
-    for stride in dict.fromkeys(strides):
-        perm = np.arange(config.dim, dtype=np.int64)
-        for q in range(n if stride else 0):
-            perm = perm[_cnot_permutation(n, q, (q + stride) % n)]
-        rings[stride] = perm, np.argsort(perm)
-    axes = np.arange(config.dim).reshape((2,) * n)
-    fronts = np.stack([np.moveaxis(axes, q, 0).reshape(-1) for q in range(n)])
-    backs = (np.arange(3 * n)[:, np.newaxis] * config.dim
-             + np.repeat(np.argsort(fronts, axis=1), 3, axis=0))
-    for array in [*(a for ring in rings.values() for a in ring), fronts, backs]:
-        array.setflags(write=False)
-    return _Layout(perms=tuple(rings[stride][0] for stride in strides),
-                   inverses=tuple(rings[stride][1] for stride in strides),
-                   widths=widths,
-                   marginals=tuple(_marginal_index(width) for width in widths),
-                   fronts=fronts, backs=backs)
-
-
 def _rotations(angles: np.ndarray, rots: np.ndarray) -> None:
     """Rot(phi, theta, omega) for angles of shape (..., 3), into ``rots``: (..., 2, 2)."""
     phi, theta, omega = angles[..., 0], angles[..., 1], angles[..., 2]
@@ -218,7 +186,7 @@ def _generators(ws: _Workspace, params: np.ndarray) -> np.ndarray:
     R (-iZ/2) R^dagger = -(i/2) (cos theta Z + sin theta (cos omega X + sin omega Y)),
     RZ(omega) (-iY/2) RZ(omega)^dagger and -iZ/2 (set once, with the zeros).
     """
-    angles = params.reshape(ws.rots.shape[:2] + (3,))
+    angles = params.reshape(ws.grad.shape)
     turn = np.exp(1j * angles[..., 2])
     cos, sin = -0.5j * np.cos(angles[..., 1]), -0.5j * np.sin(angles[..., 1])
     ws.gens[..., 0, 0, 0], ws.gens[..., 0, 1, 1] = cos, -cos
@@ -228,22 +196,17 @@ def _generators(ws: _Workspace, params: np.ndarray) -> np.ndarray:
 
 
 def _blocks(ws: _Workspace) -> None:
-    """Fuse each layer's rotations into Kronecker blocks of consecutive qubits.
-
-    ``ws.blocks`` holds one (L, 2^b, 2^b) array per block of up to
-    ``_BLOCK_QUBITS`` qubits, in qubit order; within a block the first qubit
-    is the most significant bit, as in the full index.
-    """
-    # Layer axis last, for long inner loops.  numpy buffers a broadcast ufunc
-    # operand, 128 KiB at a time, so both factors are copied to full size first.
-    np.copyto(ws.by_qubit, ws.rots.transpose(1, 2, 3, 0))
-    for products, layer_first, block, adjoint in ws.fusions:
+    """Fuse each layer's rotations, ``ws.by_qubit``, into ``ws.blocks``: one
+    (L, 2^b, 2^b) array per block of ``ws.widths`` consecutive qubits, its
+    first qubit the most significant bit, as in the full index."""
+    # numpy buffers a broadcast ufunc operand, 128 KiB at a time, so both
+    # factors are copied to full size first.
+    for products, layer_first, block in ws.fusions:
         for left, right, wide, out in products:
             np.copyto(out, left)
             np.copyto(wide, right)
             np.multiply(out, wide, out=out)
         np.copyto(block, layer_first)
-        np.conjugate(block, out=adjoint)
 
 
 def _marginal_index(width: int) -> np.ndarray:
@@ -281,42 +244,57 @@ def _check_params(config: AnsatzConfig, params) -> np.ndarray:
 def _run(ws: _Workspace) -> None:
     # The Hadamard layer on |0...0> is the uniform start state.
     ws.state[:] = 2.0 ** (-ws.config.num_qubits / 2.0)
-    for mats, perm in zip(ws.block_mats, ws.layout.perms):
+    for mats, perm in zip(ws.block_mats, ws.perms):
         for (split, out), mat in zip(ws.run_views, mats):
             np.matmul(split, mat, out=out)
         ws.forward[-1].take(perm, axis=1, out=ws.forward[0], mode="clip")
 
 
 class _Workspace:
-    """Every array a step at one ``AnsatzConfig`` writes, with prebuilt views:
-    the rotations, blocks and final ``state`` of the parameters whose bytes
-    are ``key``, and the buffers of ``_generators`` and the adjoint sweep."""
+    """Everything a sweep at one ``AnsatzConfig`` reads or writes, with prebuilt
+    views: the config's CNOT rings, block widths and index tables, and one copy
+    of each array a step writes (the rotations, blocks and final ``state`` of
+    the parameters whose bytes are ``key``, and the buffers of ``_generators``
+    and the adjoint sweep).  ``tangent_tables`` waits for the first Jacobian."""
 
     def __init__(self, config: AnsatzConfig):
-        layout = _layout(config)
-        widths, num_layers, dim = layout.widths, config.num_layers, config.dim
+        n, num_layers, dim = config.num_qubits, config.num_layers, config.dim
+        # ceil(n / 4) blocks whose widths differ by at most one, wider first.
+        count = -(-n // _BLOCK_QUBITS)
+        self.widths = widths = tuple(n // count + (b < n % count) for b in range(count))
+        firsts = [sum(widths[:b]) for b in range(count)]
+        # The strides cycle with period n - 1: layers of one stride share its ring.
+        strides = config.entangler_strides or (0,) * num_layers   # one qubit: no ring
+        rings = {}
+        for stride in dict.fromkeys(strides):
+            perm = np.arange(dim, dtype=np.int64)
+            for q in range(n if stride else 0):
+                perm = perm[_cnot_permutation(n, q, (q + stride) % n)]
+            rings[stride] = perm, np.argsort(perm)
+            for array in rings[stride]:
+                array.setflags(write=False)
+        self.perms = tuple(rings[stride][0] for stride in strides)
+        self.inverses = tuple(rings[stride][1] for stride in strides)
         widest = max(widths)
         new = partial(np.empty, dtype=np.complex128)
-        self.config, self.layout, self.key = config, layout, None
-        self.rots = new((num_layers, config.num_qubits, 2, 2))
-        self.gens = np.zeros(self.rots.shape[:2] + (3, 2, 2), dtype=np.complex128)
+        self.config, self.key = config, None
+        self.gens = np.zeros((num_layers, n, 3, 2, 2), dtype=np.complex128)
         self.gens[..., 2, 0, 0], self.gens[..., 2, 1, 1] = -0.5j, 0.5j
-        # Per block: _blocks' products (the k-th into ``stages[k]``, each right
-        # factor copied into ``wide``), the last stage's layer-first view, the
-        # block and its conjugate.
-        self.by_qubit = new((config.num_qubits, 2, 2, num_layers))
+        # The rotations, layer axis last for long inner loops, and per block
+        # _blocks' products (the k-th into ``stages[k]``, each right factor
+        # copied into ``wide``), the last stage's layer-first view and the block.
+        self.by_qubit = new((n, 2, 2, num_layers))
         stages = [new(num_layers << 2 * k) for k in range(2, widest + 1)]
         wide = new(num_layers << 2 * widest)
         self.blocks, self.fusions = [new((num_layers, 1 << w, 1 << w)) for w in widths], []
-        for first, width, block in zip(range(0, config.num_qubits, _BLOCK_QUBITS), widths,
-                                       self.blocks):
+        for first, width, block in zip(firsts, widths, self.blocks):
             mat, products = self.by_qubit[first], []
             for stage, q in zip(stages, range(first + 1, first + width)):
                 shape = (len(mat), 2, len(mat), 2, num_layers)
                 products.append((mat[:, None, :, None], self.by_qubit[q, None, :, None, :],
                                  wide[:stage.size].reshape(shape), stage.reshape(shape)))
                 mat = stage.reshape(2 * len(mat), 2 * len(mat), num_layers)
-            self.fusions.append((products, mat.transpose(2, 0, 1), block, new(block.shape)))
+            self.fusions.append((products, mat.transpose(2, 0, 1), block))
         # Forward rows: block b turns row b into row b + 1, and the CNOT ring
         # gathers the last row back into row 0, the state.
         self.forward = new((len(widths) + 1, 1, dim))
@@ -328,26 +306,42 @@ class _Workspace:
             return [(row.reshape(len(row), 1 << w, -1).swapaxes(1, 2),
                      out.reshape(len(out), -1, 1 << w)) for w, row, out in zip(widths, rows, outs)]
         self.run_views = views(self.forward, self.forward[1:])
+        # Per layer, each block transposed for the forward sweep and as it is
+        # for the adjoint sweep, whose rows are conjugated.
         self.block_mats = list(zip(*(block.transpose(0, 2, 1) for block in self.blocks)))
-        # The adjoint sweep: its rows (psi, lambda), the rows met before each
-        # block for a chunk of layers, and the cross densities of each block.
+        self.layer_blocks = list(zip(*self.blocks))
+        # The adjoint sweep: its rows (conj psi, conj lambda), the rows met before
+        # each block for a chunk of layers, and each block's cross densities.
         self.chunk = max(1, _SWEEP_BYTES // (2 * len(widths) * dim * 16))
         self.rows = new((2, dim))
         depth = min(self.chunk, num_layers)
         self.points = new((depth, len(widths), 2, dim))
         self.sweep_steps = [views(points, [*points[1:], self.rows]) for points in self.points]
-        self.adjoint_mats = list(zip(*(adjoint for *_, adjoint in self.fusions)))
-        # The blocks take turns with one conjugate, density and gather buffer.
-        conj, rho, gathered = (new(depth * k) for k in (dim, 1 << 2 * widest, widest << widest + 1))
+        # The blocks take turns with one state, density and gather buffer.
+        psi, rho, gathered = (new(depth * k) for k in (dim, 1 << 2 * widest, widest << widest + 1))
         self.densities = []
-        for b, (w, index) in enumerate(zip(widths, layout.marginals)):
+        for b, (first, w) in enumerate(zip(firsts, widths)):
             split = self.points[:, b].reshape(depth, 2, 1 << w, dim >> w)
+            index, state = _marginal_index(w), psi.reshape(split[:, 0].shape)
             self.densities.append((
-                split[:, 1], conj.reshape(split[:, 1].shape), split[:, 0].swapaxes(-1, -2),
+                split[:, 1], split[:, 0], state, state.swapaxes(1, 2),
                 rho[:depth << 2 * w].reshape(depth, 1 << w, 1 << w), index,
                 gathered[:depth * index.size].reshape((depth,) + index.shape),
-                new((depth, w, 2, 2)), slice(_BLOCK_QUBITS * b, _BLOCK_QUBITS * b + w)))
-        self.transitions, self.grad = new(self.rots.shape), new(self.rots.shape[:2] + (3,))
+                new((depth, w, 2, 2)), slice(first, first + w)))
+        self.transitions, self.grad = new((num_layers, n, 2, 2)), new((num_layers, n, 3))
+
+    @cached_property
+    def tangent_tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(fronts, backs)``: (n, 2^n), per qubit the state's order with its bit
+        first, and (3n, 2^n) flat indices that undo ``fronts`` per slot."""
+        n, dim = self.config.num_qubits, self.config.dim
+        axes = np.arange(dim).reshape((2,) * n)
+        fronts = np.stack([np.moveaxis(axes, q, 0).reshape(-1) for q in range(n)])
+        backs = (np.arange(3 * n)[:, np.newaxis] * dim
+                 + np.repeat(np.argsort(fronts, axis=1), 3, axis=0))
+        for array in (fronts, backs):
+            array.setflags(write=False)
+        return fronts, backs
 
 
 _workspaces = threading.local()
@@ -360,7 +354,7 @@ def _loaded(config: AnsatzConfig, params: np.ndarray) -> _Workspace:
         ws = _workspaces.current = _Workspace(config)
     if (key := params.tobytes()) != ws.key:
         ws.key = None      # a load that fails part way leaves no stale key
-        _rotations(params.reshape(ws.rots.shape[:2] + (3,)), ws.rots)
+        _rotations(params.reshape(ws.grad.shape), ws.by_qubit.transpose(3, 0, 1, 2))
         _blocks(ws)
         _run(ws)
         ws.key = key
@@ -421,31 +415,31 @@ def sample_histogram(probs, shots: int, seed) -> np.ndarray:
 def _vjp(config: AnsatzConfig, params: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """g[i] = sum_j weights[j] * d p(j) / d params[i].
 
-    One reverse sweep from the final state psi carries psi itself as row 0 and
-    the adjoint lambda = weights * psi as row 1.  It keeps the rows met before
-    each rotation block, ``_SWEEP_BYTES`` of layers at a time; one stacked
-    matmul per block then forms their cross density rho[A, B] = sum
+    One reverse sweep from the final state psi carries conj(psi) as row 0 and
+    conj(lambda) = weights * conj(psi) as row 1, and undoes each block B with
+    B itself: conj(B^dagger x) = B^T conj(x) exactly.  It keeps the rows met
+    before each rotation block, ``_SWEEP_BYTES`` of layers at a time; one
+    stacked matmul per block then forms their cross density rho[A, B] = sum
     conj(lambda_A) psi_B, summed to one 2x2 transition matrix T per qubit.
     T gives the qubit's three angle derivatives as 2 Re sum(G * T), G being
     d(Rot)/d(angle) Rot^dagger.  Undoing the layer's other rotations first
     leaves T unchanged: they act on other qubits.
     """
     ws = _loaded(config, params)
-    ws.rows[0] = ws.state
-    np.multiply(weights, ws.state, out=ws.rows[1])
+    np.multiply(weights, np.conjugate(ws.state, out=ws.rows[0]), out=ws.rows[1])
     for top in range(config.num_layers, 0, -ws.chunk):
         bottom = max(top - ws.chunk, 0)
         # points[i] holds layer top - 1 - i: the sweep meets the layers downwards.
         for i, layer in enumerate(range(top - 1, bottom - 1, -1)):
-            ws.rows.take(ws.layout.inverses[layer], axis=1, out=ws.points[i, 0], mode="clip")
-            for (split, out), mat in zip(ws.sweep_steps[i], ws.adjoint_mats[layer]):
+            ws.rows.take(ws.inverses[layer], axis=1, out=ws.points[i, 0], mode="clip")
+            for (split, out), mat in zip(ws.sweep_steps[i], ws.layer_blocks[layer]):
                 np.matmul(split, mat, out=out)
         count = top - bottom
-        for left, conj, right, rho, index, gathered, marginals, qubits in ws.densities:
-            # Conjugated in place: a strided operand would be buffered.
-            np.copyto(conj[:count], left[:count])
-            np.conjugate(conj[:count], out=conj[:count])
-            np.matmul(conj[:count], right[:count], out=rho[:count])
+        for left, rows, psi, right, rho, index, gathered, marginals, qubits in ws.densities:
+            # psi, conjugated back in place: a strided operand would be buffered.
+            np.copyto(psi[:count], rows[:count])
+            np.conjugate(psi[:count], out=psi[:count])
+            np.matmul(left[:count], right[:count], out=rho[:count])
             # Leading-axis sums add whole rows; a last-axis complex sum stalls after zgemm.
             rho[:count].reshape(count, -1).take(index, axis=-1, out=gathered[:count],
                                                  mode="clip")
@@ -488,20 +482,19 @@ def _tangents(config: AnsatzConfig, params: np.ndarray) -> np.ndarray:
     """
     n, per_layer = config.num_qubits, 3 * config.num_qubits
     ws = _loaded(config, params)
-    gens, layout = _generators(ws, params), ws.layout
+    gens, (fronts, backs) = _generators(ws, params), ws.tangent_tables
     rows, work = (np.empty((1 + config.num_parameters, config.dim), dtype=np.complex128)
                   for _ in range(2))
     rows[0] = 2.0 ** (-n / 2.0)
-    for layer, perm in enumerate(layout.perms):
+    for layer, perm in enumerate(ws.perms):
         done = 1 + per_layer * layer
-        for width, mat in zip(layout.widths, ws.block_mats[layer]):
+        for width, mat in zip(ws.widths, ws.block_mats[layer]):
             split = rows[:done].reshape(done, 1 << width, -1).swapaxes(1, 2)
             np.matmul(split, mat, out=work[:done].reshape(done, -1, 1 << width))
             rows, work = work, rows
-        fronts = rows[0].take(layout.fronts).reshape(n, 1, 2, -1)
+        front = rows[0].take(fronts).reshape(n, 1, 2, -1)
         # Index tables are permutations: "clip" clips nothing, and skips buffering out.
-        (gens[layer] @ fronts).take(layout.backs, out=rows[done:done + per_layer],
-                                    mode="clip")
+        (gens[layer] @ front).take(backs, out=rows[done:done + per_layer], mode="clip")
         rows[:done + per_layer].take(perm, axis=1, out=work[:done + per_layer], mode="clip")
         rows, work = work, rows
     return rows

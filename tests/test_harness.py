@@ -562,6 +562,25 @@ class TestPlan:
         assert self.arms(planned) == [("grid", 2, 0.5), ("grid", 2, 0.2),
                                       ("grid", 1, 0.5), ("grid", 1, 0.2)]
 
+    def test_numpy_values_plan_the_python_values_seeds(self, k4, planned):
+        # numpy 2 writes np.float64(0.5) where Python writes 0.5, and a float
+        # tag's seed is derived from its repr.
+        def seeds(run):
+            calls = len(planned)
+            run()
+            return [(tags, seed) for _, batch in planned[calls:] for tags, seed, _ in batch]
+
+        def grid(steps):
+            return lambda: grid_search(k4, GridSpec((1,), steps, 2, 3), EncodingConfig(2, 4),
+                                       seed=7)
+
+        def scaling(values):
+            return lambda: scaling_study([k4], [1e9], "layers", self.SETTINGS,
+                                         axis_values=values, seed=7)
+
+        assert seeds(grid(np.array([0.5]))) == seeds(grid((0.5,)))
+        assert seeds(scaling(np.array([2, 1]))) == seeds(scaling((2, 1)))
+
     def test_blue_size_scan(self, planned):
         scan_blue_sizes(generate_regular(6, 3, seed=1), self.SETTINGS, seed=self.MASTER)
         assert self.arms(planned) == [("scan_blue", 1), ("scan_blue", 2), ("scan_blue", 3)]

@@ -99,7 +99,7 @@ def per_layer_vjp(config: AnsatzConfig, params, weights) -> np.ndarray:
     rows = np.vstack([psi, weights * psi])
     transitions = np.empty((config.num_layers, config.num_qubits, k, 2, 2),
                            dtype=complex)
-    inverses = simulator._layout(config).inverses
+    inverses = simulator._Workspace(config).inverses
     for layer in reversed(range(config.num_layers)):
         rows = rows[:, inverses[layer]]
         first = 0
@@ -137,13 +137,13 @@ class TestShapes:
     def test_layers_of_one_stride_share_its_ring(self, num_qubits):
         # One permutation and one inverse per stride, not per layer; a lone
         # qubit's layers share one identity.
-        layout = simulator._layout(AnsatzConfig(num_qubits, 9))
+        ws = simulator._Workspace(AnsatzConfig(num_qubits, 9))
         period = max(num_qubits - 1, 1)
         for layer in range(9 - period):
-            assert layout.perms[layer] is layout.perms[layer + period]
-            assert layout.inverses[layer] is layout.inverses[layer + period]
-        assert len({id(perm) for perm in layout.perms}) == period
-        assert len({id(inverse) for inverse in layout.inverses}) == period
+            assert ws.perms[layer] is ws.perms[layer + period]
+            assert ws.inverses[layer] is ws.inverses[layer + period]
+        assert len({id(perm) for perm in ws.perms}) == period
+        assert len({id(inverse) for inverse in ws.inverses}) == period
 
     @pytest.mark.parametrize("width", [1, 2, 3, 4])
     def test_marginal_index_sums_leading_axis_to_partial_traces(self, width):
@@ -489,9 +489,10 @@ class TestJacobian:
             assert np.array_equal(cold, probability_vjp(config, params, weights))
 
     @pytest.mark.parametrize("num_layers", [0, 1, 2, 5])
-    @pytest.mark.parametrize("num_qubits", range(1, 12))
+    @pytest.mark.parametrize("num_qubits", range(1, 14))
     def test_vjp_matches_per_layer_reference(self, num_qubits, num_layers):
-        # n = 5, 6, 7, 9, 10 and 11 end in a block narrower than 4 qubits.
+        # One to four blocks a layer: n = 5, 6 and 9 use widths 2 and 3 only,
+        # and n = 7, 10, 11 and 13 mix widths 3 and 4.
         config = AnsatzConfig(num_qubits, num_layers)
         params = random_parameters(config, seed=num_qubits * 10 + num_layers)
         weights = np.random.default_rng(num_qubits).normal(size=config.dim)
@@ -576,6 +577,20 @@ def training_step(config, params, weights):
     return probabilities(config, params), probability_vjp(config, params, weights)
 
 
+def held_bytes(ws) -> int:
+    """Bytes of the arrays a workspace holds, each array counted once under its base."""
+    held, todo = {}, list(vars(ws).values())
+    while todo:
+        value = todo.pop()
+        if isinstance(value, (list, tuple)):
+            todo.extend(value)
+        elif isinstance(value, np.ndarray):
+            while isinstance(value.base, np.ndarray):
+                value = value.base
+            held[id(value)] = value.nbytes
+    return sum(held.values())
+
+
 class TestWorkspace:
     def test_step_allocates_little(self):
         # The per-step arrays took 1781 KiB here when each step allocated them.
@@ -591,24 +606,46 @@ class TestWorkspace:
             tracemalloc.stop()
         assert peak < 256 * 2 ** 10
 
+    def test_tangent_tables_wait_for_a_jacobian(self, monkeypatch):
+        # At (11, 50) the arrays took 3.87 MiB when the workspace also held the
+        # tangent tables, a conjugate copy of each block and a second copy of
+        # the rotations.
+        monkeypatch.setattr(simulator, "_workspaces", threading.local())
+        config = AnsatzConfig(11, 50)
+        training_step(config, random_parameters(config, 0), np.ones(config.dim))
+        ws = simulator._workspaces.current
+        assert "tangent_tables" not in vars(ws)
+        assert held_bytes(ws) < 3 * 2 ** 20
+        config = AnsatzConfig(5, 2)
+        params = random_parameters(config, 0)
+        training_step(config, params, np.ones(config.dim))
+        ws = simulator._workspaces.current
+        assert "tangent_tables" not in vars(ws)
+        probability_jacobian(config, params)
+        fronts, backs = vars(ws)["tangent_tables"]
+        assert fronts.shape == (5, 32) and backs.shape == (15, 32)
+
     def test_threads_do_not_share_workspaces(self):
         # More threads than the two cores this was written on: two share a
-        # config at different parameters, and n = 9 ends in a one-qubit block.
+        # config at different parameters, and n = 9 splits into three blocks.
+        # Each thread builds its own tangent tables with its first Jacobian.
         cases = []
         for n, layers, first in [(6, 4, 0), (6, 4, 10), (9, 2, 0)]:
             config = AnsatzConfig(n, layers)
             steps = [(random_parameters(config, seed),
                       np.random.default_rng(seed).normal(size=config.dim))
                      for seed in range(first, first + 6)]
-            cases.append((config, steps, [probability_vjp(config, p, w) for p, w in steps]))
+            cases.append((config, steps, [(probability_vjp(config, p, w),
+                                            probability_jacobian(config, p)) for p, w in steps]))
         results = [[] for _ in cases]
         barrier = threading.Barrier(len(cases), timeout=10)
 
         def work(index):
             config, steps, _ = cases[index]
             for params, weights in steps * 5:
-                barrier.wait()    # each VJP starts while the other threads run theirs
-                results[index].append(probability_vjp(config, params, weights))
+                barrier.wait()    # each step starts while the other threads run theirs
+                results[index].append((probability_vjp(config, params, weights),
+                                       probability_jacobian(config, params)))
 
         switch = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -623,7 +660,8 @@ class TestWorkspace:
         assert not any(thread.is_alive() for thread in threads)
         for (_, _, serial), got in zip(cases, results):
             assert len(got) == len(serial) * 5
-            assert all(np.array_equal(g, s) for g, s in zip(got, serial * 5))
+            assert all(np.array_equal(g, s) for pair in zip(got, serial * 5)
+                       for g, s in zip(*pair))
 
     def test_switching_configs_keeps_cold_bits(self, monkeypatch):
         a, b = AnsatzConfig(8, 3), AnsatzConfig(5, 4)
