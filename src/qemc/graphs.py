@@ -7,6 +7,7 @@ construction and safe to share across threads.
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -60,7 +61,11 @@ _MAX_RETRIES = 1000
 
 @dataclass(frozen=True, eq=False)
 class Graph:
-    """Undirected weighted graph with ``num_nodes`` nodes and canonical edge arrays."""
+    """Undirected weighted graph with ``num_nodes`` nodes and canonical edge arrays.
+
+    ``edge_u`` and ``edge_v`` must be one-dimensional integer arrays (bools are
+    not integers) and ``edge_w`` a one-dimensional array of finite reals; any
+    other raises :class:`ConfigError`."""
 
     num_nodes: int
     edge_u: np.ndarray
@@ -69,9 +74,11 @@ class Graph:
 
     def __post_init__(self):
         check_count("num_nodes", self.num_nodes)
-        u = np.asarray(self.edge_u, dtype=np.int64)
-        v = np.asarray(self.edge_v, dtype=np.int64)
+        u = _integers("edge_u", self.edge_u, "iu").astype(np.int64, copy=False)
+        v = _integers("edge_v", self.edge_v, "iu").astype(np.int64, copy=False)
         w = np.asarray(check_finite("edge weights", self.edge_w), dtype=np.float64)
+        if w.ndim != 1:
+            raise ConfigError(f"edge weights must be one-dimensional, got shape {w.shape}")
         if not (u.shape == v.shape == w.shape):
             raise ConfigError("edge arrays must have equal length")
         if u.size:
@@ -92,12 +99,13 @@ class Graph:
     def from_edges(cls, num_nodes, edges) -> "Graph":
         """Build a graph from (u, v) or (u, v, w) tuples; orientation is canonicalized.
 
-        Endpoints must equal integers (``2`` or ``2.0``) and weights be finite real
-        numbers; any other raises :class:`ConfigError`."""
+        Endpoints must equal integers (``2`` or ``2.0``) without being bools, and
+        weights be finite real numbers; any other raises :class:`ConfigError`."""
         us, vs, ws = [], [], []
         for e in edges:
             u, v = int(e[0]), int(e[1])
-            if u != e[0] or v != e[1]:
+            bools = isinstance(e[0], (bool, np.bool_)) or isinstance(e[1], (bool, np.bool_))
+            if bools or u != e[0] or v != e[1]:
                 raise ConfigError(f"edge endpoints must be integers, got {e[0]!r}, {e[1]!r}")
             if u == v:
                 raise SelfLoop(f"self-loop at node {u}")
@@ -166,16 +174,16 @@ class Graph:
 
 @dataclass(frozen=True, eq=False)
 class Partition:
-    """Two-coloring of the nodes; ``colors[k]`` is WHITE (0) or BLUE (1)."""
+    """Two-coloring of the nodes; ``colors[k]`` is WHITE (0) or BLUE (1), given as a
+    one-dimensional bool or integer array."""
 
     colors: np.ndarray
 
     def __post_init__(self):
-        c = np.asarray(self.colors, dtype=np.uint8)
-        if c.ndim != 1:
-            raise ConfigError("colors must be one-dimensional")
-        if c.size and c.max() > 1:
+        c = _integers("colors", self.colors, "biu")
+        if c.size and (c.min() < 0 or c.max() > 1):
             raise ConfigError("colors must be 0 (white) or 1 (blue)")
+        c = c.astype(np.uint8, copy=False)
         c.setflags(write=False)
         object.__setattr__(self, "colors", c)
 
@@ -201,6 +209,17 @@ class Partition:
 
     def __repr__(self):
         return f"Partition(blue={self.blue_nodes()}, num_nodes={self.num_nodes})"
+
+
+def _integers(name, values, kinds) -> np.ndarray:
+    """``values`` as a one-dimensional array whose dtype kind is one of ``kinds``
+    (``b`` bool, ``i`` signed, ``u`` unsigned), else :class:`ConfigError`; an
+    empty list passes, whatever dtype numpy gives it."""
+    with contextlib.suppress(ValueError):     # a ragged list makes no array
+        array = np.asarray(values)
+        if array.ndim == 1 and (array.dtype.kind in kinds or not array.size):
+            return array
+    raise ConfigError(f"{name} must be a one-dimensional array of integers")
 
 
 def complete_graph(num_nodes: int) -> Graph:
@@ -316,7 +335,7 @@ def exhaustive_maxcut(graph: Graph, *, node_cap: int = EXHAUSTIVE_NODE_CAP):
     Raises ``RuntimeFailure`` if the weights overflow the best cut.
     """
     n = graph.num_nodes
-    if n > node_cap:
+    if n > check_count("node_cap", node_cap):
         raise TooLarge(f"{n} nodes exceeds the exhaustive cap of {node_cap}")
     total = 1 << (n - 1)
     best_cut = -np.inf

@@ -10,19 +10,20 @@ calling process, whose BLAS threads spread each solve's dense products.
 Every experiment arm is a checked :class:`QemcSettings`, and every trial, in
 each experiment here and in ``qemc solve``, is built by ``_trial``: the one
 place where the qubit count, the default blue count and the default gradient
-mode are resolved.  An experiment lists its arms as ``(tags, graph, settings)``
-and ``_plan`` expands them into one ``(tags, seed, args)`` item per trial
-before any trial runs; a failing trial raises :class:`RuntimeFailure` naming
+mode are resolved.  Each experiment is a plan, a run and a reduction: its plan
+function (``_grid_plan``, ``_scan_plan``, ``_scaling_plan``, ``_study_plan``)
+checks every argument and lists every ``(tags, seed, args)`` item before any
+trial runs, and the public function runs them through ``_map_jobs`` and
+reduces the records.  A failing trial raises :class:`RuntimeFailure` naming
 its tag path and seed, which replay it alone.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import os
 from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -48,21 +49,13 @@ __all__ = [
 ]
 
 
-def _resolve_jobs(jobs) -> int:
-    if jobs is None:    # the CPUs this process may run on, where the OS tells
-        affinity = getattr(os, "sched_getaffinity", None)
-        return len(affinity(0)) if affinity else max(1, os.cpu_count() or 1)
-    return check_count("jobs", jobs)
-
-
 def _run_train(item):
     return core.train(*item[2])
 
 
 def _run_gw(item):
-    _, seed, (graph, trials, num_hyperplanes) = item
-    return baselines.gw(graph, trials=trials, seed=seed,
-                        num_hyperplanes=num_hyperplanes)
+    _, seed, (graph, trials, hyperplanes) = item
+    return baselines.gw(graph, trials, seed, num_hyperplanes=hyperplanes)
 
 
 def _name(item) -> str:
@@ -79,10 +72,11 @@ def _attempt(fn, item):
 
 def _map_jobs(fn, items, jobs):
     """``fn`` over ``(tags, seed, args)`` items, in order; failures name their trial."""
-    items = list(items)
-    jobs = _resolve_jobs(jobs)
+    if jobs is None:    # the CPUs this process may run on, where the OS tells
+        affinity = getattr(os, "sched_getaffinity", None)
+        jobs = len(affinity(0)) if affinity else max(1, os.cpu_count() or 1)
     run = functools.partial(_attempt, fn)
-    if jobs == 1 or len(items) <= 1:
+    if check_count("jobs", jobs) == 1 or len(items) <= 1:
         return [run(item) for item in items]
     workers = min(jobs, len(items))
     with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -207,19 +201,16 @@ class GridResult:
         then the step-size attaining it at that layer count; ties in step-size
         go to the larger value.
         """
-        layer_values, step_values = self.spec.layer_values, self.spec.step_values
         means = self.mean_table()
         rows = np.flatnonzero(means.max(axis=1) >= means.max() - 1e-12)
-        i = min(rows, key=lambda r: layer_values[r])
+        i = min(rows, key=lambda r: self.spec.layer_values[r])
         cells = np.flatnonzero(means[i] >= means[i].max() - 1e-12)
-        j = max(cells, key=lambda c: step_values[c])
-        return layer_values[i], step_values[j]
+        j = max(cells, key=lambda c: self.spec.step_values[c])
+        return self.spec.layer_values[i], self.spec.step_values[j]
 
     def to_csv_rows(self):
-        for i, layers in enumerate(self.spec.layer_values):
-            for j, step in enumerate(self.spec.step_values):
-                for t in range(self.spec.trials_per_cell):
-                    yield (layers, step, t, float(self.cuts[i, j, t]))
+        for (i, j, t), cut in np.ndenumerate(self.cuts):
+            yield (self.spec.layer_values[i], self.spec.step_values[j], t, float(cut))
 
 
 def grid_search(graph: Graph, grid: GridSpec, encoding: EncodingConfig, seed=0,
@@ -231,6 +222,19 @@ def grid_search(graph: Graph, grid: GridSpec, encoding: EncodingConfig, seed=0,
     ``shots`` is set, the analytic gradient otherwise.  ``min_layers_to_target``
     reports the smallest layer count whose best cell reaches ``target``.
     """
+    items = _grid_plan(graph, grid, encoding, seed, shots, target)
+    records = _map_jobs(_run_train, items, jobs)
+    cuts = np.array([r.final_best_cut for r in records]).reshape(
+        len(grid.layer_values), len(grid.step_values), grid.trials_per_cell)
+    min_layers = None if target is None else min(
+        (layers for layers, row in zip(grid.layer_values, cuts.mean(axis=2))
+         if row.max() >= target), default=None)
+    return GridResult(spec=grid, cuts=cuts, target=target,
+                      min_layers_to_target=min_layers)
+
+
+def _grid_plan(graph, grid, encoding, seed, shots, target):
+    """A grid's items, cell by cell with layers outermost, trials innermost."""
     core._check_encoding(graph, encoding)
     if target is not None:
         check_finite("target", target)
@@ -239,14 +243,7 @@ def grid_search(graph: Graph, grid: GridSpec, encoding: EncodingConfig, seed=0,
                           shots=shots, blue_count=encoding.blue_count,
                           trials=grid.trials_per_cell))
             for layers in grid.layer_values for step in grid.step_values]
-    records = _map_jobs(_run_train, _plan(arms, seed), jobs)
-    cuts = np.array([r.final_best_cut for r in records]).reshape(
-        len(grid.layer_values), len(grid.step_values), grid.trials_per_cell)
-    min_layers = None if target is None else min(
-        (layers for layers, row in zip(grid.layer_values, cuts.mean(axis=2))
-         if row.max() >= target), default=None)
-    return GridResult(spec=grid, cuts=cuts, target=target,
-                      min_layers_to_target=min_layers)
+    return _plan(arms, seed)
 
 
 # -- blue-set scan ----------------------------------------------------------------
@@ -261,12 +258,16 @@ def scan_blue_sizes(graph: Graph, settings: QemcSettings, seed=0, *,
     threshold needs fewer shots in practice; the winner's B is
     ``record.encoding.blue_count``.
     """
-    # B = 1 is always tried, so a graph too small to encode fails in _trial.
-    items = _plan(((("scan_blue", blue), graph,
-                    dataclasses.replace(settings, blue_count=blue))
-                   for blue in range(1, max(1, graph.num_nodes // 2) + 1)), seed)
-    records = _map_jobs(_run_train, items, jobs)
+    records = _map_jobs(_run_train, _scan_plan(graph, settings, seed), jobs)
     return max(records, key=lambda r: r.final_best_cut)
+
+
+def _scan_plan(graph, settings, seed):
+    """A scan's items, blue-set size B ascending; B = 1 is always tried, so a
+    graph too small to encode fails in ``_trial``."""
+    return _plan(((("scan_blue", blue), graph,
+                   replace(settings, blue_count=blue))
+                  for blue in range(1, max(1, graph.num_nodes // 2) + 1)), seed)
 
 
 # -- resource scaling --------------------------------------------------------------
@@ -300,36 +301,38 @@ def scaling_study(graph_family, targets, resource_axis: str,
     ``iterations`` axis reads every budget off one set of runs, so it takes no
     ``axis_values``.  An unreachable target gives a row with ``reached=False``.
     """
+    return [_scan_axis(num_nodes, resource_axis, rungs, target, jobs)
+            for num_nodes, target, rungs in _scaling_plan(
+                graph_family, targets, resource_axis, settings, axis_values, seed)]
+
+
+def _scaling_plan(graph_family, targets, axis, settings, values, seed):
+    """Per graph: ``(num_nodes, target, rungs)``, ``(value, items)`` rungs ascending."""
     graph_family = list(graph_family)
     targets = list(targets)
     if len(targets) != len(graph_family):
         raise ConfigError("need exactly one target per graph")
     check_finite("every target", targets)
-    if resource_axis not in ("layers", "shots", "iterations"):
-        raise ConfigError(f"unknown resource axis {resource_axis!r}")
-    if resource_axis == "iterations" and axis_values is not None:
+    if axis not in ("layers", "shots", "iterations"):
+        raise ConfigError(f"unknown resource axis {axis!r}")
+    if axis == "iterations" and values is not None:
         raise ConfigError("the iterations axis takes no axis_values: one set of "
                           "settings.iterations runs gives every smaller budget")
-    if axis_values is not None:
-        axis_values = _distinct("axis_values", axis_values)
-
-    plans = [_scaling_plan(graph, index, resource_axis, axis_values, settings, seed)
-             for index, graph in enumerate(graph_family)]
-    return [_scan_axis(graph.num_nodes, resource_axis, rungs, target, jobs)
-            for graph, target, rungs in zip(graph_family, targets, plans)]
-
-
-def _scaling_plan(graph, graph_index, axis, values, settings, seed):
-    """``(value, items)`` rungs in ascending order; the iterations axis has one."""
-    tags = ("scaling", axis, graph_index)
-    if axis == "iterations":
-        return [(None, _plan([(tags, graph, settings)], seed))]
-    if values is None:
-        values = (DEFAULT_LAYER_LADDER if axis == "layers"
-                  else default_shot_ladder(graph.num_nodes))
-    return [(value, _plan([((*tags, value), graph,
-                            dataclasses.replace(settings, **{axis: value}))], seed))
-            for value in sorted(values)]
+    if values is not None:
+        values = _distinct("axis_values", values)
+    plans = []
+    for index, (graph, target) in enumerate(zip(graph_family, targets)):
+        tags = ("scaling", axis, index)
+        if axis == "iterations":
+            rungs = [(None, _plan([(tags, graph, settings)], seed))]
+        else:
+            ladder = values or (DEFAULT_LAYER_LADDER if axis == "layers"
+                                else default_shot_ladder(graph.num_nodes))
+            rungs = [(value, _plan([((*tags, value), graph,
+                                     replace(settings, **{axis: value}))], seed))
+                     for value in sorted(ladder)]
+        plans.append((graph.num_nodes, target, rungs))
+    return plans
 
 
 def _scan_axis(num_nodes, axis, rungs, target, jobs):
@@ -391,33 +394,35 @@ def multi_instance_study(num_instances: int, num_nodes: int, degree: int,
     trial is one hyperplane by default, so the max and average GW levels stay
     distinct trial statistics; raise ``gw_hyperplanes`` to steady each.
     """
-    check_count("num_instances", num_instances)
-    check_count("gw_trials", gw_trials)
-    check_count("gw_hyperplanes", gw_hyperplanes)
-    instances = [generate_regular(num_nodes, degree,
-                                  derive_seed(seed, "study", "instance", i))
-                 for i in range(num_instances)]
-
-    items = _plan(((("study", "qemc", i), graph, settings)
-                   for i, graph in enumerate(instances)), seed)
-    gw_items = [(("study", "gw", i), derive_seed(seed, "study", "gw", i),
-                 (graph, gw_trials, gw_hyperplanes))
-                for i, graph in enumerate(instances)]
-    records = _map_jobs(_run_train, items, jobs)
+    items = _study_plan(num_instances, num_nodes, degree, settings, gw_trials, seed,
+                        gw_hyperplanes)
+    records = _map_jobs(_run_train, items[:-num_instances], jobs)
     best_curves = np.array([r.best_cuts for r in records]).reshape(
         num_instances, settings.trials, settings.iterations)
-    gw_cuts = np.array(_map_jobs(_run_gw, gw_items, 1))
-
+    gw_cuts = np.array(_map_jobs(_run_gw, items[-num_instances:], 1))
     return StudyResult(
         num_nodes=num_nodes, degree=degree, num_instances=num_instances,
-        qemc_trials=settings.trials, gw_trials=gw_trials,
-        iterations=settings.iterations,
+        qemc_trials=settings.trials, gw_trials=gw_trials, iterations=settings.iterations,
         max_qemc_curve=best_curves.max(axis=1).mean(axis=0),
         avg_qemc_curve=best_curves.mean(axis=(0, 1)),
         max_gw=float(gw_cuts.max(axis=1).mean()),
         avg_gw=float(gw_cuts.mean()),
         qemc_final_cuts=best_curves[:, :, -1],
         gw_cuts=gw_cuts)
+
+
+def _study_plan(num_instances, num_nodes, degree, settings, gw_trials, seed, hyperplanes):
+    """A study's QEMC items, instance by instance, then one GW item per instance."""
+    check_count("num_instances", num_instances)
+    check_count("gw_trials", gw_trials)
+    check_count("gw_hyperplanes", hyperplanes)
+    instances = [generate_regular(num_nodes, degree,
+                                  derive_seed(seed, "study", "instance", i))
+                 for i in range(num_instances)]
+    return _plan(((("study", "qemc", i), graph, settings)
+                  for i, graph in enumerate(instances)), seed) + [
+        (("study", "gw", i), derive_seed(seed, "study", "gw", i),
+         (graph, gw_trials, hyperplanes)) for i, graph in enumerate(instances)]
 
 
 # -- resource accounting ---------------------------------------------------------------
@@ -449,9 +454,8 @@ def resource_estimate(record: RunRecord) -> ResourceEstimate:
     The expected execution count is 1 per iteration in analytic mode and
     1 + 2P per iteration under parameter shift.
     """
-    ansatz = record.ansatz
-    p = ansatz.num_parameters
-    gates = simulator.gate_count(ansatz)
+    p = record.ansatz.num_parameters
+    gates = simulator.gate_count(record.ansatz)
     iterations = record.iterations_executed
     per_iteration = 1 if record.optimizer.gradient_mode == ANALYTIC else 1 + 2 * p
     shots = record.optimizer.shots
@@ -459,7 +463,7 @@ def resource_estimate(record: RunRecord) -> ResourceEstimate:
     t_q = float(gates * (shots if shots is not None else 1))
     return ResourceEstimate(
         num_parameters=p, iterations=iterations, shots=shots,
-        layers=ansatz.num_layers, gate_count=gates,
+        layers=record.ansatz.num_layers, gate_count=gates,
         circuit_executions=record.counters.circuit_executions,
         expected_circuit_executions=per_iteration * iterations,
         classical_time_proxy=t_c, quantum_time_proxy=t_q,

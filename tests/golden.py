@@ -41,21 +41,9 @@ WEIGHTED = Graph.from_edges(6, [(0, 1, 2), (1, 2, 3), (2, 3, 1), (3, 4, 0), (4, 
                                 (0, 5, -1), (0, 3, 1), (1, 4, 2)])
 
 
-def _planned(run):
-    """``run()``'s result and the ``[tags, seed]`` of every trial it dispatched."""
-    plan = []
-    real = harness._map_jobs
-
-    def record(fn, items, jobs):
-        items = list(items)
-        plan.extend([list(tags), seed] for tags, seed, _ in items)
-        return real(fn, items, jobs)
-
-    harness._map_jobs = record
-    try:
-        return run(), plan
-    finally:
-        harness._map_jobs = real
+def _planned(items) -> list:
+    """The ``[tags, seed]`` of every planned item."""
+    return [[list(tags), seed] for tags, seed, _ in items]
 
 
 def _record(record) -> dict:
@@ -93,22 +81,27 @@ def run_corpus() -> dict:
 
     grid = GridSpec(layer_values=(2, 1), step_values=(0.5, 0.2), trials_per_cell=2,
                     iteration_budget=ITERATIONS)
-    result, plan = _planned(lambda: harness.grid_search(
-        g8, grid, EncodingConfig(4, 8), seed=MASTER, target=9.0, jobs=1))
+    result = harness.grid_search(g8, grid, EncodingConfig(4, 8), seed=MASTER, target=9.0,
+                                 jobs=1)
+    plan = _planned(harness._grid_plan(g8, grid, EncodingConfig(4, 8), MASTER, None, 9.0))
     runs["grid_search"] = {"plan": plan, "cuts": result.cuts.tolist(),
                            "min_layers_to_target": result.min_layers_to_target}
 
     settings = QemcSettings(layers=2, step_size=0.4, iterations=ITERATIONS, trials=2)
-    record, plan = _planned(lambda: harness.scan_blue_sizes(WEIGHTED, settings, seed=MASTER))
+    record = harness.scan_blue_sizes(WEIGHTED, settings, seed=MASTER)
+    plan = _planned(harness._scan_plan(WEIGHTED, settings, MASTER))
     runs["scan_blue_sizes"] = {"plan": plan, **_record(record)}
 
-    rows, plan = _planned(lambda: harness.scaling_study(
-        [g8], [9.0], "layers", settings, axis_values=(5,), seed=MASTER, jobs=1))
-    runs["scaling_study"] = {"plan": plan, "rows": [
+    # One rung, so the run trains the whole plan.
+    rows = harness.scaling_study([g8], [9.0], "layers", settings, axis_values=(5,),
+                                 seed=MASTER, jobs=1)
+    [(_, _, [(_, items)])] = harness._scaling_plan([g8], [9.0], "layers", settings, (5,),
+                                                   MASTER)
+    runs["scaling_study"] = {"plan": _planned(items), "rows": [
         [r.num_nodes, r.axis, r.minimal_value, r.reached] for r in rows]}
 
-    study, plan = _planned(lambda: harness.multi_instance_study(
-        2, 8, 3, settings, gw_trials=2, seed=MASTER, jobs=2))
+    study = harness.multi_instance_study(2, 8, 3, settings, gw_trials=2, seed=MASTER, jobs=2)
+    plan = _planned(harness._study_plan(2, 8, 3, settings, 2, MASTER, 1))
     runs["multi_instance_study"] = {
         "plan": plan, "qemc_final_cuts": study.qemc_final_cuts.tolist(),
         "gw_cuts": study.gw_cuts.tolist(), "max_qemc_curve": study.max_qemc_curve.tolist(),

@@ -17,7 +17,8 @@ from qemc.errors import (
     check_count,
     check_finite,
 )
-from qemc.graphs import Graph, complete_graph, generate_regular, random_star_partition
+from qemc.graphs import (Graph, complete_graph, exhaustive_maxcut, generate_regular,
+                         random_star_partition)
 from qemc.harness import (
     GridSpec,
     QemcSettings,
@@ -96,6 +97,8 @@ ENTRY_POINTS = {
                            num_hyperplanes=v), 1, 1, InvalidCount),
     "random_star_cuts.trials": (lambda v: random_star_cuts(K4, v), 1, 1, InvalidCount),
     "Graph.num_nodes": (lambda v: Graph(v, [], [], []), 1, 1, InvalidCount),
+    "exhaustive_maxcut.node_cap": (lambda v: exhaustive_maxcut(K4, node_cap=v), 1, 4,
+                                   InvalidCount),
     "EncodingConfig.num_nodes": (lambda v: EncodingConfig(1, v), 2, 2, InvalidBlueCount),
     "EncodingConfig.blue_count": (lambda v: EncodingConfig(v, 8), 1, 1, InvalidBlueCount),
     "random_star_partition.num_nodes": (lambda v: random_star_partition(v, 1, 0), 1, 1,

@@ -48,7 +48,8 @@ class TestGraphConstruction:
             Graph.from_edges(2, [(0, 5)])
 
     @pytest.mark.parametrize("edges", [[(0.5, 1), (1.7, 2)], [(0, np.float64(1.5))],
-                                       [("1", 2)]], ids=["fractions", "numpy", "text"])
+                                       [("1", 2)], [(True, 2)], [(0, np.True_)]],
+                             ids=["fractions", "numpy", "text", "bool", "numpy-bool"])
     def test_non_integral_endpoint_rejected(self, edges):
         with pytest.raises(ConfigError, match="endpoints must be integers"):
             Graph.from_edges(3, edges)
@@ -64,13 +65,30 @@ class TestGraphConstruction:
         with pytest.raises(ConfigError, match="edge weights must be finite"):
             Graph.from_edges(4, [(0, 1, weight), (1, 2), (2, 3), (0, 3)])
 
+    @pytest.mark.parametrize("u,v,w", [
+        ([0.5], [1.7], [1.0]), ([True], [2], [1.0]), (["a"], [1], [1.0]), ([0], [np.inf], [1.0]),
+        ([[0]], [[1]], [[1.0]]), ([0], [1], [[1.0]]), ([[0], 1], [1, 2], [1.0, 1.0])],
+        ids=["fractions", "bool", "text", "infinite", "2-d", "2-d-weights", "ragged"])
+    def test_endpoints_and_weights_must_be_1d_integers_and_reals(self, u, v, w):
+        with pytest.raises(ConfigError, match="must be (a )?one-dimensional"):
+            Graph(3, u, v, w)
+
+    def test_empty_and_unsigned_endpoints_accepted(self):
+        assert Graph(3, [], [], []).num_edges == 0
+        assert Graph(3, np.array([0], dtype=np.uint8), [2], [1]).edges == [(0, 2, 1.0)]
+
     @pytest.mark.parametrize("build", [
         lambda: Graph(0, [], [], []),
         lambda: Graph(3, [0, 1], [1], [1.0]),
         lambda: Graph(3, [1], [0], [1.0]),
         lambda: Partition(np.zeros((2, 2))),
         lambda: Partition(np.array([0, 2])),
-    ], ids=["no-nodes", "ragged-edges", "u-above-v", "2-d-colors", "bad-color"])
+        lambda: Partition([0.5, 1.7, 0, 1]),
+        lambda: Partition([-1, 1]),
+        lambda: Partition([np.nan, 1]),
+        lambda: Partition([[0], 1]),
+    ], ids=["no-nodes", "ragged-edges", "u-above-v", "2-d-colors", "bad-color",
+            "fractional-colors", "negative-color", "nan-color", "ragged-colors"])
     def test_invariants_raise_config_error(self, build):
         with pytest.raises(ConfigError):
             build()
@@ -88,6 +106,10 @@ class TestGraphConstruction:
     def test_complete_graph_counts_checked(self, build):
         with pytest.raises(InvalidCount):
             build()
+
+    def test_bool_and_integer_colors_accepted(self):
+        assert Partition([True, False]) == Partition(np.array([1, 0], dtype=np.int64))
+        assert Partition([]).num_nodes == 0
 
     def test_equality_and_immutability(self, k4):
         assert k4 == complete_graph(4)
@@ -226,6 +248,11 @@ class TestExhaustiveMaxcut:
         g = complete_graph(6)
         with pytest.raises(TooLarge):
             exhaustive_maxcut(g, node_cap=5)
+
+    @pytest.mark.parametrize("cap", ["x", None])     # test_errors checks 1.5 and 0
+    def test_cap_must_be_a_count(self, cap):
+        with pytest.raises(InvalidCount, match="^node_cap must be"):
+            exhaustive_maxcut(complete_graph(3), node_cap=cap)
 
 
 class TestRandomStarPartition:

@@ -374,6 +374,38 @@ class TestScalingStudy:
         with pytest.raises(InvalidCount, match="^layers must be an integer"):
             scaling_study([k4], [100.0], "layers", settings, axis_values=values, jobs=1)
 
+    # On this graph, at these settings and seed 3, the mean final cut is 8.5 at
+    # one layer and 9.5 at two, and the mean best-so-far cut first reaches 8.0
+    # at iteration 3.
+    G8 = generate_regular(8, 3, seed=1)
+    RUNG_SETTINGS = QemcSettings(layers=1, step_size=0.3, iterations=20, trials=2)
+
+    def test_no_rung_trains_after_the_first_that_reaches_the_target(self, monkeypatch):
+        seeds = []
+        real = core.train
+
+        def train(*args):
+            seeds.append(args[3].seed)
+            return real(*args)
+
+        monkeypatch.setattr(core, "train", train)
+        rows = scaling_study([self.G8], [9.0], "layers", self.RUNG_SETTINGS,
+                             axis_values=[1, 2, 3], seed=3, jobs=1)
+        assert rows[0].minimal_value == 2.0
+        [(_, _, rungs)] = harness._scaling_plan([self.G8], [9.0], "layers",
+                                                self.RUNG_SETTINGS, (1, 2, 3), 3)
+        assert seeds == [seed for _, items in rungs[:2] for _, seed, _ in items]
+
+    @pytest.mark.parametrize("axis,values,target,minimum", [
+        ("layers", [1, 2, 3], 9.0, 2.0), ("iterations", None, 8.0, 3.0)])
+    def test_rows_independent_of_jobs(self, triangle, axis, values, target, minimum):
+        # The triangle's target is never reached, so every rung runs.
+        rows = [scaling_study([self.G8, triangle], [target, 9.0], axis, self.RUNG_SETTINGS,
+                              axis_values=values, seed=3, jobs=jobs) for jobs in (1, 2)]
+        assert rows[0] == rows[1]
+        assert [(row.minimal_value, row.reached) for row in rows[0]] == [(minimum, True),
+                                                                         (None, False)]
+
     def test_later_graph_rejected_before_training(self, k4, no_training):
         settings = QemcSettings(layers=1, step_size=0.5, iterations=5, trials=1)
         with pytest.raises(ShapeMismatch):
@@ -520,6 +552,11 @@ class TestTrialFailures:
         assert len(calls.read_text().splitlines()) < 20
 
 
+def _scaling_items(plan):
+    """Every item of a ``_scaling_plan``, graph by graph, rung by rung."""
+    return [item for _, _, rungs in plan for _, items in rungs for item in items]
+
+
 class TestPlan:
     """Every experiment's trials come from ``_plan``: unique tag paths, seeds
     derived from them, and each arm's trials innermost, the trial index last."""
@@ -527,27 +564,14 @@ class TestPlan:
     MASTER = 5
     SETTINGS = QemcSettings(layers=1, step_size=0.5, iterations=2, trials=2)
 
-    @pytest.fixture
-    def planned(self, monkeypatch):
-        """The ``(fn, items)`` of every ``_map_jobs`` call, run in process."""
-        calls = []
-        real = harness._map_jobs
-
-        def record(fn, items, jobs):
-            calls.append((fn, list(items)))
-            return real(fn, calls[-1][1], 1)
-
-        monkeypatch.setattr(harness, "_map_jobs", record)
-        return calls
-
-    def arms(self, calls):
-        """The QEMC arms' tag paths, after checking the plan's invariants."""
-        items = [item for _, batch in calls for item in batch]
+    def arms(self, items, qemc_count=None):
+        """The tag paths of the arms of the first ``qemc_count`` items (all by
+        default), the QEMC ones, after checking the plan's invariants."""
         paths = [tags for tags, _, _ in items]
         assert len(set(paths)) == len(paths)
         for tags, seed, _ in items:
             assert seed == derive_seed(self.MASTER, *tags)
-        qemc = [item for fn, batch in calls if fn is harness._run_train for item in batch]
+        qemc = items[:qemc_count]
         trials = self.SETTINGS.trials
         arms = [tags[:-1] for tags, _, _ in qemc[::trials]]
         assert [tags for tags, _, _ in qemc] == [(*arm, t) for arm in arms
@@ -555,52 +579,85 @@ class TestPlan:
         assert all(args[3].seed == seed for _, seed, args in qemc)
         return arms
 
-    def test_grid(self, k4, planned):
+    def test_grid(self, k4):
         grid = GridSpec(layer_values=(2, 1), step_values=(0.5, 0.2),
                         trials_per_cell=self.SETTINGS.trials, iteration_budget=2)
-        grid_search(k4, grid, EncodingConfig(2, 4), seed=self.MASTER)
-        assert self.arms(planned) == [("grid", 2, 0.5), ("grid", 2, 0.2),
-                                      ("grid", 1, 0.5), ("grid", 1, 0.2)]
+        items = harness._grid_plan(k4, grid, EncodingConfig(2, 4), self.MASTER, None, None)
+        assert self.arms(items) == [("grid", 2, 0.5), ("grid", 2, 0.2),
+                                    ("grid", 1, 0.5), ("grid", 1, 0.2)]
 
-    def test_numpy_values_plan_the_python_values_seeds(self, k4, planned):
+    def test_numpy_values_plan_the_python_values_seeds(self, k4):
         # numpy 2 writes np.float64(0.5) where Python writes 0.5, and a float
         # tag's seed is derived from its repr.
-        def seeds(run):
-            calls = len(planned)
-            run()
-            return [(tags, seed) for _, batch in planned[calls:] for tags, seed, _ in batch]
+        def seeds(items):
+            return [(tags, seed) for tags, seed, _ in items]
 
         def grid(steps):
-            return lambda: grid_search(k4, GridSpec((1,), steps, 2, 3), EncodingConfig(2, 4),
-                                       seed=7)
+            return seeds(harness._grid_plan(k4, GridSpec((1,), steps, 2, 3),
+                                            EncodingConfig(2, 4), 7, None, None))
 
         def scaling(values):
-            return lambda: scaling_study([k4], [1e9], "layers", self.SETTINGS,
-                                         axis_values=values, seed=7)
+            return seeds(_scaling_items(harness._scaling_plan(
+                [k4], [1e9], "layers", self.SETTINGS, values, 7)))
 
-        assert seeds(grid(np.array([0.5]))) == seeds(grid((0.5,)))
-        assert seeds(scaling(np.array([2, 1]))) == seeds(scaling((2, 1)))
+        assert grid(np.array([0.5])) == grid((0.5,))
+        assert scaling(np.array([2, 1])) == scaling((2, 1))
 
-    def test_blue_size_scan(self, planned):
-        scan_blue_sizes(generate_regular(6, 3, seed=1), self.SETTINGS, seed=self.MASTER)
-        assert self.arms(planned) == [("scan_blue", 1), ("scan_blue", 2), ("scan_blue", 3)]
+    def test_blue_size_scan(self):
+        items = harness._scan_plan(generate_regular(6, 3, seed=1), self.SETTINGS, self.MASTER)
+        assert self.arms(items) == [("scan_blue", 1), ("scan_blue", 2), ("scan_blue", 3)]
 
     @pytest.mark.parametrize("axis", ["layers", "shots", "iterations"])
-    def test_scaling_ladder(self, k4, planned, axis):
+    def test_scaling_ladder(self, k4, axis):
         graphs = [k4, generate_regular(6, 3, seed=1)]
         values = {"layers": (2, 1), "shots": None, "iterations": None}[axis]
-        # Unreachable targets run every rung.
-        scaling_study(graphs, [1e9, 1e9], axis, self.SETTINGS, axis_values=values,
-                      seed=self.MASTER)
+        plan = harness._scaling_plan(graphs, [1.0, 2.0], axis, self.SETTINGS, values,
+                                     self.MASTER)
+        assert [(n, target) for n, target, _ in plan] == [(4, 1.0), (6, 2.0)]
         rungs = {"layers": lambda graph: [(1,), (2,)],
                  "shots": lambda graph: [(s,) for s in default_shot_ladder(graph.num_nodes)],
                  "iterations": lambda graph: [()]}[axis]
-        assert self.arms(planned) == [("scaling", axis, index, *rung)
-                                      for index, graph in enumerate(graphs)
-                                      for rung in rungs(graph)]
+        assert self.arms(_scaling_items(plan)) == [("scaling", axis, index, *rung)
+                                                   for index, graph in enumerate(graphs)
+                                                   for rung in rungs(graph)]
 
-    def test_two_instance_study(self, planned):
-        multi_instance_study(2, 6, 3, self.SETTINGS, gw_trials=1, seed=self.MASTER)
-        assert self.arms(planned) == [("study", "qemc", 0), ("study", "qemc", 1)]
-        assert [tags for tags, _, _ in planned[1][1]] == [("study", "gw", 0),
-                                                          ("study", "gw", 1)]
+    def test_two_instance_study(self):
+        items = harness._study_plan(2, 6, 3, self.SETTINGS, 1, self.MASTER, 1)
+        assert self.arms(items, -2) == [("study", "qemc", 0), ("study", "qemc", 1)]
+        assert [tags for tags, _, _ in items[-2:]] == [("study", "gw", 0), ("study", "gw", 1)]
+
+    @pytest.mark.parametrize("experiment", ["grid", "scan", "scaling", "study"])
+    def test_experiment_runs_its_plan_in_order(self, k4, monkeypatch, experiment):
+        """Every item is run once, in plan order: ``(seed, args)`` of each
+        ``core.train`` and ``baselines.gw`` call, in process."""
+        calls = []
+        real_train, real_gw = core.train, baselines.gw
+
+        def train(*args):
+            calls.append((args[3].seed, args))
+            return real_train(*args)
+
+        def gw(graph, trials, seed, *, num_hyperplanes):
+            calls.append((seed, (graph, trials, num_hyperplanes)))
+            return real_gw(graph, trials, seed, num_hyperplanes=num_hyperplanes)
+
+        monkeypatch.setattr(core, "train", train)
+        monkeypatch.setattr(baselines, "gw", gw)
+        graph, settings, master = generate_regular(6, 3, seed=1), self.SETTINGS, self.MASTER
+        grid = GridSpec((2, 1), (0.5, 0.2), 2, 2)
+        run, items = {
+            "grid": (lambda: grid_search(k4, grid, EncodingConfig(2, 4), master, jobs=1),
+                     harness._grid_plan(k4, grid, EncodingConfig(2, 4), master, None, None)),
+            "scan": (lambda: scan_blue_sizes(graph, settings, master, jobs=1),
+                     harness._scan_plan(graph, settings, master)),
+            # Unreachable targets run every rung.
+            "scaling": (lambda: scaling_study([k4, graph], [1e9, 1e9], "layers", settings,
+                                              axis_values=(2, 1), seed=master, jobs=1),
+                        _scaling_items(harness._scaling_plan(
+                            [k4, graph], [1e9, 1e9], "layers", settings, (2, 1), master))),
+            "study": (lambda: multi_instance_study(2, 6, 3, settings, gw_trials=2,
+                                                   seed=master, jobs=1),
+                      harness._study_plan(2, 6, 3, settings, 2, master, 1)),
+        }[experiment]
+        run()
+        assert calls == [(seed, args) for _, seed, args in items]
