@@ -23,8 +23,9 @@ from math import ceil, isfinite, sqrt
 
 import numpy as np
 
-from .errors import ConfigError, RuntimeFailure, SizeMismatch, check_count
-from .graphs import Graph, Partition, cut_value, exhaustive_maxcut, random_star_partition
+from .errors import ConfigError, RuntimeFailure, SizeMismatch, check_count, check_finite
+from .graphs import (Graph, Partition, _crossing_weight, cut_value, exhaustive_maxcut,
+                     random_star_partition)
 from .seeding import child_rng, derive_seed
 
 __all__ = [
@@ -54,7 +55,7 @@ class Embedding:
     vectors: np.ndarray
 
     def __post_init__(self):
-        vec = np.asarray(self.vectors, dtype=np.float64)
+        vec = np.asarray(check_finite("embedding vectors", self.vectors), dtype=np.float64)
         if vec.ndim != 2:
             raise ConfigError("vectors must be a 2-D array (nodes x rank)")
         norms = np.linalg.norm(vec, axis=1)
@@ -157,11 +158,9 @@ def gw_round(embedding: Embedding, graph: Graph, num_hyperplanes: int = 100,
     rng = child_rng(seed, "gw_round")
     normals = rng.normal(size=(num_hyperplanes, embedding.rank))
     sides = (embedding.vectors @ normals.T) > 0          # nodes x hyperplanes
-    crossing = sides[graph.edge_u] != sides[graph.edge_v]
-    cuts = graph.edge_w @ crossing
+    cuts = _crossing_weight(graph, sides)
     best = int(np.argmax(cuts))
-    partition = Partition(sides[:, best].astype(np.uint8))
-    return float(cuts[best]), partition
+    return float(cuts[best]), Partition(sides[:, best])
 
 
 def random_star_cuts(graph: Graph, trials: int, seed=0,

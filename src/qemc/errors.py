@@ -44,7 +44,7 @@ class SizeMismatch(ConfigError):
 
 
 class TooLarge(ConfigError):
-    """Exhaustive search's node cap or the simulator's qubit cap is exceeded."""
+    """A graph's node bound, the exhaustive node cap or the qubit cap is exceeded."""
 
 
 class InvalidBlueCount(ConfigError):

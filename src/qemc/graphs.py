@@ -52,8 +52,13 @@ BLUE = 1
 #: default node cap for exhaustive enumeration (2^(N-1) partitions)
 EXHAUSTIVE_NODE_CAP = 28
 
-#: masks evaluated per vectorized chunk of the exhaustive search
-_CHUNK_BITS = 20
+#: masks per chunk of the exhaustive search: a power of two >= 2, so chunks divide
+#: 2^(N-1) and ``_crossing_weight`` adds each chunk's weights in edge order
+_CHUNK_BITS = 12
+
+#: most nodes a graph may have: below 2^30 the edge keys u * N + v (< N^2) fit in
+#: int64, and a dense N x N float64 matrix has fewer than 2^63 bytes
+_MAX_NODES = (1 << 30) - 1
 
 #: stub-pairing attempts generate_regular makes before giving up
 _MAX_RETRIES = 1000
@@ -73,7 +78,8 @@ class Graph:
     edge_w: np.ndarray
 
     def __post_init__(self):
-        check_count("num_nodes", self.num_nodes)
+        if check_count("num_nodes", self.num_nodes) > _MAX_NODES:
+            raise TooLarge(f"a graph has at most {_MAX_NODES} nodes, got {self.num_nodes}")
         u = _integers("edge_u", self.edge_u, "iu").astype(np.int64, copy=False)
         v = _integers("edge_v", self.edge_v, "iu").astype(np.int64, copy=False)
         w = np.asarray(check_finite("edge weights", self.edge_w), dtype=np.float64)
@@ -278,6 +284,8 @@ def generate_regular(num_nodes: int, degree: int, seed) -> Graph:
     """
     check_count("num_nodes", num_nodes, 2, InvalidDegree)
     check_count("degree", degree, 1, InvalidDegree)
+    if num_nodes > _MAX_NODES:
+        raise TooLarge(f"a graph has at most {_MAX_NODES} nodes, got {num_nodes}")
     if degree >= num_nodes:
         raise InvalidDegree(f"degree {degree} must be < num_nodes {num_nodes}")
     if (num_nodes * degree) % 2 != 0:
@@ -307,23 +315,13 @@ def cut_value(graph: Graph, partition: Partition) -> float:
     return _crossing_weight(graph, partition.colors)
 
 
-def _crossing_weight(graph: Graph, colors: np.ndarray) -> float:
-    """Total weight of the edges whose endpoints differ in ``colors``, a length-N
-    array of node colors or blue flags."""
-    crossing = colors[graph.edge_u] != colors[graph.edge_v]
-    return float(graph.edge_w[crossing].sum())
-
-
-@np.errstate(over="ignore", invalid="ignore")  # exhaustive_maxcut checks the best cut
-def _chunk_cuts(graph, masks):
-    """Cut value for each enumeration mask (bit i-1 of the mask colors node i;
-    node 0 is fixed white)."""
-    acc = np.zeros(masks.size)
-    for u, v, w in zip(graph.edge_u, graph.edge_v, graph.edge_w):
-        bu = (masks >> (u - 1)) & 1 if u > 0 else np.zeros(masks.size, dtype=masks.dtype)
-        bv = (masks >> (v - 1)) & 1
-        acc += w * (bu != bv)
-    return acc
+def _crossing_weight(graph: Graph, colors: np.ndarray):
+    """Weight of the edges whose endpoints differ in ``colors``: a float for one
+    coloring (N,), k cuts for a table (N, k).  einsum sums in numpy, not BLAS, with
+    no overflow warning, and over k >= 2 columns adds the weights in edge order."""
+    cuts = np.einsum("e,e...->...", graph.edge_w,
+                     colors[graph.edge_u] != colors[graph.edge_v])
+    return float(cuts) if colors.ndim == 1 else cuts
 
 
 def exhaustive_maxcut(graph: Graph, *, node_cap: int = EXHAUSTIVE_NODE_CAP):
@@ -338,19 +336,19 @@ def exhaustive_maxcut(graph: Graph, *, node_cap: int = EXHAUSTIVE_NODE_CAP):
     if n > check_count("node_cap", node_cap):
         raise TooLarge(f"{n} nodes exceeds the exhaustive cap of {node_cap}")
     total = 1 << (n - 1)
+    chunk = min(total, 1 << _CHUNK_BITS)
+    nodes = np.arange(n)[:, None]
     best_cut = -np.inf
-    best_mask = 0
-    chunk = 1 << _CHUNK_BITS
     for start in range(0, total, chunk):
-        masks = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        cuts = _chunk_cuts(graph, masks)
+        masks = np.arange(start, start + chunk, dtype=np.int64)
+        table = (((masks << 1) >> nodes) & 1).astype(np.uint8)    # node k > 0: bit k - 1
+        cuts = _crossing_weight(graph, table)
         i = int(np.argmax(cuts))
         if not np.isfinite(cuts[i]):
             raise RuntimeFailure(f"exhaustive_maxcut: the best cut is not finite ({cuts[i]})")
         if cuts[i] > best_cut:
             best_cut = float(cuts[i])
-            best_mask = int(masks[i])
-    colors = ((best_mask << 1) >> np.arange(n)) & 1     # node k > 0: mask bit k - 1
+            colors = table[:, i].copy()
     return best_cut, Partition(colors)
 
 
@@ -379,7 +377,6 @@ def parse_edge_list(text: str) -> Graph:
     if not isinstance(text, str):
         raise ParseError(f"edge list must be text, got {type(text).__name__}")
     declared_n = None
-    seen_edge = False
     edges: list[tuple[int, int, float]] = []
     keys: set[tuple[int, int]] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -388,7 +385,7 @@ def parse_edge_list(text: str) -> Graph:
             continue
         parts = line.split()
         if parts[0] == "N":
-            if seen_edge or declared_n is not None:
+            if edges or declared_n is not None:
                 raise ParseError("node-count declaration must be the first "
                                  "non-comment line", lineno)
             if len(parts) != 2:
@@ -397,8 +394,8 @@ def parse_edge_list(text: str) -> Graph:
                 declared_n = int(parts[1])
             except ValueError:
                 raise ParseError(f"bad node count {parts[1]!r}", lineno) from None
-            if declared_n < 1:
-                raise ParseError("node count must be positive", lineno)
+            if not 1 <= declared_n <= _MAX_NODES:
+                raise ParseError(f"node count must be 1 to {_MAX_NODES}, got {declared_n}", lineno)
             continue
         if len(parts) not in (2, 3):
             raise ParseError(f"expected 'u v' or 'u v w', got {line!r}", lineno)
@@ -409,8 +406,8 @@ def parse_edge_list(text: str) -> Graph:
             raise ParseError(f"bad edge line {line!r}", lineno) from None
         if not np.isfinite(w):
             raise ParseError(f"edge weight must be finite, got {parts[2]!r}", lineno)
-        if u < 0 or v < 0:
-            raise ParseError("node indices must be non-negative", lineno)
+        if not (0 <= u < _MAX_NODES and 0 <= v < _MAX_NODES):
+            raise ParseError(f"node indices must be 0 to {_MAX_NODES - 1}, got {u} {v}", lineno)
         if u == v:
             raise SelfLoop(f"self-loop at node {u}", lineno)
         if u > v:
@@ -419,7 +416,6 @@ def parse_edge_list(text: str) -> Graph:
             raise DuplicateEdge(f"duplicate edge ({u}, {v})", lineno)
         keys.add((u, v))
         edges.append((u, v, w))
-        seen_edge = True
 
     max_index = max((v for _, v, _ in edges), default=-1)
     num_nodes = declared_n if declared_n is not None else max_index + 1

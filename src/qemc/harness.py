@@ -13,13 +13,14 @@ place where the qubit count, the default blue count and the default gradient
 mode are resolved.  Each experiment is a plan, a run and a reduction: its plan
 function (``_grid_plan``, ``_scan_plan``, ``_scaling_plan``, ``_study_plan``)
 checks every argument and lists every ``(tags, seed, args)`` item before any
-trial runs, and the public function runs them through ``_map_jobs`` and
-reduces the records.  A failing trial raises :class:`RuntimeFailure` naming
-its tag path and seed, which replay it alone.
+trial runs, and the public function runs them through ``_map_jobs`` on the one
+``_pool`` it opens and reduces the records.  A failing trial raises
+:class:`RuntimeFailure` naming its tag path and seed, which replay it alone.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import os
 from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
@@ -70,31 +71,43 @@ def _attempt(fn, item):
         raise RuntimeFailure(f"trial {_name(item)} failed: {exc!r}") from exc
 
 
-def _map_jobs(fn, items, jobs):
-    """``fn`` over ``(tags, seed, args)`` items, in order; failures name their trial."""
+@contextlib.contextmanager
+def _pool(jobs, width):
+    """One experiment call's workers, shared by its ``_map_jobs`` calls: a pool of
+    ``min(jobs, width)`` processes as ``(executor, workers)``, or ``None`` (run in
+    this process) for one; ``width`` is the longest item list the call maps."""
     if jobs is None:    # the CPUs this process may run on, where the OS tells
         affinity = getattr(os, "sched_getaffinity", None)
         jobs = len(affinity(0)) if affinity else max(1, os.cpu_count() or 1)
+    workers = min(check_count("jobs", jobs), width)
+    if workers <= 1:
+        yield None
+    else:
+        with ProcessPoolExecutor(max_workers=workers) as executor:
+            yield executor, workers
+
+
+def _map_jobs(fn, items, pool):
+    """``fn`` over ``(tags, seed, args)`` items, in order; failures name their trial."""
     run = functools.partial(_attempt, fn)
-    if check_count("jobs", jobs) == 1 or len(items) <= 1:
+    if pool is None:
         return [run(item) for item in items]
-    workers = min(jobs, len(items))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(run, item) for item in items]
-        try:
-            return [future.result() for future in futures]
-        except BrokenExecutor as exc:
-            # Workers take items in order, so each one before the item that
-            # killed its worker has a result or ran beside it: the culprit is
-            # among the first `workers` without one (+1 for a result in transit).
-            lost = [item for item, future in zip(items, futures)
-                    if future.exception() is not None][:workers + 1]
-            raise RuntimeFailure(
-                f"trial {' or '.join(map(_name, lost))}: a pool worker died while "
-                f"running it: {exc!r}") from exc
-        finally:    # after a failure, start no further trial
-            for future in futures:
-                future.cancel()
+    executor, workers = pool
+    futures = [executor.submit(run, item) for item in items]
+    try:
+        return [future.result() for future in futures]
+    except BrokenExecutor as exc:
+        # Workers take items in order, so each one before the item that
+        # killed its worker has a result or ran beside it: the culprit is
+        # among the first `workers` without one (+1 for a result in transit).
+        lost = [item for item, future in zip(items, futures)
+                if future.exception() is not None][:workers + 1]
+        raise RuntimeFailure(
+            f"trial {' or '.join(map(_name, lost))}: a pool worker died while "
+            f"running it: {exc!r}") from exc
+    finally:    # after a failure, start no further trial
+        for future in futures:
+            future.cancel()
 
 
 @dataclass(frozen=True)
@@ -223,7 +236,8 @@ def grid_search(graph: Graph, grid: GridSpec, encoding: EncodingConfig, seed=0,
     reports the smallest layer count whose best cell reaches ``target``.
     """
     items = _grid_plan(graph, grid, encoding, seed, shots, target)
-    records = _map_jobs(_run_train, items, jobs)
+    with _pool(jobs, len(items)) as pool:
+        records = _map_jobs(_run_train, items, pool)
     cuts = np.array([r.final_best_cut for r in records]).reshape(
         len(grid.layer_values), len(grid.step_values), grid.trials_per_cell)
     min_layers = None if target is None else min(
@@ -258,7 +272,9 @@ def scan_blue_sizes(graph: Graph, settings: QemcSettings, seed=0, *,
     threshold needs fewer shots in practice; the winner's B is
     ``record.encoding.blue_count``.
     """
-    records = _map_jobs(_run_train, _scan_plan(graph, settings, seed), jobs)
+    items = _scan_plan(graph, settings, seed)
+    with _pool(jobs, len(items)) as pool:
+        records = _map_jobs(_run_train, items, pool)
     return max(records, key=lambda r: r.final_best_cut)
 
 
@@ -301,9 +317,10 @@ def scaling_study(graph_family, targets, resource_axis: str,
     ``iterations`` axis reads every budget off one set of runs, so it takes no
     ``axis_values``.  An unreachable target gives a row with ``reached=False``.
     """
-    return [_scan_axis(num_nodes, resource_axis, rungs, target, jobs)
-            for num_nodes, target, rungs in _scaling_plan(
-                graph_family, targets, resource_axis, settings, axis_values, seed)]
+    plan = _scaling_plan(graph_family, targets, resource_axis, settings, axis_values, seed)
+    with _pool(jobs, settings.trials) as pool:      # each rung: one arm's trials
+        return [_scan_axis(num_nodes, resource_axis, rungs, target, pool)
+                for num_nodes, target, rungs in plan]
 
 
 def _scaling_plan(graph_family, targets, axis, settings, values, seed):
@@ -335,11 +352,11 @@ def _scaling_plan(graph_family, targets, axis, settings, values, seed):
     return plans
 
 
-def _scan_axis(num_nodes, axis, rungs, target, jobs):
+def _scan_axis(num_nodes, axis, rungs, target, pool):
     """Run the rungs in order up to the first whose mean cut reaches ``target``;
     on the iterations axis, the first budget whose mean best-so-far cut does."""
     for value, items in rungs:
-        records = _map_jobs(_run_train, items, jobs)
+        records = _map_jobs(_run_train, items, pool)
         if axis == "iterations":
             hits = np.flatnonzero(np.mean([r.best_cuts for r in records], axis=0) >= target)
             if hits.size:
@@ -396,10 +413,11 @@ def multi_instance_study(num_instances: int, num_nodes: int, degree: int,
     """
     items = _study_plan(num_instances, num_nodes, degree, settings, gw_trials, seed,
                         gw_hyperplanes)
-    records = _map_jobs(_run_train, items[:-num_instances], jobs)
+    with _pool(jobs, len(items) - num_instances) as pool:
+        records = _map_jobs(_run_train, items[:-num_instances], pool)
     best_curves = np.array([r.best_cuts for r in records]).reshape(
         num_instances, settings.trials, settings.iterations)
-    gw_cuts = np.array(_map_jobs(_run_gw, items[-num_instances:], 1))
+    gw_cuts = np.array(_map_jobs(_run_gw, items[-num_instances:], None))
     return StudyResult(
         num_nodes=num_nodes, degree=degree, num_instances=num_instances,
         qemc_trials=settings.trials, gw_trials=gw_trials, iterations=settings.iterations,

@@ -39,7 +39,8 @@ def _train_many(graph, layers, step_size, iterations, seeds):
               (graph, ansatz, encoding,
                OptimizerConfig(step_size=step_size, max_iterations=iterations, seed=seed)))
              for seed in seeds]
-    return harness._map_jobs(harness._run_train, items, jobs=JOBS)
+    with harness._pool(JOBS, len(items)) as pool:
+        return harness._map_jobs(harness._run_train, items, pool)
 
 
 def test_a1_k4_optimum():

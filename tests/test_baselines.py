@@ -124,6 +124,18 @@ class TestGwSolve:
 
 
 class TestGwRound:
+    @pytest.mark.parametrize("hyperplanes", [1, 2, 100])
+    def test_cut_is_its_partitions_cut(self, hyperplanes):
+        # Integer weights: every summation order gives the same exact sum.
+        rng = np.random.default_rng(13)
+        g = Graph.from_edges(10, [(u, v, int(rng.integers(-3, 6))) for u in range(10)
+                                  for v in range(u + 1, 10) if rng.random() < 0.5])
+        embedding = gw_solve(g, seed=1).embedding
+        for seed in range(5):
+            cut, part = gw_round(embedding, g, hyperplanes, seed=seed)
+            assert type(cut) is float
+            assert cut == cut_value(g, part)
+
     def test_antipodal_edge_always_cut(self):
         g = Graph.from_edges(2, [(0, 1)])
         embedding = Embedding(np.array([[1.0, 0.0], [-1.0, 0.0]]))

@@ -1,9 +1,13 @@
 import argparse
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import qemc
 from qemc import baselines, cli, core
 from qemc.cli import _build_parser, _write_csv, main
 from qemc.graphs import (
@@ -614,6 +618,42 @@ class TestZeroIterations:
         assert "qemc: error: iterations" in capsys.readouterr().err
         assert not out.exists()
         assert not chart.exists()
+
+
+class TestHugeNodeCount:
+    """A node count past the graph bound exits with its code, not a traceback."""
+
+    HUGE = "99999999999999999999"
+
+    @staticmethod
+    def _run(args, cwd):
+        env = dict(os.environ, PYTHONPATH=str(Path(qemc.__file__).parents[1]))
+        return subprocess.run([sys.executable, "-m", "qemc.cli", *args], cwd=cwd, env=env,
+                              capture_output=True, text=True)
+
+    @pytest.mark.parametrize("command", ["generate", "study"])
+    def test_generated_graph_exits_1(self, tmp_path, command):
+        args = (["generate", "--nodes", self.HUGE, "--degree", "2", "--out", "g.txt"]
+                if command == "generate" else _command("study", "", "s.csv"))
+        args[args.index("--nodes") + 1] = self.HUGE
+        done = self._run(args, tmp_path)
+        assert done.returncode == 1
+        assert "qemc: error: a graph has at most 1073741823 nodes" in done.stderr
+        assert "Traceback" not in done.stderr
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("declared", [HUGE, "9999999999"])
+    @pytest.mark.parametrize("command", ["exhaustive", "gw", "solve"])
+    def test_declared_count_exits_2_naming_the_line(self, tmp_path, command, declared):
+        (tmp_path / "g.txt").write_text(f"N {declared}\n0 1\n")
+        args = {"exhaustive": ["exhaustive", "--graph", "g.txt"],
+                "gw": ["gw", "--graph", "g.txt", "--trials", "1", "--out", "r.out"],
+                "solve": _command("solve", "g.txt", "r.out")}[command]
+        done = self._run(args, tmp_path)
+        assert done.returncode == 2
+        assert "qemc: error: line 1: node count must be 1 to 1073741823" in done.stderr
+        assert "Traceback" not in done.stderr
+        assert not (tmp_path / "r.out").exists()
 
 
 class TestOneNodeGraph:

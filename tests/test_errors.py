@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from qemc import core
-from qemc.baselines import gw, gw_round, gw_solve, random_star_cuts
+from qemc.baselines import Embedding, gw, gw_round, gw_solve, random_star_cuts
 from qemc.core import EncodingConfig, OptimizerConfig
 from qemc.errors import (
     InvalidBlueCount,
@@ -187,10 +187,14 @@ class TestCheckFinite:
         (lambda: core.cut_ratio([1, [2, 3]], 2.0), ConfigError),
         (lambda: Graph.from_edges(3, [(0, 1, True), (1, 2, 2.0)]), ConfigError),
         (lambda: Graph.from_edges(3, [(0, 1, 2.0), (1, 2, np.bool_(False))]), ConfigError),
+        (lambda: Embedding(np.full((3, 2), np.nan)), ConfigError),
+        (lambda: Embedding([[True]] * 3), ConfigError),
+        (lambda: Embedding([[1j], [1 + 0j], [-1j]]), ConfigError),
     ], ids=["cut", "grid-target", "run_circuit-params", "probabilities-params",
             "jacobian-params", "text-params", "vjp-weights", "histogram", "Graph-weights",
             "from_edges-weight", "cost-2-d", "gradient-2-d", "histogram-overflow",
-            "ragged-cut", "from_edges-bool-among-floats", "from_edges-numpy-bool-among-floats"])
+            "ragged-cut", "from_edges-bool-among-floats", "from_edges-numpy-bool-among-floats",
+            "Embedding-nan", "Embedding-bool", "Embedding-complex"])
     def test_sites_refuse_bad_input(self, call, error, no_training):
         with pytest.raises(error):
             call()

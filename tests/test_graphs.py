@@ -13,9 +13,11 @@ from qemc.errors import (
     SizeMismatch,
     TooLarge,
 )
+from qemc import graphs
 from qemc.graphs import (
     Graph,
     Partition,
+    _crossing_weight,
     complete_bipartite_graph,
     complete_graph,
     cut_value,
@@ -27,7 +29,19 @@ from qemc.graphs import (
     write_edge_list,
 )
 
-from conftest import brute_force_maxcut, random_graph
+from conftest import brute_force_maxcut, random_graph, reference_maxcut
+
+
+def weighted_graph(num_nodes, rng, weights) -> Graph:
+    """``random_graph`` at edge probability 1/2 with weights N(0, 1), N(0, 1) with
+    about a third set to 0, or -|N(0, 1)|."""
+    g = random_graph(num_nodes, 0.5, rng)
+    w = rng.normal(size=g.num_edges)
+    if weights == "zero":
+        w[rng.random(w.size) < 1 / 3] = 0.0
+    elif weights == "negative":
+        w = -np.abs(w)
+    return Graph(num_nodes, g.edge_u, g.edge_v, w)
 
 
 class TestGraphConstruction:
@@ -38,6 +52,15 @@ class TestGraphConstruction:
     def test_self_loop_rejected(self):
         with pytest.raises(SelfLoop):
             Graph.from_edges(3, [(1, 1)])
+
+    @pytest.mark.parametrize("num_nodes", [2 ** 30, 10 ** 20])
+    def test_node_bound(self, num_nodes):
+        with pytest.raises(TooLarge, match="^a graph has at most 1073741823 nodes"):
+            Graph(num_nodes, [0], [1], [1.0])
+
+    def test_node_bound_admits_the_largest_graph(self):
+        g = Graph(2 ** 30 - 1, [0], [2 ** 30 - 2], [1.0])
+        assert g.edges == [(0, 2 ** 30 - 2, 1.0)]
 
     def test_duplicate_rejected(self):
         with pytest.raises(DuplicateEdge):
@@ -166,6 +189,11 @@ class TestGenerateRegular:
         graphs = {tuple(generate_regular(20, 3, seed=s).edges) for s in range(5)}
         assert len(graphs) > 1
 
+    @pytest.mark.parametrize("num_nodes", [2 ** 30, 10 ** 20])
+    def test_node_bound(self, num_nodes):
+        with pytest.raises(TooLarge, match="^a graph has at most 1073741823 nodes"):
+            generate_regular(num_nodes, 2, seed=0)
+
 
 class TestCutValue:
     def test_k4_balanced_split_cuts_4(self, k4):
@@ -189,6 +217,22 @@ class TestCutValue:
             g = random_graph(8, 0.4, rng)
             part = Partition(rng.integers(0, 2, size=8).astype(np.uint8))
             assert cut_value(g, part) == cut_value(g, part.flipped())
+
+    def test_returns_a_python_float(self, k4):
+        assert type(cut_value(k4, Partition([1, 1, 0, 0]))) is float
+
+    @pytest.mark.parametrize("dtype", [np.uint8, bool])
+    def test_table_gives_each_columns_cut(self, dtype):
+        # Integer weights: every summation order gives the same exact sum.
+        rng = np.random.default_rng(8)
+        g = Graph.from_edges(9, [(u, v, int(rng.integers(-3, 6))) for u in range(9)
+                                 for v in range(u + 1, 9) if rng.random() < 0.5])
+        for columns in (1, 2, 7):
+            table = rng.integers(0, 2, size=(9, columns)).astype(dtype)
+            cuts = _crossing_weight(g, table)
+            assert cuts.shape == (columns,)
+            assert cuts.tolist() == [cut_value(g, Partition(table[:, k]))
+                                     for k in range(columns)]
 
 
 class TestExhaustiveMaxcut:
@@ -221,6 +265,31 @@ class TestExhaustiveMaxcut:
         for i in range(1000):
             part = Partition(rng.integers(0, 2, size=12).astype(np.uint8))
             assert cut_value(g, part) <= cut_star
+
+    @pytest.mark.parametrize("weights", ["normal", "zero", "negative"])
+    def test_equals_the_reference_bit_for_bit(self, weights):
+        # From 14 nodes on, the search spans several chunks of 2^12 masks.
+        rng = np.random.default_rng(["normal", "zero", "negative"].index(weights))
+        for num_nodes in [*range(2, 16)] * 3:
+            g = weighted_graph(num_nodes, rng, weights)
+            cut_star, part = exhaustive_maxcut(g)
+            reference_cut, reference_colors = reference_maxcut(g)
+            assert type(cut_star) is float
+            assert cut_star == reference_cut
+            assert np.array_equal(part.colors, reference_colors)
+
+    @pytest.mark.parametrize("chunk_bits", [1, 2, 12])
+    @pytest.mark.parametrize("family", ["complete", "cycle"])
+    def test_ties_go_to_the_first_optimum_in_mask_order(self, monkeypatch, chunk_bits,
+                                                        family):
+        monkeypatch.setattr(graphs, "_CHUNK_BITS", chunk_bits)
+        for n in range(3, 12):
+            g = (complete_graph(n) if family == "complete" else
+                 Graph.from_edges(n, [(k, (k + 1) % n) for k in range(n)]))
+            cut_star, part = exhaustive_maxcut(g)
+            reference_cut, reference_colors = reference_maxcut(g)
+            assert cut_star == reference_cut
+            assert np.array_equal(part.colors, reference_colors)
 
     def test_bipartite_cuts_everything(self):
         for left, right in [(2, 3), (3, 3), (4, 5)]:
@@ -311,6 +380,15 @@ class TestEdgeListFormat:
         g = parse_edge_list("# a comment\nN 5\n0 1\n")
         assert g.num_nodes == 5
         assert g.num_edges == 1
+
+    @pytest.mark.parametrize("text", ["N 99999999999999999999\n0 1\n", "N 1073741824\n0 1\n",
+                                      "0 99999999999999999999\n", "0 1073741823\n"])
+    def test_node_bound_reports_line(self, text):
+        with pytest.raises(ParseError, match="^line 1: node (count|indices) must be"):
+            parse_edge_list(text)
+
+    def test_node_bound_admits_the_largest_graph(self):
+        assert parse_edge_list("N 1073741823\n0 1073741822\n").num_nodes == 2 ** 30 - 1
 
     def test_header_too_small(self):
         with pytest.raises(ParseError):

@@ -406,6 +406,21 @@ class TestScalingStudy:
         assert [(row.minimal_value, row.reached) for row in rows[0]] == [(minimum, True),
                                                                          (None, False)]
 
+    def test_one_pool_per_call(self, triangle, monkeypatch):
+        pools = []
+
+        class CountedPool(harness.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                pools.append(kwargs["max_workers"])
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", CountedPool)
+        # G8 stops at its second rung, the triangle runs all three: five rungs.
+        rows = [scaling_study([self.G8, triangle], [9.0, 9.0], "layers", self.RUNG_SETTINGS,
+                              axis_values=[1, 2, 3], seed=3, jobs=jobs) for jobs in (2, 1)]
+        assert pools == [2]
+        assert rows[0] == rows[1]
+
     def test_later_graph_rejected_before_training(self, k4, no_training):
         settings = QemcSettings(layers=1, step_size=0.5, iterations=5, trials=1)
         with pytest.raises(ShapeMismatch):
