@@ -163,18 +163,15 @@ def gw_round(embedding: Embedding, graph: Graph, num_hyperplanes: int = 100,
     return float(cuts[best]), Partition(sides[:, best])
 
 
-def random_star_cuts(graph: Graph, trials: int, seed=0,
-                     blue_count: int | None = None) -> list[float]:
-    """Cuts of ``trials`` uniform random partitions with a fixed blue count.
+def random_star_cuts(graph: Graph, trials: int, seed=0) -> list[float]:
+    """Cuts of ``trials`` uniform random partitions with N // 2 blue nodes.
 
-    Defaults to blue_count = N // 2, the same balance assumption the solver
-    makes, which beats naive uniform sampling whenever the optimum is roughly
-    balanced.  Running maxima of the returned list give a best-so-far curve.
+    That is the solver's balance assumption; it beats naive uniform sampling
+    whenever the optimum is roughly balanced.  Running maxima give a best-so-far curve.
     """
     check_count("trials", trials)
-    blue = blue_count if blue_count is not None else graph.num_nodes // 2
     return [cut_value(graph,
-                      random_star_partition(graph.num_nodes, blue,
+                      random_star_partition(graph.num_nodes, graph.num_nodes // 2,
                                             derive_seed(seed, "random_star", trial)))
             for trial in range(trials)]
 

@@ -273,6 +273,14 @@ def _build_parser() -> _Parser:
                    help="master seed (default: QEMC_SEED env var or 0)")
     jobs = _shared("--jobs", type=int, default=None)
     out = _shared("--out", required=True)
+    step_size = _shared("--step-size", type=float, required=True)
+    shots = _shared("--shots", default="exact",
+                    help="'exact', '3n2' (= 3*N^2) or an integer")
+    trials = _shared("--trials", type=int, default=10)
+    iters = _shared("--iters", type=int, default=300)
+    target = _shared("--target", type=float, default=None,
+                     help="report the iterations (solve) or layers (grid) to reach this cut")
+    chart = _shared("--svg", default=None, help="also write an SVG chart of the cuts")
 
     def add(name, summary, func, *parents):
         p = sub.add_parser(name, help=summary, parents=parents)
@@ -285,12 +293,9 @@ def _build_parser() -> _Parser:
     p.add_argument("--degree", type=int, required=True)
 
     p = add("solve", "run the variational MaxCut solver", _cmd_solve, graph, seed,
-            jobs, out)
+            jobs, out, step_size, shots, target, chart)
     p.add_argument("--layers", type=int, required=True)
-    p.add_argument("--step-size", type=float, required=True)
     p.add_argument("--iters", type=int, required=True)
-    p.add_argument("--shots", default="exact",
-                   help="'exact', '3n2' (= 3*N^2) or an integer")
     group = p.add_mutually_exclusive_group()
     group.add_argument("--blue", type=int, default=None,
                        help="assumed blue-set size (default N//2)")
@@ -300,33 +305,26 @@ def _build_parser() -> _Parser:
                    help="trials per blue-set size under --scan-blue")
     p.add_argument("--grad", choices=["analytic", "shift"], default=None,
                    help="gradient mode (default: shift with --shots, else analytic)")
-    p.add_argument("--target", type=float, default=None,
-                   help="report iterations needed to reach this cut")
     p.add_argument("--verbose", action="store_true",
                    help="print one log line per iteration")
-    p.add_argument("--svg", default=None, help="also write a best-so-far chart")
 
     p = add("exhaustive", "optimal cut by enumeration", _cmd_exhaustive, graph)
     p.add_argument("--cap", type=int, default=EXHAUSTIVE_NODE_CAP, help="node-count cap")
 
-    p = add("gw", "Goemans-Williamson baseline trials", _cmd_gw, graph, seed, out)
-    p.add_argument("--trials", type=int, default=10)
+    p = add("gw", "Goemans-Williamson baseline trials", _cmd_gw, graph, seed, out, trials)
     p.add_argument("--hyperplanes", dest="num_hyperplanes", metavar="HYPERPLANES",
                    type=int, default=100, help="roundings per trial (best cut kept)")
 
-    p = add("grid", "layer / step-size grid search", _cmd_grid, graph, seed, jobs, out)
+    p = add("grid", "layer / step-size grid search", _cmd_grid, graph, seed, jobs, out,
+            trials, iters, shots, target)
     p.add_argument("--layers", type=_number_list(int, "--layers"), required=True,
                    help="comma-separated layer counts")
     p.add_argument("--steps", type=_number_list(float, "--steps"), required=True,
                    help="comma-separated step sizes")
-    p.add_argument("--trials", type=int, default=10)
-    p.add_argument("--iters", type=int, default=300)
-    p.add_argument("--shots", default="exact")
     p.add_argument("--blue", type=int, default=None)
-    p.add_argument("--target", type=float, default=None)
 
     p = add("scaling", "minimal resource to reach per-graph targets", _cmd_scaling,
-            seed, jobs, out)
+            seed, jobs, out, iters, trials, shots)
     p.add_argument("--graph", dest="graphs", metavar="GRAPH", action="append",
                    required=True, help="edge-list file (repeatable)")
     p.add_argument("--target", dest="targets", metavar="TARGET", action="append",
@@ -336,21 +334,17 @@ def _build_parser() -> _Parser:
                    help="comma-separated axis values (defaults per axis)")
     p.add_argument("--layers", type=int, default=5)
     p.add_argument("--step-size", type=float, default=0.7)
-    p.add_argument("--iters", type=int, default=300)
-    p.add_argument("--trials", type=int, default=10)
-    p.add_argument("--shots", default="exact")
 
-    p = add("study", "multi-instance QEMC vs GW study", _cmd_study, seed, jobs, out)
+    p = add("study", "multi-instance QEMC vs GW study", _cmd_study, seed, jobs, out,
+            step_size, chart)
     p.add_argument("--instances", type=int, required=True)
     p.add_argument("--nodes", type=int, required=True)
     p.add_argument("--degree", type=int, required=True)
     p.add_argument("--layers", type=int, required=True)
-    p.add_argument("--step-size", type=float, required=True)
     p.add_argument("--iters", type=int, required=True)
     p.add_argument("--qemc-trials", type=int, default=10)
     p.add_argument("--gw-trials", type=int, default=10)
     p.add_argument("--gw-hyperplanes", type=int, default=1)
-    p.add_argument("--svg", default=None)
     return parser
 
 

@@ -215,10 +215,9 @@ def decode(probs, encoding: EncodingConfig) -> Partition:
 
 
 def _cost_terms(probs, graph: Graph, inv_b: float) -> tuple:
-    """``(cost, dC/dp)`` for 1/B = ``inv_b``, from one gather of the edge endpoints'
-    probabilities; one ``np.bincount`` adds every ``u`` term, then every ``v``
-    term, to its endpoint."""
-    probs = _check_probs(probs, graph.num_nodes)
+    """``(cost, dC/dp)`` for 1/B = ``inv_b`` and a checked 1-D histogram ``probs``,
+    from one gather of the edge endpoints' probabilities; one ``np.bincount`` adds
+    every ``u`` term, then every ``v`` term, to its endpoint."""
     ends = np.concatenate([graph.edge_u, graph.edge_v])
     pj, pk = probs[ends].reshape(2, -1)
     diff = pj - pk
@@ -241,7 +240,7 @@ def cost(probs, graph: Graph, encoding: EncodingConfig) -> float:
     """Edge-wise mean-squared-error cost; zero exactly when every edge pairs a
     probability-0 endpoint with a probability-1/B endpoint."""
     _check_encoding(graph, encoding)
-    probs = check_finite("probabilities", probs)
+    probs = _check_probs(check_finite("probabilities", probs), graph.num_nodes)
     return _cost_terms(probs, graph, 1.0 / encoding.blue_count)[0]
 
 
@@ -254,7 +253,7 @@ def cost_gradient_wrt_probs(probs, graph: Graph,
     arbitrary sign.
     """
     _check_encoding(graph, encoding)
-    probs = check_finite("probabilities", probs)
+    probs = _check_probs(check_finite("probabilities", probs), graph.num_nodes)
     return _cost_terms(probs, graph, 1.0 / encoding.blue_count)[1]
 
 
@@ -275,6 +274,13 @@ def cost_gradient_params(graph: Graph, ansatz: AnsatzConfig,
 
 
 # -- training ------------------------------------------------------------------------
+
+
+def _circuit_executions(ansatz: AnsatzConfig, optimizer: OptimizerConfig) -> int:
+    """Circuit executions a run is charged: one per iteration, plus 2P shifted
+    circuits per iteration under parameter shift, P the parameter count."""
+    shift = optimizer.gradient_mode == PARAMETER_SHIFT
+    return optimizer.max_iterations * (1 + 2 * ansatz.num_parameters if shift else 1)
 
 
 @np.errstate(all="ignore")  # train checks each iteration's cost, cut and Adam state
@@ -303,13 +309,10 @@ def train(graph: Graph, ansatz: AnsatzConfig, encoding: EncodingConfig,
     _check_encoding(graph, encoding)
 
     params = simulator.random_parameters(ansatz, optimizer.seed)
-    num_params = ansatz.num_parameters
     num_nodes, threshold = graph.num_nodes, encoding.threshold
     inv_b = 1.0 / encoding.blue_count
     shift = optimizer.gradient_mode == PARAMETER_SHIFT
-    # Every iteration executes the circuit once, plus 2P shifted copies for
-    # parameter shift, each sampled with the shot budget if there is one.
-    executions = optimizer.max_iterations * (1 + 2 * num_params if shift else 1)
+    executions = _circuit_executions(ansatz, optimizer)
     counters = RunCounters(
         circuit_executions=executions,
         shots_total=0 if optimizer.shots is None else executions * optimizer.shots,
@@ -319,8 +322,8 @@ def train(graph: Graph, ansatz: AnsatzConfig, encoding: EncodingConfig,
     cuts = np.empty(optimizer.max_iterations)
     best_cuts = np.empty(optimizer.max_iterations)
 
-    m = np.zeros(num_params)
-    v = np.zeros(num_params)
+    m = np.zeros_like(params)
+    v = np.zeros_like(params)
     best = -np.inf
 
     for it in range(1, optimizer.max_iterations + 1):

@@ -18,6 +18,7 @@ from .errors import (
     DuplicateEdge,
     GenerationFailed,
     InvalidBlueCount,
+    InvalidCount,
     InvalidDegree,
     ParseError,
     RuntimeFailure,
@@ -64,6 +65,12 @@ _MAX_NODES = (1 << 30) - 1
 _MAX_RETRIES = 1000
 
 
+def _check_nodes(num_nodes, minimum=1, error=InvalidCount) -> None:
+    """Refuse a node count below ``minimum`` (with ``error``) or above ``_MAX_NODES``."""
+    if check_count("num_nodes", num_nodes, minimum, error) > _MAX_NODES:
+        raise TooLarge(f"a graph has at most {_MAX_NODES} nodes, got {num_nodes}")
+
+
 @dataclass(frozen=True, eq=False)
 class Graph:
     """Undirected weighted graph with ``num_nodes`` nodes and canonical edge arrays.
@@ -78,8 +85,7 @@ class Graph:
     edge_w: np.ndarray
 
     def __post_init__(self):
-        if check_count("num_nodes", self.num_nodes) > _MAX_NODES:
-            raise TooLarge(f"a graph has at most {_MAX_NODES} nodes, got {self.num_nodes}")
+        _check_nodes(self.num_nodes)
         u = _integers("edge_u", self.edge_u, "iu").astype(np.int64, copy=False)
         v = _integers("edge_v", self.edge_v, "iu").astype(np.int64, copy=False)
         w = np.asarray(check_finite("edge weights", self.edge_w), dtype=np.float64)
@@ -125,6 +131,8 @@ class Graph:
                 raise ConfigError(f"edge weights must be finite, got {e[2]!r}")
             else:
                 ws.append(e[2])
+        if us and (min(us) < 0 or max(vs) >= _MAX_NODES):     # the int64 cast would overflow
+            raise ConfigError("edge endpoint out of range")
         return cls(num_nodes, np.array(us, dtype=np.int64), np.array(vs, dtype=np.int64), ws)
 
     @property
@@ -282,10 +290,8 @@ def generate_regular(num_nodes: int, degree: int, seed) -> Graph:
     ``_MAX_RETRIES`` rejected attempts raise ``GenerationFailed``.
     Deterministic for a fixed seed.
     """
-    check_count("num_nodes", num_nodes, 2, InvalidDegree)
+    _check_nodes(num_nodes, 2, InvalidDegree)
     check_count("degree", degree, 1, InvalidDegree)
-    if num_nodes > _MAX_NODES:
-        raise TooLarge(f"a graph has at most {_MAX_NODES} nodes, got {num_nodes}")
     if degree >= num_nodes:
         raise InvalidDegree(f"degree {degree} must be < num_nodes {num_nodes}")
     if (num_nodes * degree) % 2 != 0:
@@ -354,7 +360,7 @@ def exhaustive_maxcut(graph: Graph, *, node_cap: int = EXHAUSTIVE_NODE_CAP):
 
 def random_star_partition(num_nodes: int, blue_count: int, seed) -> Partition:
     """Uniformly random partition with exactly ``blue_count`` blue nodes."""
-    check_count("num_nodes", num_nodes)
+    _check_nodes(num_nodes)
     check_count("blue_count", blue_count, error=InvalidBlueCount)
     if blue_count > num_nodes:
         raise InvalidBlueCount(

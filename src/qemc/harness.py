@@ -469,13 +469,12 @@ class ResourceEstimate:
 def resource_estimate(record: RunRecord) -> ResourceEstimate:
     """Derive the TTS decomposition from a run record and audit its counters.
 
-    The expected execution count is 1 per iteration in analytic mode and
-    1 + 2P per iteration under parameter shift.
+    The expected execution count is the one ``core`` charges a run: 1 per
+    iteration, plus 2P per iteration under parameter shift.
     """
     p = record.ansatz.num_parameters
     gates = simulator.gate_count(record.ansatz)
     iterations = record.iterations_executed
-    per_iteration = 1 if record.optimizer.gradient_mode == ANALYTIC else 1 + 2 * p
     shots = record.optimizer.shots
     t_c = float(record.graph_num_edges)
     t_q = float(gates * (shots if shots is not None else 1))
@@ -483,6 +482,6 @@ def resource_estimate(record: RunRecord) -> ResourceEstimate:
         num_parameters=p, iterations=iterations, shots=shots,
         layers=record.ansatz.num_layers, gate_count=gates,
         circuit_executions=record.counters.circuit_executions,
-        expected_circuit_executions=per_iteration * iterations,
+        expected_circuit_executions=core._circuit_executions(record.ansatz, record.optimizer),
         classical_time_proxy=t_c, quantum_time_proxy=t_q,
         tts_proxy=(t_c + t_q) * p * iterations)

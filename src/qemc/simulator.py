@@ -229,16 +229,16 @@ def _marginal_index(width: int) -> np.ndarray:
     return out
 
 
-def _check_params(config: AnsatzConfig, params) -> np.ndarray:
-    if (p := np.asarray(params)).dtype.kind not in "iuf":
-        raise ConfigError(f"parameters must be real numbers, got dtype {p.dtype}")
-    p = p.astype(np.float64, copy=False).reshape(-1)
-    if p.size != config.num_parameters:
-        raise ShapeMismatch(
-            f"expected {config.num_parameters} parameters, got {p.size}")
-    if not np.isfinite(p).all():
-        raise ConfigError("parameters must be finite")
-    return p
+def _check_vector(name: str, values, size: int) -> np.ndarray:
+    """``values`` as a flat float64 array of ``size`` finite reals, called ``name``."""
+    if (v := np.asarray(values)).dtype.kind not in "iuf":
+        raise ConfigError(f"{name} must be real numbers, got dtype {v.dtype}")
+    v = v.astype(np.float64, copy=False).reshape(-1)
+    if v.size != size:
+        raise ShapeMismatch(f"expected {size} {name}, got {v.size}")
+    if not np.isfinite(v).all():
+        raise ConfigError(f"{name} must be finite")
+    return v
 
 
 def _run(ws: _Workspace) -> None:
@@ -363,13 +363,13 @@ def _loaded(config: AnsatzConfig, params: np.ndarray) -> _Workspace:
 
 def run_circuit(config: AnsatzConfig, params) -> np.ndarray:
     """Statevector prepared by the ansatz: complex array of length 2^n."""
-    params = _check_params(config, params)
+    params = _check_vector("parameters", params, config.num_parameters)
     return _loaded(config, params).state.copy()
 
 
 def probabilities(config: AnsatzConfig, params) -> np.ndarray:
     """Exact measurement distribution |amplitude|^2: float64 array of length 2^n."""
-    params = _check_params(config, params)
+    params = _check_vector("parameters", params, config.num_parameters)
     return np.abs(_loaded(config, params).state) ** 2
 
 
@@ -458,15 +458,8 @@ def probability_vjp(config: AnsatzConfig, params, weights) -> np.ndarray:
     the workspace's final state, so right after a ``run_circuit`` or
     ``probabilities`` call at the same parameters it simulates no circuit.
     """
-    params = _check_params(config, params)
-    if (w := np.asarray(weights)).dtype.kind not in "iuf":
-        raise ConfigError(f"weights must be real numbers, got dtype {w.dtype}")
-    w = w.astype(np.float64, copy=False).reshape(-1)
-    if w.size != config.dim:
-        raise ShapeMismatch(f"expected {config.dim} weights, got {w.size}")
-    if not np.isfinite(w).all():
-        raise ConfigError("weights must be finite")
-    return _vjp(config, params, w)
+    params = _check_vector("parameters", params, config.num_parameters)
+    return _vjp(config, params, _check_vector("weights", weights, config.dim))
 
 
 def _tangents(config: AnsatzConfig, params: np.ndarray) -> np.ndarray:
@@ -513,7 +506,7 @@ def probability_jacobian(config: AnsatzConfig, params, *, shots: int | None = No
     (I +- 2G) R / sqrt(2), G its generator, so the shifted states are
     (psi +- 2 chi_i) / sqrt(2).
     """
-    params = _check_params(config, params)
+    params = _check_vector("parameters", params, config.num_parameters)
     if shots is not None:
         check_count("shots", shots)
         if seed is None:

@@ -241,10 +241,6 @@ class TestRandomStarCuts:
         assert cuts == random_star_cuts(g, trials=50, seed=3)
         assert all(0 <= c <= cut_star for c in cuts)
 
-    def test_explicit_blue_count(self, k4):
-        cuts = random_star_cuts(k4, trials=10, seed=1, blue_count=1)
-        assert cuts == [3.0] * 10  # any 1-vs-3 split of K4 cuts 3 edges
-
     def test_trials_validated(self, k4):
         with pytest.raises(InvalidCount, match="trials must be >= 1"):
             random_star_cuts(k4, trials=0)

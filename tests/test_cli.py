@@ -710,6 +710,40 @@ class TestOutputPath:
         assert out.read_text() == "keep"
 
 
+# Each subcommand's parsed options, given only its required ones: every
+# default, of the options several subcommands share too.
+_PARSED = {
+    "generate --nodes 4 --degree 3 --out o":
+        {"nodes": 4, "degree": 3, "seed": None, "out": "o"},
+    "solve --graph g --layers 1 --step-size 0.5 --iters 2 --out o":
+        {"graph": "g", "layers": 1, "step_size": 0.5, "iters": 2, "out": "o", "seed": None,
+         "jobs": None, "shots": "exact", "target": None, "svg": None, "blue": None,
+         "scan_blue": False, "scan_trials": 1, "grad": None, "verbose": False},
+    "exhaustive --graph g": {"graph": "g", "cap": EXHAUSTIVE_NODE_CAP},
+    "gw --graph g --out o":
+        {"graph": "g", "out": "o", "seed": None, "trials": 10, "num_hyperplanes": 100},
+    "grid --graph g --layers 1 --steps 0.5 --out o":
+        {"graph": "g", "layers": [1], "steps": [0.5], "out": "o", "seed": None, "jobs": None,
+         "trials": 10, "iters": 300, "shots": "exact", "target": None, "blue": None},
+    "scaling --graph g --target 3 --axis layers --out o":
+        {"graphs": ["g"], "targets": [3.0], "axis": "layers", "out": "o", "seed": None,
+         "jobs": None, "iters": 300, "trials": 10, "shots": "exact", "values": None,
+         "layers": 5, "step_size": 0.7},
+    "study --instances 1 --nodes 8 --degree 3 --layers 1 --step-size 0.5 --iters 2 --out o":
+        {"instances": 1, "nodes": 8, "degree": 3, "layers": 1, "step_size": 0.5, "iters": 2,
+         "out": "o", "seed": None, "jobs": None, "svg": None, "qemc_trials": 10,
+         "gw_trials": 10, "gw_hyperplanes": 1},
+}
+
+
+class TestParser:
+    @pytest.mark.parametrize("argv", list(_PARSED), ids=lambda argv: argv.split()[0])
+    def test_defaults(self, argv):
+        parsed = vars(_build_parser().parse_args(argv.split()))
+        del parsed["func"]
+        assert parsed == {"command": argv.split()[0], **_PARSED[argv]}
+
+
 class TestUsage:
     def test_unknown_command_exits_1(self, capsys):
         with pytest.raises(SystemExit) as info:

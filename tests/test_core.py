@@ -74,6 +74,10 @@ class TestOptimizerConfig:
         config = OptimizerConfig(0.5, np.int64(3), shots=np.int32(8))
         assert (config.max_iterations, config.shots) == (3, 8)
 
+    def test_unknown_gradient_mode(self):
+        with pytest.raises(ShapeMismatch, match="^unknown gradient mode 'bogus'$"):
+            OptimizerConfig(0.5, 1, gradient_mode="bogus")
+
 
 class TestDecode:
     def test_two_high_entries(self):

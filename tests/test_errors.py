@@ -14,6 +14,7 @@ from qemc.errors import (
     InvalidDegree,
     ConfigError,
     ShapeMismatch,
+    TooLarge,
     check_count,
     check_finite,
 )
@@ -190,11 +191,14 @@ class TestCheckFinite:
         (lambda: Embedding(np.full((3, 2), np.nan)), ConfigError),
         (lambda: Embedding([[True]] * 3), ConfigError),
         (lambda: Embedding([[1j], [1 + 0j], [-1j]]), ConfigError),
+        (lambda: Graph.from_edges(5, [(0, 10 ** 20)]), ConfigError),
+        (lambda: random_star_partition(10 ** 20, 1, 0), TooLarge),
     ], ids=["cut", "grid-target", "run_circuit-params", "probabilities-params",
             "jacobian-params", "text-params", "vjp-weights", "histogram", "Graph-weights",
             "from_edges-weight", "cost-2-d", "gradient-2-d", "histogram-overflow",
             "ragged-cut", "from_edges-bool-among-floats", "from_edges-numpy-bool-among-floats",
-            "Embedding-nan", "Embedding-bool", "Embedding-complex"])
+            "Embedding-nan", "Embedding-bool", "Embedding-complex",
+            "from_edges-int64-overflow", "random_star-nodes"])
     def test_sites_refuse_bad_input(self, call, error, no_training):
         with pytest.raises(error):
             call()

@@ -53,6 +53,10 @@ class TestGraphConstruction:
         with pytest.raises(SelfLoop):
             Graph.from_edges(3, [(1, 1)])
 
+    def test_self_loop_in_arrays_rejected(self):
+        with pytest.raises(SelfLoop, match="^self-loop in edge set$"):
+            Graph(3, [1], [1], [1.0])
+
     @pytest.mark.parametrize("num_nodes", [2 ** 30, 10 ** 20])
     def test_node_bound(self, num_nodes):
         with pytest.raises(TooLarge, match="^a graph has at most 1073741823 nodes"):
@@ -69,6 +73,14 @@ class TestGraphConstruction:
     def test_out_of_range_rejected(self):
         with pytest.raises(ConfigError, match="out of range"):
             Graph.from_edges(2, [(0, 5)])
+
+    # Refused before the endpoints are cast to int64, which would overflow.
+    @pytest.mark.parametrize("edges", [[(0, 10 ** 20)], [(-10 ** 20, 1)], [(-1, 2)],
+                                       [(0, 1), (2 ** 63, 3)]],
+                             ids=["past-int64", "below-int64", "negative", "second-edge"])
+    def test_endpoint_outside_node_bound_rejected(self, edges):
+        with pytest.raises(ConfigError, match="^edge endpoint out of range$"):
+            Graph.from_edges(5, edges)
 
     @pytest.mark.parametrize("edges", [[(0.5, 1), (1.7, 2)], [(0, np.float64(1.5))],
                                        [("1", 2)], [(True, 2)], [(0, np.True_)]],
@@ -342,6 +354,11 @@ class TestRandomStarPartition:
         with pytest.raises(InvalidBlueCount):
             random_star_partition(4, 5, seed=0)
 
+    @pytest.mark.parametrize("num_nodes", [2 ** 30, 10 ** 20])
+    def test_node_bound(self, num_nodes):
+        with pytest.raises(TooLarge, match="^a graph has at most 1073741823 nodes"):
+            random_star_partition(num_nodes, 1, seed=0)
+
     def test_spread_over_nodes(self):
         seen = set()
         for seed in range(30):
@@ -380,6 +397,16 @@ class TestEdgeListFormat:
         g = parse_edge_list("# a comment\nN 5\n0 1\n")
         assert g.num_nodes == 5
         assert g.num_edges == 1
+
+    @pytest.mark.parametrize("text,message", [
+        ("N\n0 1\n", "line 1: expected 'N <num_nodes>'"),
+        ("N 1 2\n0 1\n", "line 1: expected 'N <num_nodes>'"),
+        ("N x\n0 1\n", "line 1: bad node count 'x'"),
+    ], ids=["no-count", "two-counts", "not-a-number"])
+    def test_malformed_header(self, text, message):
+        with pytest.raises(ParseError) as info:
+            parse_edge_list(text)
+        assert str(info.value) == message
 
     @pytest.mark.parametrize("text", ["N 99999999999999999999\n0 1\n", "N 1073741824\n0 1\n",
                                       "0 99999999999999999999\n", "0 1073741823\n"])

@@ -502,6 +502,16 @@ class TestResourceEstimate:
         assert estimate.circuit_executions == estimate.expected_circuit_executions
         assert estimate.quantum_time_proxy == estimate.gate_count * 16
 
+    @pytest.mark.parametrize("mode,per_iteration", [(ANALYTIC, 1), (PARAMETER_SHIFT, 13)])
+    @pytest.mark.parametrize("shots", [None, 16], ids=["exact", "sampled"])
+    def test_audit_holds_in_every_mode(self, k4, mode, per_iteration, shots):
+        record = train(k4, AnsatzConfig(2, 1), EncodingConfig(2, 4),
+                       OptimizerConfig(0.5, 3, shots=shots, gradient_mode=mode, seed=0))
+        estimate = resource_estimate(record)
+        assert estimate.expected_circuit_executions == 3 * per_iteration
+        assert record.counters.circuit_executions == estimate.expected_circuit_executions
+        assert record.counters.shots_total == (0 if shots is None else 3 * per_iteration * shots)
+
 
 GRID = GridSpec(layer_values=(1, 2), step_values=(0.5, 0.9), trials_per_cell=2,
                 iteration_budget=3)
